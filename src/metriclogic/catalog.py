@@ -3,12 +3,16 @@
 Artifacts are stored in their canonical text serialization, so a get after
 a put returns byte-identical content for canonical input.  The manifest
 records every artifact's kind and file, plus the tuple enumeration in force
-for structure-distance computations.
+for structure-distance computations.  Names are plain file-name stems, so
+every file stays inside the catalog directory, and each file is written to
+a temporary file beside it and renamed into place, so a reader never sees
+a half-written artifact or manifest.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -18,6 +22,22 @@ from .syntax import parse, print_formula
 
 class CatalogError(ValueError):
     pass
+
+
+def _check_name(name: str):
+    if name in ("", ".", "..") or any(sep in name for sep in (os.sep, os.altsep) if sep):
+        raise CatalogError(f"bad artifact name {name!r}: want a plain name, "
+                           "not empty, '.', '..' or containing a path separator")
+
+
+def _write_atomic(path: Path, text: str):
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _canon_formula(text: str) -> str:
@@ -78,10 +98,11 @@ class Catalog:
             self.manifest = {"artifacts": {}, "delta_enumeration": None}
 
     def _save(self):
-        self.manifest_path.write_text(
-            json.dumps(self.manifest, indent=2, sort_keys=True) + "\n")
+        _write_atomic(self.manifest_path,
+                      json.dumps(self.manifest, indent=2, sort_keys=True) + "\n")
 
     def put(self, name: str, kind: str, text: str) -> dict:
+        _check_name(name)
         if kind not in CANONICALIZERS:
             raise CatalogError(f"unknown artifact kind {kind!r}")
         if name in self.manifest["artifacts"]:
@@ -91,7 +112,7 @@ class Catalog:
         except Exception as exc:
             raise CatalogError(f"{kind} does not parse: {exc}") from None
         filename = f"{name}.{EXTENSIONS[kind]}"
-        (self.dir / filename).write_text(canonical)
+        _write_atomic(self.dir / filename, canonical)
         entry = {"kind": kind, "file": filename}
         self.manifest["artifacts"][name] = entry
         self._save()

@@ -3,9 +3,10 @@
 Every operation is a subcommand producing a Report: command echo, digests
 of the inputs, a result payload with rationals rendered num/den, an
 exact/enclosure flag and a timing field (excluded from any comparison).
-Exit codes: 0 success, 1 domain error with a diagnostic on stderr, 2 usage
-error.  Artifact arguments are file paths, or names resolved in the catalog
-when --catalog (or METRICLOGIC_CATALOG) is set.
+Exit codes: 0 success, 1 domain error with a diagnostic on stderr (or a
+reader that closed stdout early, silently), 2 usage error.  Artifact
+arguments are file paths, or names resolved in the catalog when --catalog
+(or METRICLOGIC_CATALOG) is set.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ def _enc(e: Enclosure) -> Dict[str, str]:
     return {"lo": _fr(e.lo), "hi": _fr(e.hi)}
 
 
+def _is_file(ref: str) -> bool:
+    """Whether ref names a file; a reference no path can be (an inline
+    formula over the file-name length limit, say) is not one."""
+    try:
+        return Path(ref).is_file()
+    except OSError:
+        return False
+
+
 class Session:
     def __init__(self, args):
         self.args = args
@@ -62,9 +72,8 @@ class Session:
         self.catalog = Catalog(catalog_dir) if catalog_dir else None
 
     def text_of(self, ref: str, label: str) -> str:
-        p = Path(ref)
-        if p.exists() and p.is_file():
-            text = p.read_text()
+        if _is_file(ref):
+            text = Path(ref).read_text()
         elif self.catalog is not None:
             try:
                 _, text = self.catalog.get(ref)
@@ -82,8 +91,7 @@ class Session:
         return textio.parse_structure(self.text_of(ref, label))
 
     def formula_text(self, ref: str, label: str = "formula") -> str:
-        p = Path(ref)
-        if p.exists() and p.is_file():
+        if _is_file(ref):
             return self.text_of(ref, label)
         if self.catalog is not None:
             try:
@@ -445,6 +453,17 @@ def cmd_catalog_get(session, args):
 
 # ------------------------------------------------------------- wiring
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, else a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names the type in its diagnostics
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="metriclogic",
@@ -630,9 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
     def c_suite(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--instances", type=int, default=50)
-        p.add_argument("--max-points", type=int, default=12)
+        p.add_argument("--max-points", type=_int_at_least(2), default=12)
         p.add_argument("--max-group", type=int, default=24)
-        p.add_argument("--max-denominator", type=int, default=8)
+        p.add_argument("--max-denominator", type=_int_at_least(1), default=8)
     add("lemma-suite", cmd_lemma_suite, c_suite)
 
     def c_cput(p):
@@ -679,6 +698,18 @@ def _render_value(key, value, indent=0):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head -1`).  Point stdout at devnull so
+        # the flush at interpreter exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     session = Session(args)

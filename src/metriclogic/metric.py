@@ -4,6 +4,12 @@ Point identifiers are strings and equality is identifier equality; distance
 tables are dense and symmetric.  Validation is an exhaustive check of the
 range, symmetry, zero-diagonal and triangle conditions, and every operation
 in the package returns spaces that pass it.
+
+Invariant: every `RationalMetricSpace` the package hands out was validated
+when it was built (`RationalMetricSpace.build`, `textio.parse_space`,
+`amalgam.amalgamate`).  `with_point` relies on it: it checks only the pairs
+and triangles through the new point, which is all a one-point extension of
+a valid space can break.
 """
 
 from __future__ import annotations
@@ -68,12 +74,16 @@ def validate_table(points: Sequence[str], dist: Mapping[Tuple[str, str], Fractio
             violations.append(Violation("range", (p, q), f"{dpq} outside [0,1]"))
     if missing:
         return ValidationReport(False, tuple(violations))
-    for a, b, c in combinations(points, 3):
-        ab, bc, ac = dist[(a, b)], dist[(b, c)], dist[(a, c)]
-        if ac > ab + bc or ab > ac + bc or bc > ab + ac:
-            violations.append(Violation("triangle", (a, b, c),
-                                        f"d={ab},{bc},{ac} fails a triangle inequality"))
+    violations.extend(_triangle_violations(dist, combinations(points, 3)))
     return ValidationReport(not violations, tuple(violations))
+
+
+def _triangle_violations(dist: Mapping[Tuple[str, str], Fraction], triples):
+    for a, b, c in triples:
+        ab, bc, ac = dist[(a, b)], dist[(b, c)], dist[(a, c)]
+        if abs(ac - bc) > ab or ab > ac + bc:     # all three inequalities
+            yield Violation("triangle", (a, b, c),
+                            f"d={ab},{bc},{ac} fails a triangle inequality")
 
 
 @dataclass(frozen=True)
@@ -116,12 +126,28 @@ class RationalMetricSpace:
             subset, {(p, q): self.dist[(p, q)] for p, q in combinations(subset, 2)})
 
     def with_point(self, name: str, dists: Mapping[str, Fraction]) -> "RationalMetricSpace":
-        """Extension by one point; admissibility is the caller's business."""
+        """Extension by one point; admissibility is the caller's business.
+
+        The base was validated when it was built, so only what the new point
+        adds is checked: the range of its n distances and the C(n,2)
+        triangles (a, b, name).  A failure raises MetricError with exactly
+        the report `validate_table` gives on the whole extended table.
+        """
         if name in self.points:
             raise MetricError(f"point {name!r} already present")
-        pair = {(p, q): self.dist[(p, q)] for p, q in combinations(self.points, 2)}
-        pair.update({(p, name): Fraction(dists[p]) for p in self.points})
-        return RationalMetricSpace.build(self.points + (name,), pair)
+        dist = dict(self.dist)
+        dist[(name, name)] = ZERO
+        violations = []
+        for p in self.points:
+            d = Fraction(dists[p])
+            dist[(p, name)] = dist[(name, p)] = d
+            if not in_unit(d):
+                violations.append(Violation("range", (p, name), f"{d} outside [0,1]"))
+        violations.extend(_triangle_violations(
+            dist, ((a, b, name) for a, b in combinations(self.points, 2))))
+        if violations:
+            raise MetricError(str(ValidationReport(False, tuple(violations))))
+        return RationalMetricSpace(self.points + (name,), dist)
 
 
 @dataclass(frozen=True)

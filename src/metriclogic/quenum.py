@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
-from .metric import KatetovFunction, MetricError, RationalMetricSpace, katetov_spread
+from .metric import MetricError, RationalMetricSpace, katetov_spread
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,7 @@ def qu_enumerate(seed: RationalMetricSpace, denominator_bound: int,
                     name = f"q{counter}"
                 counter += 1
                 full = katetov_spread(space, dict(zip(subset, vec)))
-                f = KatetovFunction(space, full)
-                if not f.admissible:           # spread is always admissible
-                    raise MetricError("internal: inadmissible spread vector")
-                space = space.with_point(name, full)
+                space = space.with_point(name, full)   # raises if not admissible
                 tasks.append(ExtensionTask(subset, vec, name, True))
     cert = EnumeratorCertificate(denominator_bound, budget, tuple(tasks))
     return space, cert

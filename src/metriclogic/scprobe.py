@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
@@ -95,8 +96,13 @@ def sc_probe(M: FiniteStructure, n: int, eps: Fraction, formula_pool: Sequence[F
             ext_cache[key] = evaluate(f, M, dict(zip(ys, tup)))
         return ext_cache[key]
 
+    @cache
     def extension_holds(cond: Condition):
-        """None when the clause holds, else the failing (tuple, Delta)."""
+        """None when the clause holds, else the failing (tuple, Delta).
+
+        A pure function of the condition, so each is decided once per probe
+        however many families contain it.
+        """
         holders = covers[cond]
         for a in holders:
             for delta_formulas in deltas:

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +257,99 @@ def test_delta_seq_uses_manifest_enumeration(tmp_path, capsys):
     # one-entry enumeration: identical structures give [0, 1/2]
     assert report["result"] == {"lo": "0", "hi": "1/2"}
     assert "enumeration" in report["inputs"]
+
+
+# ------------------------------------------------- hostile input, closed pipes
+
+LONG_FORMULA = "(max (d a x) " * 20 + "(d b x)" + ")" * 20
+
+
+def test_long_inline_formula_is_not_taken_for_a_path(tmp_path, capsys):
+    assert len(LONG_FORMULA) > 255              # longer than any file name
+    for extra in ([], ["--catalog", str(tmp_path / "store")]):
+        code, out, err = run_cli(capsys, *extra, "--format", "json",
+                                 "lipschitz", LONG_FORMULA)
+        assert code == 0, err
+        assert json.loads(out)["result"]["coefficient"] == "2"
+
+
+@pytest.mark.parametrize("flag,value", [("--max-points", "1"),
+                                        ("--max-points", "-4"),
+                                        ("--max-denominator", "0")])
+def test_lemma_suite_degenerate_bounds_are_usage_errors(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma-suite", "--instances", "2", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"metriclogic lemma-suite: error: argument {flag}: "
+        f"must be >= {2 if flag == '--max-points' else 1}, got {value}"]
+
+
+def test_lemma_suite_smallest_bounds_run(capsys):
+    code, out, err = run_cli(capsys, "lemma-suite", "--instances", "2",
+                             "--max-points", "2", "--max-denominator", "1")
+    assert code == 0, err
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # A report larger than a pipe's buffer, so the reader closes the pipe
+    # while the writer still has output to write.
+    pts = [f"p{i}" for i in range(150)]
+    seed = tmp_path / "wide.space"
+    seed.write_text(f"points: {' '.join(pts)}\n" + "".join(
+        f"d {p} {q} 1\n" for i, p in enumerate(pts) for q in pts[i + 1:]))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "metriclogic.cli", "enumerate-qu", str(seed),
+         "--denominator-bound", "1", "--budget", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"command: enumerate-qu\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) in (0, 1, 2)
+    assert "Traceback" not in err and "Exception" not in err, err
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/name", "", ".", ".."])
+def test_catalog_names_stay_inside_the_directory(tmp_path, name):
+    cat = Catalog(tmp_path / "store")
+    with pytest.raises(CatalogError):
+        cat.put(name, "space", SPACE_TEXT)
+    assert list(tmp_path.rglob("*")) == [tmp_path / "store"]
+
+
+def test_catalog_put_cli_rejects_escaping_name(tmp_path, capsys):
+    f = tmp_path / "eq3.space"
+    f.write_text(SPACE_TEXT)
+    code, out, err = run_cli(capsys, "--catalog", str(tmp_path / "store"),
+                             "catalog-put", "../escaped", "space", str(f))
+    assert code == 1 and "bad artifact name" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eq3.space", "store"]
+
+
+@pytest.mark.parametrize("failing", ["pair.space", "manifest.json"])
+def test_catalog_writes_replace_whole_files(tmp_path, monkeypatch, failing):
+    cat = Catalog(tmp_path)
+    cat.put("eq3", "space", SPACE_TEXT)
+    manifest = (tmp_path / "manifest.json").read_text()
+    real_replace = os.replace
+    replaced = []
+
+    def replace(src, dst):
+        assert Path(src).parent == Path(dst).parent == tmp_path
+        replaced.append(Path(dst).name)
+        if Path(dst).name == failing:
+            raise OSError("simulated crash before the rename")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError):
+        cat.put("pair", "space", "points: a b\nd a b 1/2\n")
+    assert replaced[-1] == failing
+    assert (tmp_path / "manifest.json").read_text() == manifest
+    assert Catalog(tmp_path).names() == ["eq3"]
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

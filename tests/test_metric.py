@@ -123,3 +123,60 @@ def test_restrict_keeps_distances():
     sub = s.restrict(s.points[:3])
     for p, q in combinations(sub.points, 2):
         assert sub.d(p, q) == s.d(p, q)
+
+
+NEW = "new"
+
+
+@st.composite
+def one_point_extensions(draw):
+    """A valid base of 1-6 points and a candidate distance vector for NEW."""
+    pts = [f"p{i}" for i in range(draw(st.integers(1, 6)))]
+    d = {(p, p): F(0) for p in pts}
+    for p, q in combinations(pts, 2):
+        d[(p, q)] = d[(q, p)] = F(draw(st.integers(1, 8)), 8)
+    for k in pts:                       # shortest-path closure makes it a metric
+        for p in pts:
+            for q in pts:
+                d[(p, q)] = min(d[(p, q)], d[(p, k)] + d[(k, q)])
+    base = RationalMetricSpace.build(
+        pts, {(p, q): d[(p, q)] for p, q in combinations(pts, 2)})
+    if draw(st.booleans()):             # a point near an old one: range may fail
+        near, shift = draw(st.sampled_from(pts)), F(draw(st.integers(0, 4)), 8)
+        vec = {p: d[(near, p)] + shift for p in pts}
+    else:                               # anything, out of range included
+        vec = {p: F(draw(st.integers(-2, 10)), 8) for p in pts}
+    return base, vec
+
+
+@given(one_point_extensions())
+@settings(max_examples=300, deadline=None)
+def test_with_point_agrees_with_full_validation(case):
+    base, vec = case
+    points = base.points + (NEW,)
+    table = dict(base.dist)
+    table[(NEW, NEW)] = F(0)
+    for p, v in vec.items():
+        table[(p, NEW)] = table[(NEW, p)] = v
+    report = validate_table(points, table)
+    if report.ok:
+        built = RationalMetricSpace.build(
+            points, {(p, q): table[(p, q)] for p, q in combinations(points, 2)})
+        out = base.with_point(NEW, vec)
+        assert out.points == built.points
+        assert out.dist == built.dist
+    else:
+        with pytest.raises(MetricError) as exc:
+            base.with_point(NEW, vec)
+        assert str(exc.value) == str(report)
+
+
+def test_with_point_reports_range_then_triangles():
+    s = space({("a", "b"): F(1, 2), ("a", "c"): F(1, 2), ("b", "c"): F(1, 2)})
+    with pytest.raises(MetricError) as exc:
+        s.with_point("z", {"a": F(3, 2), "b": F(1, 8), "c": F(1, 8)})
+    assert str(exc.value) == (
+        "range a z: 3/2 outside [0,1]; "
+        "triangle a b z: d=1/2,1/8,3/2 fails a triangle inequality; "
+        "triangle a c z: d=1/2,1/8,3/2 fails a triangle inequality; "
+        "triangle b c z: d=1/2,1/8,1/8 fails a triangle inequality")

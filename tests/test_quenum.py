@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from metriclogic import metric
 from metriclogic.metric import MetricError, RationalMetricSpace
 from metriclogic.quenum import farey_values, qu_enumerate
 
@@ -96,3 +97,18 @@ def test_deterministic():
     b = qu_enumerate(seed, 2, 2)
     assert a[0].points == b[0].points
     assert a[1] == b[1]
+
+
+def test_seed_validated_once_not_per_added_point(monkeypatch):
+    seed = RationalMetricSpace.build(("a", "b"), {("a", "b"): F(1, 2)})
+    calls = []
+    exhaustive = metric.validate_table
+
+    def counting(points, dist):
+        calls.append(len(points))
+        return exhaustive(points, dist)
+
+    monkeypatch.setattr(metric, "validate_table", counting)
+    out, cert = qu_enumerate(seed, 2, 2)
+    assert sum(t.added_point for t in cert.tasks) == len(out.points) - 2 > 1
+    assert calls == [2]
