@@ -648,9 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def c_suite(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--instances", type=int, default=50)
+        p.add_argument("--instances", type=_int_at_least(0), default=50)
         p.add_argument("--max-points", type=_int_at_least(2), default=12)
-        p.add_argument("--max-group", type=int, default=24)
+        p.add_argument("--max-group", type=_int_at_least(1), default=24)
         p.add_argument("--max-denominator", type=_int_at_least(1), default=8)
     add("lemma-suite", cmd_lemma_suite, c_suite)
 

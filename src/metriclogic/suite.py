@@ -53,6 +53,8 @@ def random_gspace(rng: random.Random, max_points: int = 12,
         frontier = [dict(zip(points, points))] + gens
         for g in gens:
             perms[tuple(g[p] for p in points)] = g
+        if len(perms) > max_group:
+            continue
         ok = True
         while frontier and ok:
             nxt = []

@@ -9,7 +9,10 @@ Grammar:
 Rationals are written num/den (or a bare integer).  Head names other than
 the keywords are relation symbols looked up in the signature; bare terms are
 constants when the signature declares them and variables otherwise.  Parse
-errors carry the character position.
+errors carry the character position.  Formulas nest at most MAX_DEPTH
+levels (an atom or a constant is one level): every walker over a formula is
+recursive, and at this depth all of them, predicate expansion doubling it
+included, stay well inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .formula import (AbsDiff, AtomD, AtomR, Const, ConstName, DotMinus,
                       DotPlus, DotScale, Formula, FormulaError, Half, Inf,
                       Max, Min, Neg, PURE_METRIC, Signature, Sup, Var)
 from .rational import format_rational
+
+MAX_DEPTH = 128
 
 KEYWORDS = {"d", "half", "dotminus", "min", "max", "absdiff", "neg",
             "dotplus", "scale", "sup", "inf"}
@@ -107,8 +112,10 @@ def _parse_term(tokens: List[_Token], k: int, sig: Signature):
 
 
 def _parse_formula(tokens: List[_Token], k: int, sig: Signature,
-                   loose: bool = False) -> Tuple[Formula, int]:
+                   loose: bool = False, depth: int = 1) -> Tuple[Formula, int]:
     tok = _expect(tokens, k, "a formula")
+    if depth > MAX_DEPTH:
+        raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", tok.pos)
     if tok.text == ")":
         raise ParseError("unexpected ')'", tok.pos)
     if tok.text != "(":
@@ -133,10 +140,10 @@ def _parse_formula(tokens: List[_Token], k: int, sig: Signature,
         t2, k = _parse_term(tokens, k, sig)
         return close(k, AtomD(t1, t2))
     if name == "half":
-        body, k = _parse_formula(tokens, k, sig, loose)
+        body, k = _parse_formula(tokens, k, sig, loose, depth + 1)
         return close(k, Half(body))
     if name == "neg":
-        body, k = _parse_formula(tokens, k, sig, loose)
+        body, k = _parse_formula(tokens, k, sig, loose, depth + 1)
         return close(k, Neg(body))
     if name == "scale":
         qtok = _expect(tokens, k, "a rational")
@@ -148,13 +155,13 @@ def _parse_formula(tokens: List[_Token], k: int, sig: Signature,
             raise ParseError(f"bad rational {qtok.text!r}", qtok.pos) from None
         if factor <= 0:
             raise ParseError("scale factor must be positive", qtok.pos)
-        body, k = _parse_formula(tokens, k + 1, sig, loose)
+        body, k = _parse_formula(tokens, k + 1, sig, loose, depth + 1)
         return close(k, DotScale(factor, body))
     if name in ("dotminus", "dotplus", "min", "max", "absdiff"):
         cls = {"dotminus": DotMinus, "dotplus": DotPlus,
                "min": Min, "max": Max, "absdiff": AbsDiff}[name]
-        left, k = _parse_formula(tokens, k, sig, loose)
-        right, k = _parse_formula(tokens, k, sig, loose)
+        left, k = _parse_formula(tokens, k, sig, loose, depth + 1)
+        right, k = _parse_formula(tokens, k, sig, loose, depth + 1)
         return close(k, cls(left, right))
     if name in ("sup", "inf"):
         vtok = _expect(tokens, k, "a variable")
@@ -162,7 +169,7 @@ def _parse_formula(tokens: List[_Token], k: int, sig: Signature,
             raise ParseError(f"expected a variable, got {vtok.text!r}", vtok.pos)
         if sig.is_constant(vtok.text):
             raise ParseError(f"{vtok.text!r} is a constant, cannot quantify it", vtok.pos)
-        body, k = _parse_formula(tokens, k + 1, sig, loose)
+        body, k = _parse_formula(tokens, k + 1, sig, loose, depth + 1)
         cls = Sup if name == "sup" else Inf
         return close(k, cls(vtok.text, body))
 

@@ -9,17 +9,35 @@ in the universal space of diameter 1 (universality plus ultrahomogeneity),
 so grid optimization under-approximates sup and over-approximates inf; a
 Lipschitz error term closes the gap from the other side.
 
-The requested mesh is snapped to 1/(D * 2^t) where D clears the anchor
-distance denominators.  With every known distance on that grid, rounding an
-admissible real vector up coordinatewise stays admissible, which is what
-makes the lipschitz * mesh error bound sound.
+The requested mesh is snapped to h = 1/n, n = D * 2^t, where D clears the
+anchor distance denominators.  With every known distance on that grid,
+rounding an admissible real vector up coordinatewise stays admissible, which
+is what makes the lipschitz * mesh error bound sound.
+
+The grid walk runs over integer step vectors s (the new point lies s[j] * h
+from known point j), in two regimes:
+
+* At a full vector the quantifier-free body is exact: it is compiled once
+  per quantifier into closures over Python ints scaled by one common
+  denominator N (n for distances, the constants' denominators, doubled under
+  each half, times b under each scale a/b), so no Fraction or enclosure is
+  built per grid point.  A quantified body (an outer level of a nested
+  sentence) is evaluated through its enclosure, as a whole vector.
+* At a partial vector the body is bounded by its interval extension with
+  [0,1] for the unset coordinates, and the subtree is skipped when the
+  bound cannot beat the running optimum.
+
+Pruning only ever drops vectors whose values cannot beat the optimum, so the
+result is the exact grid optimum (plus the Lipschitz term) whatever was
+pruned: the same rationals as a walk over every grid vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import lcm
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .formula import (AbsDiff, AtomD, AtomR, Const, ConstName, DotMinus,
@@ -36,6 +54,9 @@ from .structures import FiniteStructure, evaluate
 
 class UrysohnError(ValueError):
     pass
+
+
+_UNKNOWN = Enclosure(ZERO, ONE)     # a coordinate the grid walk has not set yet
 
 
 @dataclass(frozen=True)
@@ -168,20 +189,23 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
             raise UrysohnError(f"parameter {v} -> {p!r} is not an anchor")
 
     h0 = snap_mesh(Fraction(budget.mesh), anchored.anchors)
+    coeffs: Dict[int, Fraction] = {}    # lipschitz per quantifier node, by identity
     result = None
     for r in range(budget.rounds + 1):
-        e = _eval_at_mesh(body, anchored.anchors, sig, params, h0 / (2 ** r))
+        e = _eval_at_mesh(body, anchored.anchors, sig, params, h0 / (2 ** r), coeffs)
         result = e if result is None else result.intersect(e)
     return result
 
 
 def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
-                  params: Mapping[str, str], h: Fraction) -> Enclosure:
+                  params: Mapping[str, str], h: Fraction,
+                  coeffs: Dict[int, Fraction]) -> Enclosure:
     names = anchors.points
     index = {p: i for i, p in enumerate(names)}
-    n0 = len(names)
-    # Distance matrix of the partial space; abstract points append rows.
-    dmat: List[List[Fraction]] = [[anchors.d(p, q) for q in names] for p in names]
+    n = h.denominator               # snap_mesh makes h = 1/n
+    # Distances of the partial space in mesh steps (snap_mesh puts every
+    # anchor distance on the grid); abstract points append rows.
+    steps: List[List[int]] = [[int(anchors.d(p, q) * n) for q in names] for p in names]
 
     env: Dict[str, int] = {v: index[p] for v, p in params.items()}
 
@@ -193,94 +217,210 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
             raise UrysohnError(f"unbound variable {term.name!r}")
         return i
 
-    def dist(i: int, j: int):
+    def dist(i: int, j: int) -> Fraction:
         if i == j:
             return ZERO
         i, j = (i, j) if i > j else (j, i)
-        return dmat[i][j]
+        return Fraction(steps[i][j], n)
 
     def go(f: Formula) -> Enclosure:
         return _enc_eval(f, dist, point_of, quantify)
 
+    def walk(row: List[int], k: int, leaf, pruned) -> None:
+        # Integer steps s_k admissible against the known points j < k:
+        # |d_kj - s_j| <= s_k <= min(n, s_j + d_kj).
+        lo, hi = 0, n
+        known = steps[k]
+        for j in range(k):
+            d, sj = known[j], row[j]
+            lo = max(lo, d - sj, sj - d)
+            hi = min(hi, sj + d)
+        if k == len(row) - 1:
+            leaf(lo, hi)
+            return
+        for s in range(lo, hi + 1):
+            row[k] = s
+            if not pruned(k + 1):
+                walk(row, k + 1, leaf, pruned)
+
     def quantify(f) -> Enclosure:
         is_sup = isinstance(f, Sup)
-        coeff = lipschitz(f.body, sig, only_var=f.var)
-        err = coeff * h
-        m = len(dmat)
-        prunable = is_quantifier_free(f.body)
-        best: List[Optional[Enclosure]] = [None]
+        coeff = coeffs.get(id(f))
+        if coeff is None:
+            coeff = coeffs[id(f)] = lipschitz(f.body, sig, only_var=f.var)
+        m = len(steps)
 
         saved = env.get(f.var)
         env[f.var] = m
-        row: List[Fraction] = []
-        dmat.append(row)
-
-        def candidate_bound_ok() -> bool:
-            # Interval extension with [0,1] for unset coordinates; prunes
-            # subtrees that provably cannot move the running optimum.
-            if not prunable or best[0] is None:
-                return True
-            filled = len(row)
-            row_ext = row + [Enclosure(ZERO, ONE)] * (m - filled)
-
-            def dist_ext(i, j):
-                if i == j:
-                    return ZERO
-                i, j = (i, j) if i > j else (j, i)
-                if i == m:
-                    return row_ext[j]
-                return dmat[i][j]
-
-            e = _enc_eval(f.body, dist_ext, point_of, None)
-            if is_sup:
-                return e.hi > best[0].lo
-            return e.lo < best[0].hi
-
-        def assign(k: int):
-            if k == m:
-                e = go(f.body)
-                if best[0] is None:
-                    best[0] = e
-                elif is_sup:
-                    best[0] = Enclosure(max(best[0].lo, e.lo), max(best[0].hi, e.hi))
-                else:
-                    best[0] = Enclosure(min(best[0].lo, e.lo), min(best[0].hi, e.hi))
-                return
-            lo, hi = ZERO, ONE
-            for j, fj in enumerate(row):
-                dij = dist(k, j)
-                lo = max(lo, dij - fj, fj - dij)
-                hi = min(hi, fj + dij)
-            start = ceil(lo / h)
-            stop = floor(hi / h)
-            for step in range(start, stop + 1):
-                row.append(h * step)
-                if candidate_bound_ok():
-                    assign(k + 1)
-                row.pop()
-
-        if m == 0:
-            e = go(f.body)
-            best[0] = e
+        row = [0] * m
+        steps.append(row)
+        if is_quantifier_free(f.body):
+            best = exact_optimum(f.body, m, row, is_sup)
         else:
-            assign(0)
-
-        dmat.pop()
+            best = nested_optimum(f.body, row, is_sup)
+        steps.pop()
         if saved is None:
             del env[f.var]
         else:
             env[f.var] = saved
 
-        if best[0] is None:
+        if best is None:
             raise UrysohnError("empty admissibility polytope; inputs were inconsistent")
         if m == 0:
             # the first abstract point is unconstrained: one exact branch
-            return best[0]
+            return best
+        err = coeff * h
         if is_sup:
-            return Enclosure(best[0].lo, min(ONE, best[0].hi + err))
-        return Enclosure(max(ZERO, best[0].lo - err), best[0].hi)
+            return Enclosure(best.lo, min(ONE, best.hi + err))
+        return Enclosure(max(ZERO, best.lo - err), best.hi)
+
+    def exact_optimum(body: Formula, m: int, row: List[int],
+                      is_sup: bool) -> Optional[Enclosure]:
+        # Full vectors: the compiled body, exact in integers over N.
+        # Partial vectors: the interval extension with [0,1] for the unset
+        # coordinates, which skips subtrees that cannot beat the optimum.
+        def resolve(atom: AtomD):
+            i, j = point_of(atom.left), point_of(atom.right)
+            if i == j:
+                return ZERO
+            if m in (i, j):
+                return j if i == m else i
+            return dist(i, j)
+
+        g, N = _compile(body, resolve, n)
+        if m == 0:
+            return Enclosure.exact(Fraction(g(row), N))
+        pick = max if is_sup else min
+        best = best_q = None            # the optimum over N, and as a Fraction
+
+        def values(lo: int, hi: int):
+            for s in range(lo, hi + 1):
+                row[m - 1] = s
+                yield g(row)
+
+        def leaf(lo: int, hi: int) -> None:
+            nonlocal best, best_q
+            v = pick(values(lo, hi), default=None)
+            if v is not None and (best is None or pick(v, best) != best):
+                best, best_q = v, Fraction(v, N)
+
+        def pruned(filled: int) -> bool:
+            if best is None:
+                return False
+
+            def dist_ext(i: int, j: int):
+                i, j = (i, j) if i > j else (j, i)
+                if i != m or j == m:
+                    return dist(i, j)
+                return Fraction(row[j], n) if j < filled else _UNKNOWN
+
+            e = _enc_eval(body, dist_ext, point_of, None)
+            return e.hi <= best_q if is_sup else e.lo >= best_q
+
+        walk(row, 0, leaf, pruned)
+        return None if best is None else Enclosure.exact(best_q)
+
+    def nested_optimum(body: Formula, row: List[int],
+                       is_sup: bool) -> Optional[Enclosure]:
+        # Full vectors only, each through the enclosure of the quantified body.
+        if not row:
+            return go(body)
+        best = None
+
+        def leaf(lo: int, hi: int) -> None:
+            nonlocal best
+            for s in range(lo, hi + 1):
+                row[-1] = s
+                e = go(body)
+                if best is None:
+                    best = e
+                elif is_sup:
+                    best = Enclosure(max(best.lo, e.lo), max(best.hi, e.hi))
+                else:
+                    best = Enclosure(min(best.lo, e.lo), min(best.hi, e.hi))
+
+        walk(row, 0, leaf, lambda filled: False)
+        return best
 
     return go(phi)
+
+
+def _compile(body: Formula, resolve, n: int):
+    """Compile a quantifier-free body into exact integer arithmetic.
+
+    resolve(atom) gives a distance atom's coordinate index j in the step
+    vector s (an int: the atom's value is s[j]/n) or its known value (a
+    Fraction).  Returns (g, N) with g(s)/N the exact value of the body.  N
+    clears every intermediate value: n for coordinates, the constants'
+    denominators, times 2 under each half and times b under each scale a/b.
+    So g computes with Python ints only; caps and truncations become
+    comparisons with N and 0.
+    """
+    def den(f: Formula) -> int:
+        if isinstance(f, Const):
+            return Fraction(f.value).denominator
+        if isinstance(f, AtomD):
+            r = resolve(f)
+            return n if isinstance(r, int) else r.denominator
+        if isinstance(f, Half):
+            return 2 * den(f.body)
+        if isinstance(f, DotScale):
+            return Fraction(f.factor).denominator * den(f.body)
+        if isinstance(f, (Neg, Min, Max, AbsDiff, DotMinus, DotPlus)):
+            return lcm(*(den(c) for c in f.children()))
+        raise UrysohnError(f"cannot compile {f!r}")
+
+    N = den(body)
+
+    def build(f: Formula):
+        if isinstance(f, Const):
+            c = int(Fraction(f.value) * N)
+            return lambda s: c
+        if isinstance(f, AtomD):
+            r = resolve(f)
+            if not isinstance(r, int):
+                c = int(r * N)
+                return lambda s: c
+            scale = N // n
+            return itemgetter(r) if scale == 1 else (lambda s: s[r] * scale)
+        if isinstance(f, Half):
+            a = build(f.body)
+            return lambda s: a(s) // 2
+        if isinstance(f, Neg):
+            a = build(f.body)
+            return lambda s: N - a(s)
+        if isinstance(f, DotScale):
+            a = build(f.body)
+            q = Fraction(f.factor)
+            num, dnm = q.numerator, q.denominator
+
+            def scaled(s):
+                v = a(s) * num // dnm
+                return v if v < N else N
+            return scaled
+        a, b = build(f.left), build(f.right)
+        if isinstance(f, Min):
+            def g(s):
+                x, y = a(s), b(s)
+                return x if x < y else y
+        elif isinstance(f, Max):
+            def g(s):
+                x, y = a(s), b(s)
+                return x if x > y else y
+        elif isinstance(f, AbsDiff):
+            def g(s):
+                return abs(a(s) - b(s))
+        elif isinstance(f, DotMinus):
+            def g(s):
+                v = a(s) - b(s)
+                return v if v > 0 else 0
+        else:
+            def g(s):
+                v = a(s) + b(s)
+                return v if v < N else N
+        return g
+
+    return build(body), N
 
 
 def _enc_eval(f: Formula, dist, point_of, quantify) -> Enclosure:

@@ -286,6 +286,17 @@ def test_lemma_suite_degenerate_bounds_are_usage_errors(capsys, flag, value):
         f"must be >= {2 if flag == '--max-points' else 1}, got {value}"]
 
 
+@pytest.mark.parametrize("flag,value,low", [("--max-group", "0", 1),
+                                            ("--max-group", "-3", 1),
+                                            ("--instances", "-1", 0)])
+def test_lemma_suite_group_and_instance_bounds_are_usage_errors(capsys, flag, value, low):
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma-suite", "--instances", "2", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >= {low}, got {value}" in err
+
+
 def test_lemma_suite_smallest_bounds_run(capsys):
     code, out, err = run_cli(capsys, "lemma-suite", "--instances", "2",
                              "--max-points", "2", "--max-denominator", "1")

@@ -155,6 +155,14 @@ def test_lemma_checks_pass_on_random_data():
     assert report.ok, report.violations
 
 
+@pytest.mark.parametrize("max_group", [1, 2])
+def test_random_gspace_respects_a_small_group_cap(max_group):
+    # the identity and the generators count against the cap too
+    for seed in range(20):
+        X = random_gspace(random.Random(seed), 6, max_group)
+        assert len(X.elements) <= max_group
+
+
 def test_run_suite_deterministic():
     a = run_suite(seed=3, instances=4)
     b = run_suite(seed=3, instances=4)
