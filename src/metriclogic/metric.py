@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, Mapping, Sequence, Tuple
 
@@ -113,8 +114,10 @@ class RationalMetricSpace:
     def has_point(self, p: str) -> bool:
         return p in self.point_index
 
-    @property
+    @cached_property
     def point_index(self) -> Dict[str, int]:
+        """Position of each point, built on first use and kept: the space
+        is immutable."""
         return {p: i for i, p in enumerate(self.points)}
 
     def validate(self) -> ValidationReport:

@@ -15,17 +15,21 @@ rounding an admissible real vector up coordinatewise stays admissible, which
 is what makes the lipschitz * mesh error bound sound.
 
 The grid walk runs over integer step vectors s (the new point lies s[j] * h
-from known point j), in two regimes:
+from known point j).  A quantifier-free body is compiled once per quantifier
+node and mesh round into closures over Python ints scaled by one common
+denominator N (n for distances, the constants' denominators, doubled under
+each half, times the denominator of each scale factor).  Distances between
+known points (anchors and outer quantified points) are read from the step
+table when a closure runs, so one compilation serves every outer vector.
+No Fraction or enclosure is built per grid point:
 
-* At a full vector the quantifier-free body is exact: it is compiled once
-  per quantifier into closures over Python ints scaled by one common
-  denominator N (n for distances, the constants' denominators, doubled under
-  each half, times b under each scale a/b), so no Fraction or enclosure is
-  built per grid point.  A quantified body (an outer level of a nested
-  sentence) is evaluated through its enclosure, as a whole vector.
-* At a partial vector the body is bounded by its interval extension with
-  [0,1] for the unset coordinates, and the subtree is skipped when the
-  bound cannot beat the running optimum.
+* At a full vector the compiled body gives the exact value.
+* At a partial vector its compiled interval bound, with [0, N] for the unset
+  coordinates, gives N times the endpoints enclosure arithmetic would give,
+  and the subtree is skipped when the bound cannot beat the running optimum.
+
+A quantified body (an outer level of a nested sentence) is evaluated through
+enclosures, as a whole vector, with no bound.
 
 Pruning only ever drops vectors whose values cannot beat the optimum, so the
 result is the exact grid optimum (plus the Lipschitz term) whatever was
@@ -44,19 +48,17 @@ from .formula import (AbsDiff, AtomD, AtomR, Const, ConstName, DotMinus,
                       DotPlus, DotScale, Formula, Half, Inf,
                       Max, Min, Neg, Signature, Sup, Var, free_variables,
                       is_quantifier_free, lipschitz)
-from .intervals import (Enclosure, enc_absdiff, enc_dot_add, enc_dot_sub,
-                        enc_half, enc_max, enc_min, enc_neg, enc_scale,
-                        sqrt_enclosure)
+from .intervals import (Enclosure, as_enclosure, enc_absdiff, enc_dot_add,
+                        enc_dot_sub, enc_half, enc_max, enc_min, enc_neg,
+                        enc_scale, sqrt_enclosure)
 from .metric import RationalMetricSpace
 from .rational import ONE, ZERO, dot_scale
 from .structures import FiniteStructure, evaluate
+from .syntax import MAX_DEPTH
 
 
 class UrysohnError(ValueError):
     pass
-
-
-_UNKNOWN = Enclosure(ZERO, ONE)     # a coordinate the grid walk has not set yet
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,7 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
     enclosures of successive rounds are intersected, so the width never
     grows with extra rounds.
     """
+    _check_depth(phi)
     params = dict(params or {})
     body = expand_predicates(phi, anchored)
     sig = anchored.signature
@@ -197,6 +200,20 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
     return result
 
 
+def _check_depth(phi: Formula) -> None:
+    """Refuse phi nested deeper than MAX_DEPTH, before a recursive walker.
+
+    The parser holds parsed text to that limit; this holds formulas built in
+    Python to it too, and walks them with an explicit stack.
+    """
+    stack = [(phi, 1)]
+    while stack:
+        f, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise UrysohnError(f"formula nested deeper than {MAX_DEPTH} levels")
+        stack.extend((c, depth + 1) for c in f.children())
+
+
 def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                   params: Mapping[str, str], h: Fraction,
                   coeffs: Dict[int, Fraction]) -> Enclosure:
@@ -208,6 +225,9 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
     steps: List[List[int]] = [[int(anchors.d(p, q) * n) for q in names] for p in names]
 
     env: Dict[str, int] = {v: index[p] for v, p in params.items()}
+    # _compile's closures per quantifier-free body, keyed by everything its
+    # atoms resolve through: the node, the new point and the environment.
+    compiled: Dict[tuple, tuple] = {}
 
     def point_of(term) -> int:
         if isinstance(term, ConstName):
@@ -269,29 +289,24 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
         if m == 0:
             # the first abstract point is unconstrained: one exact branch
             return best
-        err = coeff * h
-        if is_sup:
-            return Enclosure(best.lo, min(ONE, best.hi + err))
-        return Enclosure(max(ZERO, best.lo - err), best.hi)
+        # The optimum over the polytope lies within coeff * h of the grid's,
+        # on the far side: best +. [0, err] for sup, best -. [0, err] for inf.
+        err = Enclosure(ZERO, min(ONE, coeff * h))
+        return enc_dot_add(best, err) if is_sup else enc_dot_sub(best, err)
 
     def exact_optimum(body: Formula, m: int, row: List[int],
                       is_sup: bool) -> Optional[Enclosure]:
         # Full vectors: the compiled body, exact in integers over N.
-        # Partial vectors: the interval extension with [0,1] for the unset
-        # coordinates, which skips subtrees that cannot beat the optimum.
-        def resolve(atom: AtomD):
-            i, j = point_of(atom.left), point_of(atom.right)
-            if i == j:
-                return ZERO
-            if m in (i, j):
-                return j if i == m else i
-            return dist(i, j)
-
-        g, N = _compile(body, resolve, n)
+        # Partial vectors: its integer interval bound, which skips subtrees
+        # that cannot beat the optimum.
+        key = (id(body), m, tuple(sorted(env.items())))
+        if key not in compiled:
+            compiled[key] = _compile(body, point_of, m, steps, n)
+        g, bound, N = compiled[key]
         if m == 0:
             return Enclosure.exact(Fraction(g(row), N))
         pick = max if is_sup else min
-        best = best_q = None            # the optimum over N, and as a Fraction
+        best = None                     # the optimum over N
 
         def values(lo: int, hi: int):
             for s in range(lo, hi + 1):
@@ -299,26 +314,19 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                 yield g(row)
 
         def leaf(lo: int, hi: int) -> None:
-            nonlocal best, best_q
+            nonlocal best
             v = pick(values(lo, hi), default=None)
             if v is not None and (best is None or pick(v, best) != best):
-                best, best_q = v, Fraction(v, N)
+                best = v
 
         def pruned(filled: int) -> bool:
             if best is None:
                 return False
-
-            def dist_ext(i: int, j: int):
-                i, j = (i, j) if i > j else (j, i)
-                if i != m or j == m:
-                    return dist(i, j)
-                return Fraction(row[j], n) if j < filled else _UNKNOWN
-
-            e = _enc_eval(body, dist_ext, point_of, None)
-            return e.hi <= best_q if is_sup else e.lo >= best_q
+            lo, hi = bound(row, filled)
+            return hi <= best if is_sup else lo >= best
 
         walk(row, 0, leaf, pruned)
-        return None if best is None else Enclosure.exact(best_q)
+        return None if best is None else Enclosure.exact(Fraction(best, N))
 
     def nested_optimum(body: Formula, row: List[int],
                        is_sup: bool) -> Optional[Enclosure]:
@@ -326,18 +334,14 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
         if not row:
             return go(body)
         best = None
+        merge = enc_max if is_sup else enc_min
 
         def leaf(lo: int, hi: int) -> None:
             nonlocal best
             for s in range(lo, hi + 1):
                 row[-1] = s
                 e = go(body)
-                if best is None:
-                    best = e
-                elif is_sup:
-                    best = Enclosure(max(best.lo, e.lo), max(best.hi, e.hi))
-                else:
-                    best = Enclosure(min(best.lo, e.lo), min(best.hi, e.hi))
+                best = e if best is None else merge(best, e)
 
         walk(row, 0, leaf, lambda filled: False)
         return best
@@ -345,23 +349,37 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
     return go(phi)
 
 
-def _compile(body: Formula, resolve, n: int):
-    """Compile a quantifier-free body into exact integer arithmetic.
+def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int):
+    """Compile a quantifier-free body at new point m into integer closures.
 
-    resolve(atom) gives a distance atom's coordinate index j in the step
-    vector s (an int: the atom's value is s[j]/n) or its known value (a
-    Fraction).  Returns (g, N) with g(s)/N the exact value of the body.  N
-    clears every intermediate value: n for coordinates, the constants'
-    denominators, times 2 under each half and times b under each scale a/b.
-    So g computes with Python ints only; caps and truncations become
+    A distance atom between the new point and known point j is coordinate j
+    of the new point's step vector s; one between known points i > j is
+    steps[i][j], read when a closure runs, so the closures serve every
+    placement of the known points.  Returns (g, b, N), where N clears every
+    intermediate value and bound: n for distances, the constants'
+    denominators, times 2 under each half and times the denominator of each
+    scale factor.
+
+    * g(s) / N is the exact value of the body at a full vector s.
+    * b(s, filled) = (lo, hi) bounds N times the value when only s[j] for
+      j < filled are set, the others ranging over [0, N]: the interval
+      extension, connective by connective as in `intervals` (Moore, Kearfott
+      & Cloud 2009, ch. 11), so lo / N and hi / N are exactly the endpoints
+      that enclosure arithmetic gives.
+
+    Both compute with Python ints only; caps and truncations become
     comparisons with N and 0.
     """
+    def points(atom: AtomD) -> Tuple[int, int]:
+        i, j = point_of(atom.left), point_of(atom.right)
+        return (i, j) if i > j else (j, i)
+
     def den(f: Formula) -> int:
         if isinstance(f, Const):
             return Fraction(f.value).denominator
         if isinstance(f, AtomD):
-            r = resolve(f)
-            return n if isinstance(r, int) else r.denominator
+            i, j = points(f)
+            return 1 if i == j else n
         if isinstance(f, Half):
             return 2 * den(f.body)
         if isinstance(f, DotScale):
@@ -371,64 +389,122 @@ def _compile(body: Formula, resolve, n: int):
         raise UrysohnError(f"cannot compile {f!r}")
 
     N = den(body)
+    unit = N // n                       # N over n: one mesh step
+    unknown = (0, N)
+
+    def constant(c: int):
+        pair = (c, c)
+        return (lambda s: c), (lambda s, filled: pair)
 
     def build(f: Formula):
         if isinstance(f, Const):
-            c = int(Fraction(f.value) * N)
-            return lambda s: c
+            return constant(int(Fraction(f.value) * N))
         if isinstance(f, AtomD):
-            r = resolve(f)
-            if not isinstance(r, int):
-                c = int(r * N)
-                return lambda s: c
-            scale = N // n
-            return itemgetter(r) if scale == 1 else (lambda s: s[r] * scale)
+            i, j = points(f)
+            if i == j:
+                return constant(0)
+            if i != m:                  # two known points
+                def g(s):
+                    return steps[i][j] * unit
+
+                def b(s, filled):
+                    v = steps[i][j] * unit
+                    return v, v
+                return g, b
+
+            def b(s, filled):
+                if j < filled:
+                    v = s[j] * unit
+                    return v, v
+                return unknown
+            return (itemgetter(j) if unit == 1 else (lambda s: s[j] * unit)), b
         if isinstance(f, Half):
-            a = build(f.body)
-            return lambda s: a(s) // 2
+            a, ab = build(f.body)
+
+            def b(s, filled):
+                lo, hi = ab(s, filled)
+                return lo // 2, hi // 2
+            return (lambda s: a(s) // 2), b
         if isinstance(f, Neg):
-            a = build(f.body)
-            return lambda s: N - a(s)
+            a, ab = build(f.body)
+
+            def b(s, filled):
+                lo, hi = ab(s, filled)
+                return N - hi, N - lo
+            return (lambda s: N - a(s)), b
         if isinstance(f, DotScale):
-            a = build(f.body)
+            a, ab = build(f.body)
             q = Fraction(f.factor)
             num, dnm = q.numerator, q.denominator
 
-            def scaled(s):
+            def g(s):
                 v = a(s) * num // dnm
                 return v if v < N else N
-            return scaled
-        a, b = build(f.left), build(f.right)
+
+            def b(s, filled):
+                lo, hi = ab(s, filled)
+                lo, hi = lo * num // dnm, hi * num // dnm
+                return (lo if lo < N else N), (hi if hi < N else N)
+            return g, b
+        (a, ab), (c, cb) = build(f.left), build(f.right)
         if isinstance(f, Min):
             def g(s):
-                x, y = a(s), b(s)
+                x, y = a(s), c(s)
                 return x if x < y else y
+
+            def b(s, filled):
+                (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+                return (xl if xl < yl else yl), (xh if xh < yh else yh)
         elif isinstance(f, Max):
             def g(s):
-                x, y = a(s), b(s)
+                x, y = a(s), c(s)
                 return x if x > y else y
+
+            def b(s, filled):
+                (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+                return (xl if xl > yl else yl), (xh if xh > yh else yh)
         elif isinstance(f, AbsDiff):
             def g(s):
-                return abs(a(s) - b(s))
+                return abs(a(s) - c(s))
+
+            def b(s, filled):
+                (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+                hi = max(xh - yl, yh - xl)
+                if xh < yl:
+                    return yl - xh, hi
+                if yh < xl:
+                    return xl - yh, hi
+                return 0, hi
         elif isinstance(f, DotMinus):
             def g(s):
-                v = a(s) - b(s)
+                v = a(s) - c(s)
                 return v if v > 0 else 0
+
+            def b(s, filled):
+                (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+                lo, hi = xl - yh, xh - yl
+                return (lo if lo > 0 else 0), (hi if hi > 0 else 0)
         else:
             def g(s):
-                v = a(s) + b(s)
+                v = a(s) + c(s)
                 return v if v < N else N
-        return g
 
-    return build(body), N
+            def b(s, filled):
+                (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+                lo, hi = xl + yl, xh + yh
+                return (lo if lo < N else N), (hi if hi < N else N)
+        return g, b
+
+    g, b = build(body)
+    return g, b, N
 
 
 def _enc_eval(f: Formula, dist, point_of, quantify) -> Enclosure:
     """Enclosure arithmetic over the current partial space.
 
-    dist may return exact rationals or enclosures (the pruning path passes
-    [0,1] placeholders for unset coordinates); quantify handles the sup/inf
-    nodes and is None in quantifier-free contexts.
+    dist(i, j) is the distance between points i and j of the partial space,
+    a rational or an enclosure; quantify handles the sup/inf nodes and is
+    None in quantifier-free contexts.
     """
     def go(f):
         if isinstance(f, (Sup, Inf)):
@@ -438,8 +514,7 @@ def _enc_eval(f: Formula, dist, point_of, quantify) -> Enclosure:
         if isinstance(f, Const):
             return Enclosure.exact(f.value)
         if isinstance(f, AtomD):
-            d = dist(point_of(f.left), point_of(f.right))
-            return d if isinstance(d, Enclosure) else Enclosure.exact(d)
+            return as_enclosure(dist(point_of(f.left), point_of(f.right)))
         if isinstance(f, Half):
             return enc_half(go(f.body))
         if isinstance(f, Neg):

@@ -3,17 +3,19 @@
 The oracle enumerates every admissible integer step vector of the new point
 and evaluates the body exactly on the anchors plus that point with
 `structures.evaluate`; the search must return exactly that optimum, widened
-by lipschitz * h on the far side, however it prunes.
+by lipschitz * h on the far side, however it prunes.  Nested sentences get
+the same oracle at each level, and the compiled pruning bound is pinned to
+the enclosure arithmetic it replaces.
 """
 
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from metriclogic import urysohn
-from metriclogic.formula import Signature, lipschitz
+from metriclogic.formula import Inf, Signature, Sup, lipschitz
 from metriclogic.intervals import Enclosure
 from metriclogic.metric import RationalMetricSpace
 from metriclogic.structures import FiniteStructure, evaluate
@@ -26,27 +28,39 @@ DISTANCES = (F(1, 2), F(2, 3), F(3, 4), F(1))
 MESHES = (F(1, 4), F(1, 5), F(1, 8), F(1, 10), F(1, 16))
 
 
-@st.composite
-def instances(draw):
-    k = draw(st.integers(1, 3))
-    names = ANCHORS[:k]
-    dist = {(p, q): draw(st.sampled_from(DISTANCES))
-            for i, p in enumerate(names) for q in names[i + 1:]}
-    atoms = names + ("x",)
+def bodies(atoms, max_leaves=8):
+    """Quantifier-free bodies over the distance atoms of `atoms`."""
     leaf = st.one_of(
         st.sampled_from(["1/3", "7/8"]),
         st.builds(lambda p, q: f"(d {p} {q})",
                   st.sampled_from(atoms), st.sampled_from(atoms)))
-    body = draw(st.recursive(leaf, lambda kids: st.one_of(
+    return st.recursive(leaf, lambda kids: st.one_of(
         kids.map(lambda f: f"(half {f})"),
         kids.map(lambda f: f"(neg {f})"),
         st.builds(lambda q, f: f"(scale {q} {f})",
                   st.sampled_from(["2/3", "5/7", "3"]), kids),
         st.builds(lambda op, f, g: f"({op} {f} {g})",
                   st.sampled_from(["min", "max", "absdiff", "dotminus", "dotplus"]),
-                  kids, kids)), max_leaves=8))
+                  kids, kids)), max_leaves=max_leaves)
+
+
+@st.composite
+def instances(draw):
+    k = draw(st.integers(1, 3))
+    names = ANCHORS[:k]
+    dist = {(p, q): draw(st.sampled_from(DISTANCES))
+            for i, p in enumerate(names) for q in names[i + 1:]}
+    body = draw(bodies(names + ("x",)))
     quantifier = draw(st.sampled_from(["sup", "inf"]))
     return names, dist, f"({quantifier} x {body})", draw(st.sampled_from(MESHES))
+
+
+def snapped(dist, mesh):
+    """The mesh eval_urysohn searches: 1/(D*2^t) <= mesh, D clearing dist."""
+    h = F(1, lcm(*(d.denominator for d in dist.values())))
+    while h > mesh:
+        h /= 2
+    return h
 
 
 def brute_force(names, dist, body, sig, h, is_sup):
@@ -75,9 +89,7 @@ def brute_force(names, dist, body, sig, h, is_sup):
 @settings(max_examples=80, deadline=None)
 def test_grid_search_equals_brute_force(instance):
     names, dist, text, mesh = instance
-    h = F(1, lcm(*(d.denominator for d in dist.values())))
-    while h > mesh:
-        h /= 2
+    h = snapped(dist, mesh)
     assume(int(1 / h + 1) ** len(names) <= 3000)
     sig = Signature((), names)
     phi = parse(text, sig)
@@ -90,26 +102,170 @@ def test_grid_search_equals_brute_force(instance):
     assert eval_urysohn(phi, anchored, {}, QuantifierBudget(mesh, 0)) == expected
 
 
-def test_interval_bound_only_at_partial_vectors(monkeypatch):
-    """W1 at 1/160: one interval evaluation per partial vector at most.
+@given(instances(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_bound_is_the_enclosure_bound(instance, data):
+    """At any partial vector the compiled bound is, endpoint for endpoint, N
+    times the enclosure of the body with [0,1] for the unset coordinates, so
+    every pruning decision is the enclosure's; at a full vector it is the
+    exact value."""
+    names, dist, text, mesh = instance
+    n = snapped(dist, mesh).denominator
+    m = len(names)
+    steps = [[int(dist.get((p, q), dist.get((q, p), 0)) * n) for q in names]
+             for p in names]
+    row = data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    filled = data.draw(st.integers(0, m))
+    steps.append(row)
+    index = {p: i for i, p in enumerate(names + ("x",))}
+    body = parse(text, Signature((), names)).body
 
-    The 161 values of the first coordinate are the partial vectors; the
-    second coordinate completes a vector, which the compiled body evaluates
-    exactly.  One more call is the sentence itself.
-    """
+    def point_of(term):
+        return index[term.name]
+
+    def dist_at(i, j):
+        i, j = max(i, j), min(i, j)
+        if i == j:
+            return F(0)
+        if i < m or j < filled:
+            return F(steps[i][j], n)
+        return Enclosure(F(0), F(1))
+
+    g, bound, N = urysohn._compile(body, point_of, m, steps, n)
+    e = urysohn._enc_eval(body, dist_at, point_of, None)
+    assert bound(row, filled) == (N * e.lo, N * e.hi)
+    if filled == m:
+        assert bound(row, m) == (g(row), g(row))
+
+
+NESTED_DISTANCES = (F(1, 2), F(3, 4), F(1))
+NESTED_MESHES = (F(1, 2), F(1, 3), F(1, 4))
+BOUND = ("x", "y", "z")
+
+
+@st.composite
+def nested_instances(draw):
+    """Q x Q' y over one or two anchors, or Q x Q' y Q'' z over one anchor
+    at mesh 1/2, where the middle point's row is rebuilt per outer vector."""
+    levels = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 2)) if levels == 2 else 1
+    names = ANCHORS[:k]
+    dist = {(p, q): draw(st.sampled_from(NESTED_DISTANCES))
+            for i, p in enumerate(names) for q in names[i + 1:]}
+    text = draw(bodies(names + BOUND[:levels], max_leaves=6))
+    for v in reversed(BOUND[:levels]):
+        text = f"({draw(st.sampled_from(['sup', 'inf']))} {v} {text})"
+    mesh = draw(st.sampled_from(NESTED_MESHES)) if levels == 2 else F(1, 2)
+    return names, dist, text, mesh
+
+
+def grid_vectors(space, h):
+    """Every admissible distance vector of a new point over space on the grid."""
+    n = h.denominator
+    for s in product(range(n + 1), repeat=len(space.points)):
+        f = {p: k * h for p, k in zip(space.points, s)}
+        if all(abs(f[p] - f[q]) <= space.d(p, q) <= f[p] + f[q]
+               for p, q in combinations(space.points, 2)):
+            yield f
+
+
+def place(space, f, name):
+    """space with a point at distances f: the point at distance 0, if any."""
+    on = [p for p in space.points if f[p] == 0]
+    if on:
+        return space, on[0]
+    return space.with_point(name, f), name
+
+
+def nested_brute_force(phi, space, env, sig, h):
+    """Q v body over space: the body's enclosure at every admissible grid
+    vector of v (exact when quantifier-free), merged lo with lo and hi with
+    hi, then widened by lipschitz * h on the far side."""
+    if not isinstance(phi, (Sup, Inf)):
+        M = FiniteStructure(space, sig, {}, {p: p for p in sig.constants})
+        v = evaluate(phi, M, env)
+        return Enclosure(v, v)
+    pick = max if isinstance(phi, Sup) else min
+    es = []
+    for f in grid_vectors(space, h):
+        ext, p = place(space, f, phi.var)
+        es.append(nested_brute_force(phi.body, ext, {**env, phi.var: p}, sig, h))
+    lo, hi = pick(e.lo for e in es), pick(e.hi for e in es)
+    err = lipschitz(phi.body, sig, only_var=phi.var) * h
+    if isinstance(phi, Sup):
+        return Enclosure(lo, min(F(1), hi + err))
+    return Enclosure(max(F(0), lo - err), hi)
+
+
+@given(nested_instances())
+@example((("a",), {}, "(inf x (sup y (inf z (neg (d a y)))))", F(1, 2)))
+@settings(max_examples=60, deadline=None)
+def test_nested_search_equals_brute_force(instance):
+    """Each inner body is compiled once per round and reads the outer
+    points' distances from the step table as the outer walk refills them;
+    the example's innermost body reads the middle point, whose row is a new
+    list for every outer vector."""
+    names, dist, text, mesh = instance
+    h = snapped(dist, mesh)
+    assume((h.denominator + 1) ** (2 * len(names) + 1) <= 3200)
+    sig = Signature((), names)
+    phi = parse(text, sig)
+    anchors = RationalMetricSpace.build(names, dist)
+    assert (eval_urysohn(phi, AnchoredStructure(anchors), {}, QuantifierBudget(mesh, 0))
+            == nested_brute_force(phi, anchors, {}, sig, h))
+
+
+def counting(monkeypatch, name, wrap=lambda result: result):
+    """Count the calls of urysohn.<name>; wrap may count inside its result."""
     calls = [0]
-    enc_eval = urysohn._enc_eval
+    real = getattr(urysohn, name)
 
     def counted(*args):
         calls[0] += 1
-        return enc_eval(*args)
+        return wrap(real(*args))
 
-    monkeypatch.setattr(urysohn, "_enc_eval", counted)
+    monkeypatch.setattr(urysohn, name, counted)
+    return calls
+
+
+def test_interval_bound_only_at_partial_vectors(monkeypatch):
+    """W1 at 1/160: the compiled bound runs once per partial vector at most.
+
+    The 161 values of the first coordinate are the partial vectors; the
+    second coordinate completes a vector, which the compiled body evaluates
+    exactly.  The sentence itself is the only enclosure evaluation.
+    """
+    bound_calls = [0]
+
+    def count_bound(compiled):
+        g, bound, N = compiled
+
+        def counted(s, filled):
+            bound_calls[0] += 1
+            return bound(s, filled)
+        return g, counted, N
+
+    enc_calls = counting(monkeypatch, "_enc_eval")
+    counting(monkeypatch, "_compile", count_bound)
     space = RationalMetricSpace.build(("a", "b"), {("a", "b"): F(3, 5)})
     phi = parse("(inf x (max (d a x) (d b x)))", Signature((), ("a", "b")))
     e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(F(1, 160), 0))
     assert e == Enclosure(F(47, 160), F(3, 10))
-    assert 1 < calls[0] <= 162
+    assert enc_calls[0] == 1
+    assert 0 < bound_calls[0] <= 161
+
+
+def test_compile_once_per_body_per_round(monkeypatch):
+    """W2 at 1/8, two rounds: the one quantifier-free body (under sup z) is
+    compiled once per round, not once per outer grid vector (the search that
+    baked outer distances into the closures compiled it 2834 times)."""
+    calls = counting(monkeypatch, "_compile")
+    space = RationalMetricSpace.build(("s",), {})
+    phi = parse("(sup x (inf y (sup z (dotminus (d x z) (d y z)))))",
+                Signature((), ("s",)))
+    e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(F(1, 8), 1))
+    assert e == Enclosure(F(0), F(3, 16))
+    assert calls[0] == 2
 
 
 def test_lipschitz_once_per_quantifier(monkeypatch):

@@ -9,9 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metriclogic.cli import main
-from metriclogic.formula import Relation, Signature
+from metriclogic.formula import AtomD, ConstName, Half, Relation, Signature, Sup, Var
+from metriclogic.intervals import Enclosure
+from metriclogic.metric import RationalMetricSpace
 from metriclogic.rational import format_rational
 from metriclogic.syntax import MAX_DEPTH, ParseError, parse, print_formula
+from metriclogic.urysohn import (AnchoredStructure, QuantifierBudget, UrysohnError,
+                                 eval_urysohn)
 
 PAIR = str(Path(__file__).resolve().parent.parent / "data" / "pair.space")
 
@@ -65,6 +69,28 @@ def test_depth_limit_holds_through_predicate_expansion():
         "eval-urysohn", "(sup x " + negs(MAX_DEPTH - 1, "(P a x)") + ")",
         "--anchors", PAIR, "--mesh", "1/8", "--define", f"P(u v)={body}"])
     assert code == 0, err
+
+
+def sup_of_halves(depth):
+    """Sup(x, half^(depth-2) (d a x)), built in Python: `depth` levels."""
+    f = AtomD(ConstName("a"), Var("x"))
+    for _ in range(depth - 2):
+        f = Half(f)
+    return Sup("x", f)
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 3000])
+def test_eval_urysohn_refuses_deep_python_formulas(depth):
+    anchored = AnchoredStructure(RationalMetricSpace.build(("a",), {}))
+    with pytest.raises(UrysohnError, match=f"deeper than {MAX_DEPTH} levels"):
+        eval_urysohn(sup_of_halves(depth), anchored, {}, QuantifierBudget(F(1, 4), 0))
+
+
+def test_eval_urysohn_takes_python_formulas_at_the_depth_limit():
+    anchored = AnchoredStructure(RationalMetricSpace.build(("a",), {}))
+    e = eval_urysohn(sup_of_halves(MAX_DEPTH), anchored, {}, QuantifierBudget(F(1, 4), 0))
+    # sup of d(a, x) is 1, halved 126 times; the error term is 2^-126 * 1/4
+    assert e == Enclosure(F(1, 2 ** 126), F(5, 2 ** 128))
 
 
 def test_thousand_levels_is_a_parse_error():

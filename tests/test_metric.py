@@ -117,6 +117,14 @@ def test_embedding_witness_checks_distances():
     assert not bad.check().ok
 
 
+def test_has_point_reads_one_kept_index():
+    s = space({("a", "b"): F(1, 2)})
+    assert s.has_point("a") and s.has_point("b")
+    assert not s.has_point("c") and not s.has_point("")
+    assert s.point_index is s.point_index       # built once, not per call
+    assert s.point_index == {"a": 0, "b": 1}
+
+
 def test_restrict_keeps_distances():
     rng = random.Random(5)
     s = random_far_space(rng, 5)
