@@ -240,7 +240,8 @@ def cmd_sc_probe(session, args):
     return {"status": rep.status,
             "family": [str(c) for c in rep.family],
             "failing_tuple": list(rep.failing_tuple),
-            "failing_delta": [str(c) for c in rep.failing_delta]}, True
+            "failing_delta": [str(c) for c in rep.failing_delta],
+            "families_examined": rep.families_examined}, True
 
 
 def _anchored(session, args) -> AnchoredStructure:

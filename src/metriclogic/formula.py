@@ -19,6 +19,14 @@ class FormulaError(ValueError):
     pass
 
 
+# Parsed text nests at most MAX_DEPTH levels (an atom or a constant is one
+# level).  Formulas built in Python are held to 2 * MAX_DEPTH by `atoms`,
+# which leaves room for a depth-MAX_DEPTH predicate definition inlined at
+# depth MAX_DEPTH; the recursive walkers stay well inside Python's recursion
+# limit at that depth.
+MAX_DEPTH = 128
+
+
 @dataclass(frozen=True)
 class Relation:
     name: str
@@ -173,10 +181,27 @@ class Inf(Formula):
 
 
 def atoms(phi: Formula) -> Iterator[Formula]:
-    if isinstance(phi, (AtomD, AtomR)):
-        yield phi
-    for child in phi.children():
-        yield from atoms(child)
+    """The atoms of phi in preorder, walked with an explicit stack.
+
+    Raises FormulaError past 2 * MAX_DEPTH levels.  `check_wellformed` (and
+    so `lipschitz`) runs this walk before any recursive walker does.
+    """
+    stack = [(phi, 1)]
+    while stack:
+        f, depth = stack.pop()
+        if depth > 2 * MAX_DEPTH:
+            raise FormulaError(f"formula nested deeper than {2 * MAX_DEPTH} levels")
+        if isinstance(f, (AtomD, AtomR)):
+            yield f
+        else:
+            for c in f.children()[::-1]:
+                stack.append((c, depth + 1))
+
+
+def check_depth(phi: Formula) -> None:
+    """Raise FormulaError if phi nests deeper than 2 * MAX_DEPTH levels."""
+    for _ in atoms(phi):
+        pass
 
 
 def free_variables(phi: Formula) -> frozenset:

@@ -59,10 +59,6 @@ def as_enclosure(value) -> Enclosure:
     return Enclosure.exact(value)
 
 
-def clamp_unit(q: Fraction) -> Fraction:
-    return min(max(q, ZERO), ONE)
-
-
 # Pointwise interval extensions of the dotted connectives.  All of them are
 # monotone except absdiff, which needs the usual case split.
 

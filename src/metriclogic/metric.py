@@ -10,6 +10,16 @@ when it was built (`RationalMetricSpace.build`, `textio.parse_space`,
 `amalgam.amalgamate`).  `with_point` relies on it: it checks only the pairs
 and triangles through the new point, which is all a one-point extension of
 a valid space can break.
+
+Triangle checks run in integers.  A table is scaled by one common
+denominator D (the lcm of its denominators) into lower-triangular int rows,
+row i holding D * d(p_j, p_i) for j < i, and one kernel (`_extension_breaks`)
+tests the triangles that a row closes over the rows before it:
+`validate_table` runs it once per row of one matrix, `with_point` once for
+the new row against the rows its base keeps (`RationalMetricSpace.int_rows`).
+The kernel only decides whether a violation exists; when one does, the
+Fraction generator `_triangle_violations` writes the report, so reports
+and values at the boundary (`d`, `dist`) stay Fractions.
 """
 
 from __future__ import annotations
@@ -18,7 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, Mapping, Sequence, Tuple
+from math import lcm
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .rational import ONE, ZERO, in_unit
 
@@ -75,8 +86,37 @@ def validate_table(points: Sequence[str], dist: Mapping[Tuple[str, str], Fractio
             violations.append(Violation("range", (p, q), f"{dpq} outside [0,1]"))
     if missing:
         return ValidationReport(False, tuple(violations))
-    violations.extend(_triangle_violations(dist, combinations(points, 3)))
+    _, rows = _int_rows(points, dist)
+    if any(_extension_breaks(rows[:i], row) for i, row in enumerate(rows)):
+        violations.extend(_triangle_violations(dist, combinations(points, 3)))
     return ValidationReport(not violations, tuple(violations))
+
+
+Rows = List[List[int]]      # never mutated: a space shares them with its extensions
+
+
+def _int_rows(points: Sequence[str],
+              dist: Mapping[Tuple[str, str], Fraction]) -> Tuple[int, Rows]:
+    """The common denominator D of the pairs (p_j, p_i), j < i, and the
+    lower-triangular rows of D * d(p_j, p_i)."""
+    fracs = [[dist[(p, q)] for p in points[:i]] for i, q in enumerate(points)]
+    den = lcm(*(d.denominator for row in fracs for d in row))
+    return den, [_scaled(row, den) for row in fracs]
+
+
+def _scaled(row, den: int) -> List[int]:
+    return [d.numerator * (den // d.denominator) for d in row]
+
+
+def _extension_breaks(rows: Sequence[Sequence[int]], new: Sequence[int]) -> bool:
+    """Whether a triangle (a, b, c), a < b < len(rows), fails, where c is
+    the point whose row is `new` and all values share one denominator.
+    The test is `_triangle_violations`'s, on ints."""
+    for row, bc in zip(rows, new):
+        for ab, ac in zip(row, new):
+            if abs(ac - bc) > ab or ab > ac + bc:
+                return True
+    return False
 
 
 def _triangle_violations(dist: Mapping[Tuple[str, str], Fraction], triples):
@@ -115,6 +155,13 @@ class RationalMetricSpace:
         return p in self.point_index
 
     @cached_property
+    def int_rows(self) -> Tuple[int, Rows]:
+        """(D, rows): the distances as ints over one common denominator D,
+        row i holding D * d(p_j, p_i) for j < i.  Derived from `dist` on
+        first use unless `with_point` handed it over."""
+        return _int_rows(self.points, self.dist)
+
+    @cached_property
     def point_index(self) -> Dict[str, int]:
         """Position of each point, built on first use and kept: the space
         is immutable."""
@@ -133,24 +180,37 @@ class RationalMetricSpace:
 
         The base was validated when it was built, so only what the new point
         adds is checked: the range of its n distances and the C(n,2)
-        triangles (a, b, name).  A failure raises MetricError with exactly
-        the report `validate_table` gives on the whole extended table.
+        triangles (a, b, name), in ints against the base's `int_rows`.  New
+        denominators grow D to an lcm and rescale the old rows once; the
+        result keeps the old rows plus the new one as its own `int_rows`.
+        A failure raises MetricError with exactly the report `validate_table`
+        gives on the whole extended table.
         """
         if name in self.points:
             raise MetricError(f"point {name!r} already present")
         dist = dict(self.dist)
         dist[(name, name)] = ZERO
         violations = []
+        new: List[Fraction] = []
         for p in self.points:
             d = Fraction(dists[p])
             dist[(p, name)] = dist[(name, p)] = d
+            new.append(d)
             if not in_unit(d):
                 violations.append(Violation("range", (p, name), f"{d} outside [0,1]"))
-        violations.extend(_triangle_violations(
-            dist, ((a, b, name) for a, b in combinations(self.points, 2))))
-        if violations:
+        den, rows = self.int_rows
+        grown = lcm(den, *(d.denominator for d in new))
+        if grown != den:
+            k = grown // den
+            rows = [[x * k for x in row] for row in rows]
+        row = _scaled(new, grown)
+        if violations or _extension_breaks(rows, row):
+            violations.extend(_triangle_violations(
+                dist, ((a, b, name) for a, b in combinations(self.points, 2))))
             raise MetricError(str(ValidationReport(False, tuple(violations))))
-        return RationalMetricSpace(self.points + (name,), dist)
+        out = RationalMetricSpace(self.points + (name,), dist)
+        vars(out)["int_rows"] = (grown, rows + [row])
+        return out
 
 
 @dataclass(frozen=True)

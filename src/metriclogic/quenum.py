@@ -66,10 +66,15 @@ def qu_enumerate(seed: RationalMetricSpace, denominator_bound: int,
     counter = 0
     for size in range(1, min(budget, len(seed.points)) + 1):
         for subset in combinations(seed.points, size):
+            # The first point, in point order, at each distance vector to
+            # the subset: the realizer a scan in point order would find.
+            realizers = {}
+            for p in space.points:
+                realizers.setdefault(tuple([space.d(p, a) for a in subset]), p)
             for vec in _lex_vectors(values, size):
                 if not admissible_on_subset(seed, subset, vec):
                     continue
-                existing = _find_realizer(space, subset, vec)
+                existing = realizers.get(vec)
                 if existing is not None:
                     tasks.append(ExtensionTask(subset, vec, existing, False))
                     continue
@@ -80,6 +85,7 @@ def qu_enumerate(seed: RationalMetricSpace, denominator_bound: int,
                 counter += 1
                 full = katetov_spread(space, dict(zip(subset, vec)))
                 space = space.with_point(name, full)   # raises if not admissible
+                realizers.setdefault(tuple([full[a] for a in subset]), name)
                 tasks.append(ExtensionTask(subset, vec, name, True))
     cert = EnumeratorCertificate(denominator_bound, budget, tuple(tasks))
     return space, cert
@@ -92,11 +98,3 @@ def _lex_vectors(values: Sequence[Fraction], size: int):
     for head in values:
         for tail in _lex_vectors(values, size - 1):
             yield (head,) + tail
-
-
-def _find_realizer(space: RationalMetricSpace, subset: Sequence[str],
-                   vec: Sequence[Fraction]) -> str | None:
-    for p in space.points:
-        if all(space.d(p, a) == v for a, v in zip(subset, vec)):
-            return p
-    return None

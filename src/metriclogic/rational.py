@@ -52,10 +52,6 @@ def dot_sub(a: Fraction, b: Fraction) -> Fraction:
     return max(a - b, ZERO)
 
 
-def dot_neg(a: Fraction) -> Fraction:
-    return ONE - a
-
-
 def dot_scale(q: Fraction, a: Fraction) -> Fraction:
     """Dotted product by a positive rational: min(q*a, 1)."""
     return min(q * a, ONE)

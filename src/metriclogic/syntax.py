@@ -10,9 +10,10 @@ Rationals are written num/den (or a bare integer).  Head names other than
 the keywords are relation symbols looked up in the signature; bare terms are
 constants when the signature declares them and variables otherwise.  Parse
 errors carry the character position.  Formulas nest at most MAX_DEPTH
-levels (an atom or a constant is one level): every walker over a formula is
-recursive, and at this depth all of them, predicate expansion doubling it
-included, stay well inside Python's recursion limit.
+levels (an atom or a constant is one level; the limit lives in `formula`):
+the walkers over a formula are recursive, and at this depth all of them,
+predicate expansion doubling it included, stay well inside Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from typing import List, Tuple
 
 from .formula import (AbsDiff, AtomD, AtomR, Const, ConstName, DotMinus,
                       DotPlus, DotScale, Formula, FormulaError, Half, Inf,
-                      Max, Min, Neg, PURE_METRIC, Signature, Sup, Var)
+                      MAX_DEPTH, Max, Min, Neg, PURE_METRIC, Signature, Sup,
+                      Var)
 from .rational import format_rational
-
-MAX_DEPTH = 128
 
 KEYWORDS = {"d", "half", "dotminus", "min", "max", "absdiff", "neg",
             "dotplus", "scale", "sup", "inf"}

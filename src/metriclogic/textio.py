@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 
 from .formula import Relation, Signature
 from .graded import (GradedAtomDescriptor, GradedDescriptor,
-                     GradedMaxDescriptor, PartialIsometry)
+                     GradedMaxDescriptor)
 from .metric import RationalMetricSpace
 from .rational import format_rational, parse_rational
 from .reduction import GroupElement, ReductionInstance
@@ -175,10 +175,6 @@ def parse_structure(text: str) -> FiniteStructure:
 
 
 # ------------------------------------------------------------ isometries
-
-def serialize_isometry(g: PartialIsometry) -> str:
-    return "\n".join(f"map {p} {q}" for p, q in sorted(g.map.items())) + "\n"
-
 
 def parse_isometry_lines(text: str) -> Dict[str, str]:
     mapping: Dict[str, str] = {}

@@ -45,16 +45,15 @@ from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .formula import (AbsDiff, AtomD, AtomR, Const, ConstName, DotMinus,
-                      DotPlus, DotScale, Formula, Half, Inf,
-                      Max, Min, Neg, Signature, Sup, Var, free_variables,
-                      is_quantifier_free, lipschitz)
+                      DotPlus, DotScale, Formula, Half, Inf, MAX_DEPTH,
+                      Max, Min, Neg, Signature, Sup, Var, check_depth,
+                      free_variables, is_quantifier_free, lipschitz)
 from .intervals import (Enclosure, as_enclosure, enc_absdiff, enc_dot_add,
                         enc_dot_sub, enc_half, enc_max, enc_min, enc_neg,
                         enc_scale, sqrt_enclosure)
 from .metric import RationalMetricSpace
 from .rational import ONE, ZERO, dot_scale
 from .structures import FiniteStructure, evaluate
-from .syntax import MAX_DEPTH
 
 
 class UrysohnError(ValueError):
@@ -70,6 +69,7 @@ class PredicateDef:
     def __post_init__(self):
         if not self.params:
             raise UrysohnError("predicate definition needs at least one parameter")
+        check_depth(self.body)
         if not is_quantifier_free(self.body):
             raise UrysohnError("predicate definitions must be quantifier free")
 

@@ -272,11 +272,16 @@ def nice_closure(X: FiniteGSpace, family: Sequence[GradedTable],
     def tab(v: Tuple[Fraction, ...]) -> Dict[str, Fraction]:
         return dict(zip(X.points, v))
 
-    known: List[Tuple[Fraction, ...]] = []
+    known: Dict[Tuple[Fraction, ...], None] = {}     # an insertion-ordered set
+
+    def learn(v) -> bool:
+        if v in known:
+            return False
+        known[v] = None
+        return True
+
     for t in family:
-        v = vec(t)
-        if v not in known:
-            known.append(v)
+        learn(vec(t))
 
     applications = 0
     fixed_point = not known
@@ -304,18 +309,14 @@ def nice_closure(X: FiniteGSpace, family: Sequence[GradedTable],
                 applications += 1
                 if applications > budget:
                     return ClosureResult(tuple(known), False, applications - 1)
-                if out not in known:
-                    known.append(out)
-                    added = True
+                added |= learn(out)
         for v in snapshot:
             for w in snapshot:
                 for out in binary_ops(v, w):
                     applications += 1
                     if applications > budget:
                         return ClosureResult(tuple(known), False, applications - 1)
-                    if out not in known:
-                        known.append(out)
-                        added = True
+                    added |= learn(out)
         if not added:
             fixed_point = True
             break

@@ -27,6 +27,35 @@ def triangle_violations(points, d):
     return bad
 
 
+def validation_text(points, table):
+    """Independent re-derivation of `validate_table`'s report text.
+
+    Plain loops over a table of Fractions: the diagonal, then each pair
+    (missing, asymmetric, out of range), then, when nothing is missing,
+    every triple that fails one of its three triangle inequalities.
+    """
+    out = []
+    for p in points:
+        if (p, p) not in table:
+            out.append(f"missing {p} {p}: no diagonal entry")
+        elif table[(p, p)] != 0:
+            out.append(f"diagonal {p} {p}: d(p,p) = {table[(p, p)]}")
+    for p, q in combinations(points, 2):
+        if (p, q) not in table or (q, p) not in table:
+            out.append(f"missing {p} {q}: pair not in table")
+            continue
+        if table[(p, q)] != table[(q, p)]:
+            out.append(f"symmetry {p} {q}: {table[(p, q)]} != {table[(q, p)]}")
+        if not 0 <= table[(p, q)] <= 1:
+            out.append(f"range {p} {q}: {table[(p, q)]} outside [0,1]")
+    if any(s.startswith("missing") for s in out):
+        return "; ".join(out)
+    for a, b, c in triangle_violations(points, lambda p, q: table[(p, q)]):
+        out.append(f"triangle {a} {b} {c}: d={table[(a, b)]},{table[(b, c)]},"
+                   f"{table[(a, c)]} fails a triangle inequality")
+    return "; ".join(out) or "ok"
+
+
 def metric_ok(space: RationalMetricSpace) -> bool:
     for p in space.points:
         if space.d(p, p) != 0:

@@ -209,3 +209,12 @@ def test_encode_and_orbit_equiv(capsys):
 def test_lemma_suite(capsys):
     code, rep = run(capsys, "lemma-suite", "--seed", "2", "--instances", "2")
     assert code == 0 and rep["result"]["ok"]
+
+
+def test_sc_probe_reports_families_examined(capsys):
+    argv = ["sc-probe", data("twopoint.struct"),
+            "--n", "1", "--eps", "1/2", "--formula", "0", "--depth", "1"]
+    code, rep = run(capsys, *argv)
+    assert code == 0 and rep["result"]["families_examined"] == 1
+    assert main(argv) == 0
+    assert "  families_examined: 1\n" in capsys.readouterr().out

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metriclogic.cli import main
-from metriclogic.formula import AtomD, ConstName, Half, Relation, Signature, Sup, Var
+from metriclogic.formula import (AtomD, ConstName, FormulaError, Half, Relation,
+                                 Signature, Sup, Var, lipschitz)
 from metriclogic.intervals import Enclosure
 from metriclogic.metric import RationalMetricSpace
 from metriclogic.rational import format_rational
 from metriclogic.syntax import MAX_DEPTH, ParseError, parse, print_formula
-from metriclogic.urysohn import (AnchoredStructure, QuantifierBudget, UrysohnError,
-                                 eval_urysohn)
+from metriclogic.urysohn import (AnchoredStructure, PredicateDef, QuantifierBudget,
+                                 UrysohnError, eval_urysohn)
 
 PAIR = str(Path(__file__).resolve().parent.parent / "data" / "pair.space")
 
@@ -91,6 +92,22 @@ def test_eval_urysohn_takes_python_formulas_at_the_depth_limit():
     e = eval_urysohn(sup_of_halves(MAX_DEPTH), anchored, {}, QuantifierBudget(F(1, 4), 0))
     # sup of d(a, x) is 1, halved 126 times; the error term is 2^-126 * 1/4
     assert e == Enclosure(F(1, 2 ** 126), F(5, 2 ** 128))
+
+
+@pytest.mark.parametrize("depth", [2 * MAX_DEPTH + 1, 3000])
+def test_python_formulas_past_twice_the_limit_raise_formula_error(depth):
+    body = sup_of_halves(depth + 1).body            # `depth` levels, no sup
+    with pytest.raises(FormulaError, match=f"deeper than {2 * MAX_DEPTH} levels"):
+        lipschitz(sup_of_halves(depth), Signature((), ("a",)))
+    with pytest.raises(FormulaError, match=f"deeper than {2 * MAX_DEPTH} levels"):
+        PredicateDef(("x",), body)
+
+
+def test_python_formulas_at_twice_the_limit_are_walked():
+    body = sup_of_halves(2 * MAX_DEPTH + 1).body
+    assert lipschitz(sup_of_halves(2 * MAX_DEPTH), Signature((), ("a",))) == 0
+    assert lipschitz(body, Signature((), ("a",))) == F(1, 2 ** (2 * MAX_DEPTH - 1))
+    assert PredicateDef(("x",), body).params == ("x",)
 
 
 def test_thousand_levels_is_a_parse_error():

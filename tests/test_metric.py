@@ -9,7 +9,7 @@ from metriclogic.metric import (EmbeddingWitness, KatetovFunction, MetricError,
                                 RationalMetricSpace, katetov_spread,
                                 one_point_extend, validate_table)
 
-from helpers import metric_ok, random_far_space
+from helpers import metric_ok, random_far_space, validation_text
 
 
 def space(pairs, pts=None):
@@ -188,3 +188,104 @@ def test_with_point_reports_range_then_triangles():
         "triangle a b z: d=1/2,1/8,3/2 fails a triangle inequality; "
         "triangle a c z: d=1/2,1/8,3/2 fails a triangle inequality; "
         "triangle b c z: d=1/2,1/8,1/8 fails a triangle inequality")
+
+
+DENS = (1, 2, 3, 4, 5, 6, 8, 10, 12)
+
+
+@st.composite
+def closed_tables(draw, pts):
+    """A metric on pts: random values, shortest-path closed, so exactly
+    degenerate triangles (ab == ac + bc) are common."""
+    d = {(p, p): F(0) for p in pts}
+    for p, q in combinations(pts, 2):
+        den = draw(st.sampled_from(DENS))
+        d[(p, q)] = d[(q, p)] = F(draw(st.integers(1, den)), den)
+    for k in pts:
+        for p in pts:
+            for q in pts:
+                d[(p, q)] = min(d[(p, q)], d[(p, k)] + d[(k, q)])
+    return d
+
+
+@st.composite
+def candidate_tables(draw):
+    """A closed table with up to two edits (a nudge by 1/den, an
+    out-of-range value, an asymmetric entry or a nonzero diagonal), and
+    sometimes a missing entry."""
+    pts = tuple(f"p{i}" for i in range(draw(st.integers(1, 6))))
+    table = draw(closed_tables(pts))
+    pairs = list(combinations(pts, 2))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("nudge", "range", "asym", "diag")))
+        if kind == "diag" or not pairs:
+            table[(draw(st.sampled_from(pts)),) * 2] = F(1, 5)
+            continue
+        p, q = draw(st.sampled_from(pairs))
+        if kind == "nudge":
+            v = table[(p, q)] + F(draw(st.sampled_from((-1, 1))), draw(st.sampled_from(DENS)))
+            table[(p, q)] = table[(q, p)] = v
+        elif kind == "range":
+            table[(p, q)] = table[(q, p)] = draw(st.sampled_from((F(-1, 3), F(5, 4), F(3, 2))))
+        else:                           # either direction, halved or doubled
+            p, q = draw(st.permutations((p, q)))
+            table[(p, q)] = table[(q, p)] * draw(st.sampled_from((F(1, 2), 2)))
+    if draw(st.integers(0, 5)) == 0:
+        del table[draw(st.sampled_from(sorted(table)))]
+    return pts, table
+
+
+@given(candidate_tables())
+@settings(max_examples=300, deadline=None)
+def test_validate_table_matches_fraction_oracle(case):
+    pts, table = case
+    assert str(validate_table(pts, table)) == validation_text(pts, table)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_with_point_chain_matches_fraction_oracle(data):
+    """A chain of with_point calls whose new denominators grow D by lcm
+    rescales; vectors are exact spreads from one point (valid, with
+    degenerate triangles), spreads nudged by 1/den, or free values in and
+    out of [0,1]."""
+    pts = tuple(f"p{i}" for i in range(data.draw(st.integers(1, 4))))
+    d = data.draw(closed_tables(pts))
+    space = RationalMetricSpace.build(pts, {pq: d[pq] for pq in combinations(pts, 2)})
+    for step in range(data.draw(st.integers(1, 4))):
+        den = data.draw(st.sampled_from(DENS))
+        mode = data.draw(st.sampled_from(("spread", "nudged", "free")))
+        if mode == "free":
+            vec = {p: F(data.draw(st.integers(-1, den + 1)), den) for p in space.points}
+        else:
+            a = data.draw(st.sampled_from(space.points))
+            t = F(data.draw(st.integers(0, den)), den)
+            vec = {p: min(F(1), t + space.d(a, p)) for p in space.points}
+            if mode == "nudged":
+                p = data.draw(st.sampled_from(space.points))
+                vec[p] += F(data.draw(st.sampled_from((-1, 1))), den)
+        name = f"n{step}"
+        points = space.points + (name,)
+        table = dict(space.dist)
+        table[(name, name)] = F(0)
+        for p, v in vec.items():
+            table[(p, name)] = table[(name, p)] = v
+        expected = validation_text(points, table)
+        assert str(validate_table(points, table)) == expected
+        if expected != "ok":
+            with pytest.raises(MetricError) as exc:
+                space.with_point(name, vec)
+            assert str(exc.value) == expected
+            continue
+        out = space.with_point(name, vec)
+        assert out.points == points and out.dist == table
+        # the rows handed over equal the rows derived afresh from dist
+        assert out.int_rows == RationalMetricSpace(points, table).int_rows
+        space = out
+
+
+def test_with_point_rescales_rows_to_the_new_denominator():
+    s = space({("a", "b"): F(1, 2)})
+    assert s.int_rows == (2, [[], [1]])
+    out = s.with_point("c", {"a": F(1, 3), "b": F(1, 2)})
+    assert out.int_rows == (6, [[], [3], [2, 3]])

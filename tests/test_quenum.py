@@ -112,3 +112,14 @@ def test_seed_validated_once_not_per_added_point(monkeypatch):
     out, cert = qu_enumerate(seed, 2, 2)
     assert sum(t.added_point for t in cert.tasks) == len(out.points) - 2 > 1
     assert calls == [2]
+
+
+def test_realizers_are_first_in_point_order_on_a_large_enumeration():
+    seed = RationalMetricSpace.build(
+        ("a", "b", "c"), {("a", "b"): F(1, 2), ("a", "c"): F(1, 2), ("b", "c"): F(1, 2)})
+    out, cert = qu_enumerate(seed, 5, 2)
+    assert len(out.points) == 220
+    for task in cert.tasks:
+        first = next(p for p in out.points
+                     if all(out.d(p, a) == v for a, v in zip(task.subset, task.values)))
+        assert task.realized_by == first
