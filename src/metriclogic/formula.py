@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Tuple
+from operator import add, and_, or_
+from typing import Tuple
 
 from .rational import in_unit
 
@@ -20,10 +21,10 @@ class FormulaError(ValueError):
 
 
 # Parsed text nests at most MAX_DEPTH levels (an atom or a constant is one
-# level).  Formulas built in Python are held to 2 * MAX_DEPTH by `atoms`,
-# which leaves room for a depth-MAX_DEPTH predicate definition inlined at
-# depth MAX_DEPTH; the recursive walkers stay well inside Python's recursion
-# limit at that depth.
+# level).  Every walker over a formula is a `fold`, which refuses formulas
+# built in Python past 2 * MAX_DEPTH: room for a depth-MAX_DEPTH predicate
+# definition inlined at depth MAX_DEPTH, and well inside Python's recursion
+# limit.
 MAX_DEPTH = 128
 
 
@@ -81,15 +82,15 @@ class ConstName:
     name: str
 
 
-Term = Var | ConstName
+LEAF, UNARY, BINARY, SCALE, QUANTIFIER = "leaf", "unary", "binary", "scale", "quantifier"
 
 
 class Formula:
-    """Base class; subclasses form the AST."""
+    """Base class; subclasses form the AST.  Each class declares its shape,
+    which says where its children are (see `fold`); `d` and the connectives
+    also declare their syntax keyword."""
     __slots__ = ()
-
-    def children(self) -> Tuple["Formula", ...]:
-        return ()
+    shape = LEAF
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,7 @@ class Const(Formula):
 
 @dataclass(frozen=True)
 class AtomD(Formula):
+    keyword = "d"
     left: "Var | ConstName"
     right: "Var | ConstName"
 
@@ -114,23 +116,37 @@ class AtomR(Formula):
 
 
 @dataclass(frozen=True)
-class Half(Formula):
+class _Unary(Formula):
+    shape = UNARY
     body: Formula
-
-    def children(self):
-        return (self.body,)
 
 
 @dataclass(frozen=True)
-class Neg(Formula):
+class _Binary(Formula):
+    shape = BINARY
+    left: Formula
+    right: Formula
+
+
+@dataclass(frozen=True)
+class _Quantifier(Formula):
+    shape = QUANTIFIER
+    var: str
     body: Formula
 
-    def children(self):
-        return (self.body,)
+
+class Half(_Unary):
+    keyword = "half"
+
+
+class Neg(_Unary):
+    keyword = "neg"
 
 
 @dataclass(frozen=True)
 class DotScale(Formula):
+    shape = SCALE
+    keyword = "scale"
     factor: Fraction
     body: Formula
 
@@ -138,91 +154,125 @@ class DotScale(Formula):
         if Fraction(self.factor) <= 0:
             raise FormulaError("scale factor must be a positive rational")
 
-    def children(self):
-        return (self.body,)
+
+class DotMinus(_Binary):
+    keyword = "dotminus"
 
 
-def _binary(cls_name):
-    @dataclass(frozen=True)
-    class _B(Formula):
-        left: Formula
-        right: Formula
-
-        def children(self):
-            return (self.left, self.right)
-
-    _B.__name__ = _B.__qualname__ = cls_name
-    return _B
+class DotPlus(_Binary):
+    keyword = "dotplus"
 
 
-DotMinus = _binary("DotMinus")
-DotPlus = _binary("DotPlus")
-Min = _binary("Min")
-Max = _binary("Max")
-AbsDiff = _binary("AbsDiff")
+class Min(_Binary):
+    keyword = "min"
 
 
-@dataclass(frozen=True)
-class Sup(Formula):
-    var: str
-    body: Formula
-
-    def children(self):
-        return (self.body,)
+class Max(_Binary):
+    keyword = "max"
 
 
-@dataclass(frozen=True)
-class Inf(Formula):
-    var: str
-    body: Formula
-
-    def children(self):
-        return (self.body,)
+class AbsDiff(_Binary):
+    keyword = "absdiff"
 
 
-def atoms(phi: Formula) -> Iterator[Formula]:
-    """The atoms of phi in preorder, walked with an explicit stack.
+class Sup(_Quantifier):
+    keyword = "sup"
 
-    Raises FormulaError past 2 * MAX_DEPTH levels.  `check_wellformed` (and
-    so `lipschitz`) runs this walk before any recursive walker does.
+
+class Inf(_Quantifier):
+    keyword = "inf"
+
+
+# The node table: syntax keyword -> class, for every connective and
+# quantifier (the parser's heads besides `d` and relation names).
+CONNECTIVES = {cls.keyword: cls for cls in (Half, Neg, DotScale, DotMinus, DotPlus,
+                                            Min, Max, AbsDiff, Sup, Inf)}
+
+
+def fold(phi: Formula, rules, quantify=None):
+    """Evaluate phi bottom-up in the value algebra given by rules.
+
+    rules[type(f)] is applied by shape: to a leaf itself, to the values of a
+    connective's children, to (factor, value) for `scale` and (var, value)
+    for a quantifier.  quantify, when given, takes the quantifier nodes
+    instead, as quantify(f, body), where body() folds f.body: evaluators
+    that bind a variable fold it once per binding.  Raises FormulaError past
+    2 * MAX_DEPTH levels, before Python's recursion limit.
     """
-    stack = [(phi, 1)]
-    while stack:
-        f, depth = stack.pop()
-        if depth > 2 * MAX_DEPTH:
-            raise FormulaError(f"formula nested deeper than {2 * MAX_DEPTH} levels")
-        if isinstance(f, (AtomD, AtomR)):
-            yield f
-        else:
-            for c in f.children()[::-1]:
-                stack.append((c, depth + 1))
+    return _fold(phi, rules, quantify, 1)
 
 
-def check_depth(phi: Formula) -> None:
-    """Raise FormulaError if phi nests deeper than 2 * MAX_DEPTH levels."""
-    for _ in atoms(phi):
-        pass
+def _fold(f, rules, quantify, depth):
+    if depth > 2 * MAX_DEPTH:
+        raise FormulaError(f"formula nested deeper than {2 * MAX_DEPTH} levels")
+    shape = f.shape
+    if shape is LEAF:
+        return rules[type(f)](f)
+    depth += 1
+    if shape is BINARY:
+        return rules[type(f)](_fold(f.left, rules, quantify, depth),
+                              _fold(f.right, rules, quantify, depth))
+    if shape is UNARY:
+        return rules[type(f)](_fold(f.body, rules, quantify, depth))
+    if shape is SCALE:
+        return rules[type(f)](f.factor, _fold(f.body, rules, quantify, depth))
+    if quantify is not None:
+        return quantify(f, lambda: _fold(f.body, rules, quantify, depth))
+    return rules[type(f)](f.var, _fold(f.body, rules, quantify, depth))
+
+
+def by_shape(**rules) -> dict:
+    """A rules table giving every connective of a shape the same rule."""
+    return {cls: rules[cls.shape] for cls in CONNECTIVES.values() if cls.shape in rules}
+
+
+def keep(*args):
+    """The rule of a connective whose value is its (last) child's."""
+    return args[-1]
+
+
+def nesting_depth(phi: Formula) -> int:
+    """Levels of phi (an atom or a constant is one), walked level by level
+    without recursion, so a formula of any depth is measured."""
+    depth, level = 0, [phi]
+    while level:
+        depth += 1
+        level = [c for f in level for c in ((f.left, f.right) if f.shape is BINARY
+                                           else () if f.shape is LEAF else (f.body,))]
+    return depth
+
+
+_ATOMS = {**by_shape(unary=keep, scale=keep, binary=add, quantifier=keep),
+          Const: lambda f: (), AtomD: lambda f: (f,), AtomR: lambda f: (f,)}
+
+
+def atoms(phi: Formula) -> Tuple[Formula, ...]:
+    """The atoms of phi in preorder (left to right)."""
+    return fold(phi, _ATOMS)
+
+
+def _var_names(terms) -> frozenset:
+    return frozenset(t.name for t in terms if isinstance(t, Var))
+
+
+_FREE = {**by_shape(unary=keep, scale=keep, binary=or_,
+                    quantifier=lambda var, free: free - {var}),
+         Const: lambda f: frozenset(),
+         AtomD: lambda f: _var_names((f.left, f.right)),
+         AtomR: lambda f: _var_names(f.args)}
 
 
 def free_variables(phi: Formula) -> frozenset:
-    if isinstance(phi, (Const,)):
-        return frozenset()
-    if isinstance(phi, AtomD):
-        return frozenset(t.name for t in (phi.left, phi.right) if isinstance(t, Var))
-    if isinstance(phi, AtomR):
-        return frozenset(t.name for t in phi.args if isinstance(t, Var))
-    if isinstance(phi, (Sup, Inf)):
-        return free_variables(phi.body) - {phi.var}
-    out = frozenset()
-    for child in phi.children():
-        out |= free_variables(child)
-    return out
+    return fold(phi, _FREE)
+
+
+_QF = {**by_shape(unary=keep, scale=keep, binary=and_,
+                  quantifier=lambda var, qf: False),
+       Const: lambda f: True, AtomD: lambda f: True, AtomR: lambda f: True}
 
 
 def is_quantifier_free(phi: Formula) -> bool:
-    if isinstance(phi, (Sup, Inf)):
-        return False
-    return all(is_quantifier_free(c) for c in phi.children())
+    return fold(phi, _QF)
 
 
 def check_wellformed(phi: Formula, sig: Signature) -> None:
@@ -241,6 +291,11 @@ def check_wellformed(phi: Formula, sig: Signature) -> None:
                 raise FormulaError(f"unknown constant {t.name!r}")
 
 
+_LIPSCHITZ = {**by_shape(unary=keep, binary=add),
+              Const: lambda f: Fraction(0), Half: lambda c: c / 2,
+              DotScale: lambda q, c: Fraction(q) * c, Min: max, Max: max}
+
+
 def lipschitz(phi: Formula, sig: Signature = PURE_METRIC,
               only_var: str | None = None) -> Fraction:
     """A sound linear modulus coefficient L for phi over sig.
@@ -254,35 +309,23 @@ def lipschitz(phi: Formula, sig: Signature = PURE_METRIC,
     the difference-like connectives add; quantifiers drop their variable.
     """
     check_wellformed(phi, sig)
+    bound = []                          # variables bound above the node, innermost last
 
-    def counted(t, bound):
+    def counted(t):
         return isinstance(t, Var) and t.name not in bound and \
             (only_var is None or t.name == only_var)
 
-    def go(f: Formula, bound: frozenset) -> Fraction:
-        if isinstance(f, Const):
-            return Fraction(0)
-        if isinstance(f, AtomD):
-            return Fraction(sum(1 for t in (f.left, f.right) if counted(t, bound)))
-        if isinstance(f, AtomR):
-            rel = sig.relation(f.name)
-            return rel.modulus_coefficient if any(counted(t, bound) for t in f.args) \
-                else Fraction(0)
-        if isinstance(f, Half):
-            return go(f.body, bound) / 2
-        if isinstance(f, Neg):
-            return go(f.body, bound)
-        if isinstance(f, DotScale):
-            return Fraction(f.factor) * go(f.body, bound)
-        if isinstance(f, (Min, Max)):
-            return max(go(f.left, bound), go(f.right, bound))
-        if isinstance(f, (DotMinus, DotPlus, AbsDiff)):
-            return go(f.left, bound) + go(f.right, bound)
-        if isinstance(f, (Sup, Inf)):
-            return go(f.body, bound | {f.var})
-        raise FormulaError(f"unknown node {f!r}")
+    def quantify(f, body):
+        bound.append(f.var)
+        coeff = body()
+        bound.pop()
+        return coeff
 
-    return go(phi, frozenset())
+    rules = {**_LIPSCHITZ,
+             AtomD: lambda f: Fraction(counted(f.left) + counted(f.right)),
+             AtomR: lambda f: (sig.relation(f.name).modulus_coefficient
+                               if any(map(counted, f.args)) else Fraction(0))}
+    return fold(phi, rules, quantify)
 
 
 @dataclass(frozen=True)
@@ -306,11 +349,20 @@ class BorelLevel:
 LESS, GREATER = "<", ">"
 
 
+# (S, G) for each node, bottom-up; binary connectives take the worse child
+_BOREL = {**by_shape(unary=keep, scale=keep,
+                     binary=lambda a, b: (max(a[0], b[0]), max(a[1], b[1]))),
+          Const: lambda f: (1, 1), AtomD: lambda f: (1, 2), AtomR: lambda f: (1, 2),
+          Neg: lambda sg: (sg[1], sg[0]),
+          Inf: lambda var, sg: (sg[0], sg[1] + 1),
+          Sup: lambda var, sg: (sg[0] + 1, sg[1])}
+
+
 def borel_level(phi: Formula, comparison: str) -> BorelLevel:
     """Class of the model sets {phi < eps} (or {phi > eps}).
 
-    Two mutually recursive indices: S(phi) for strict sublevel sets and
-    G(phi) for strict superlevel sets.  Negation swaps them; an atomic
+    Two indices, computed bottom-up as one pair: S(phi) for strict sublevel
+    sets and G(phi) for strict superlevel sets.  Negation swaps them; an atomic
     sublevel set is open (index 1) while its superlevel set is obtained by
     complementing a countable intersection, one class up (index 2).  inf
     preserves S as a countable union; sup pays the union-of-intersections
@@ -319,37 +371,5 @@ def borel_level(phi: Formula, comparison: str) -> BorelLevel:
     """
     if comparison not in (LESS, GREATER):
         raise FormulaError(f"comparison must be {LESS!r} or {GREATER!r}")
-
-    def s(f: Formula) -> int:
-        if isinstance(f, (AtomD, AtomR, Const)):
-            return 1
-        if isinstance(f, Neg):
-            return g(f.body)
-        if isinstance(f, (Half, DotScale)):
-            return s(f.body)
-        if isinstance(f, (Min, Max, DotMinus, DotPlus, AbsDiff)):
-            return max(s(f.left), s(f.right))
-        if isinstance(f, Inf):
-            return s(f.body)
-        if isinstance(f, Sup):
-            return s(f.body) + 1
-        raise FormulaError(f"unknown node {f!r}")
-
-    def g(f: Formula) -> int:
-        if isinstance(f, Const):
-            return 1
-        if isinstance(f, (AtomD, AtomR)):
-            return 2
-        if isinstance(f, Neg):
-            return s(f.body)
-        if isinstance(f, (Half, DotScale)):
-            return g(f.body)
-        if isinstance(f, (Min, Max, DotMinus, DotPlus, AbsDiff)):
-            return max(g(f.left), g(f.right))
-        if isinstance(f, Inf):
-            return g(f.body) + 1
-        if isinstance(f, Sup):
-            return g(f.body)
-        raise FormulaError(f"unknown node {f!r}")
-
-    return BorelLevel("Sigma", s(phi) if comparison == LESS else g(phi))
+    s, g = fold(phi, _BOREL)
+    return BorelLevel("Sigma", s if comparison == LESS else g)

@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .intervals import Enclosure, sqrt_enclosure, sqrt_leq_sum
+from .intervals import (Enclosure, sqrt_enclosure, sqrt_leq_sum,
+                        truncated_weighted_sum)
 from .metric import RationalMetricSpace
 from .rational import ONE, ZERO, dot_scale
 from .structures import (FiniteStructure, automorphisms, delta_exact,
@@ -260,12 +261,11 @@ def rho_s(g: PartialIsometry, h: PartialIsometry, ctx: GroupMetricContext,
     """Left-invariant metric truncated after k points: tail bound 2^-k."""
     if k < 0 or k > len(ctx.enumeration):
         raise GradedError(f"truncation {k} outside 0..{len(ctx.enumeration)}")
-    total = ZERO
-    for i, s in enumerate(ctx.enumeration[:k], start=1):
-        if s not in g.map or s not in h.map:
-            raise GradedError(f"isometries must be defined on the first {k} points")
-        total += Fraction(1, 2 ** i) * min(ONE, g.target.d(g.apply(s), h.apply(s)))
-    return Enclosure(total, min(total + Fraction(1, 2 ** k), ONE))
+    pts = ctx.enumeration[:k]
+    if not all(s in g.map and s in h.map for s in pts):
+        raise GradedError(f"isometries must be defined on the first {k} points")
+    return truncated_weighted_sum(min(ONE, g.target.d(g.apply(s), h.apply(s)))
+                                  for s in pts)
 
 
 @dataclass(frozen=True)

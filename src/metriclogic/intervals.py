@@ -101,6 +101,15 @@ def enc_absdiff(a: Enclosure, b: Enclosure) -> Enclosure:
     return Enclosure(lo, hi)
 
 
+def truncated_weighted_sum(terms) -> Enclosure:
+    """Enclose sum_i 2^-i t_i, t_i in [0,1], from its first k terms: the
+    partial sum, plus at most 2^-k for the tail, capped at 1."""
+    total, k = ZERO, 0
+    for k, t in enumerate(terms, start=1):
+        total += Fraction(t.numerator, t.denominator << k)     # t / 2^k
+    return Enclosure(total, min(total + Fraction(1, 2 ** k), ONE))
+
+
 def sqrt_enclosure(x: Fraction, prec_bits: int = 64) -> Enclosure:
     """Enclose sqrt(x) for x in [0,1] with width <= 2^-prec_bits.
 

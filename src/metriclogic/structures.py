@@ -13,11 +13,11 @@ from itertools import product
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .formula import (AbsDiff, AtomD, AtomR, Const, ConstName, DotMinus,
-                      DotPlus, DotScale, Formula, Half, Inf,
-                      Max, Min, Neg, Signature, Sup, Var, check_wellformed)
-from .intervals import Enclosure
+                      DotPlus, DotScale, Formula, Half, Max, Min, Neg,
+                      Signature, Sup, Var, check_wellformed, fold)
+from .intervals import Enclosure, truncated_weighted_sum
 from .metric import RationalMetricSpace
-from .rational import ONE, ZERO, dot_add, dot_scale, dot_sub, in_unit
+from .rational import ONE, dot_add, dot_scale, dot_sub, in_unit
 
 
 class StructureError(ValueError):
@@ -93,53 +93,40 @@ def resolve_term(term, M: FiniteStructure, assignment: Mapping[str, str]) -> str
     raise StructureError(f"bad term {term!r}")
 
 
+# The exact algebra on [0,1]: each connective's rule is its operation.
+_EXACT = {Const: lambda f: Fraction(f.value), Half: lambda v: v / 2,
+          Neg: lambda v: ONE - v, DotScale: dot_scale, Min: min, Max: max,
+          AbsDiff: lambda a, b: abs(a - b), DotMinus: dot_sub, DotPlus: dot_add}
+
+
 def evaluate(phi: Formula, M: FiniteStructure,
              assignment: Mapping[str, str] | None = None) -> Fraction:
     """Exact value of phi in M under the assignment."""
     check_wellformed(phi, M.sig)
     env = dict(assignment or {})
 
-    def go(f: Formula, env: Dict[str, str]) -> Fraction:
-        if isinstance(f, Const):
-            return Fraction(f.value)
-        if isinstance(f, AtomD):
-            return M.space.d(resolve_term(f.left, M, env), resolve_term(f.right, M, env))
-        if isinstance(f, AtomR):
-            return M.rel_value(f.name, tuple(resolve_term(t, M, env) for t in f.args))
-        if isinstance(f, Half):
-            return go(f.body, env) / 2
-        if isinstance(f, Neg):
-            return ONE - go(f.body, env)
-        if isinstance(f, DotScale):
-            return dot_scale(f.factor, go(f.body, env))
-        if isinstance(f, Min):
-            return min(go(f.left, env), go(f.right, env))
-        if isinstance(f, Max):
-            return max(go(f.left, env), go(f.right, env))
-        if isinstance(f, AbsDiff):
-            return abs(go(f.left, env) - go(f.right, env))
-        if isinstance(f, DotMinus):
-            return dot_sub(go(f.left, env), go(f.right, env))
-        if isinstance(f, DotPlus):
-            return dot_add(go(f.left, env), go(f.right, env))
-        if isinstance(f, (Sup, Inf)):
-            pick = max if isinstance(f, Sup) else min
-            saved = env.get(f.var)
-            best = None
-            for p in M.space.points:
-                env[f.var] = p
-                v = go(f.body, env)
-                best = v if best is None else pick(best, v)
-            if saved is None:
-                del env[f.var]
-            else:
-                env[f.var] = saved
-            if best is None:
-                raise StructureError("quantifier over an empty point set")
-            return best
-        raise StructureError(f"unknown node {f!r}")
+    def quantify(f, body):
+        pick = max if isinstance(f, Sup) else min
+        saved = env.get(f.var)
+        best = None
+        for p in M.space.points:
+            env[f.var] = p
+            v = body()
+            best = v if best is None else pick(best, v)
+        if saved is None:
+            del env[f.var]
+        else:
+            env[f.var] = saved
+        if best is None:
+            raise StructureError("quantifier over an empty point set")
+        return best
 
-    return go(phi, env)
+    rules = {**_EXACT,
+             AtomD: lambda f: M.space.d(resolve_term(f.left, M, env),
+                                        resolve_term(f.right, M, env)),
+             AtomR: lambda f: M.rel_value(f.name, tuple(resolve_term(t, M, env)
+                                                        for t in f.args))}
+    return fold(phi, rules, quantify)
 
 
 TupleEnumeration = Sequence[Tuple[str, Tuple[str, ...]]]
@@ -167,10 +154,8 @@ def delta_seq(M: FiniteStructure, N: FiniteStructure,
         raise StructureError("truncation must be >= 0")
     if k > len(enumeration):
         raise StructureError(f"truncation {k} exceeds the enumeration length")
-    total = ZERO
-    for i, (name, tup) in enumerate(enumeration[:k], start=1):
-        total += Fraction(1, 2 ** i) * abs(M.rel_value(name, tup) - N.rel_value(name, tup))
-    return Enclosure(total, min(total + Fraction(1, 2 ** k), ONE))
+    return truncated_weighted_sum(abs(M.rel_value(name, tup) - N.rel_value(name, tup))
+                                  for name, tup in enumeration[:k])
 
 
 def delta_exact(M: FiniteStructure, N: FiniteStructure,
@@ -190,52 +175,19 @@ def mod_member(M: FiniteStructure, phi: Formula, assignment: Mapping[str, str],
     raise StructureError(f"comparison must be '<' or '>', got {cmp!r}")
 
 
-def automorphisms(M: FiniteStructure) -> List[Dict[str, str]]:
-    """All distance-, table- and constant-preserving bijections, lex order."""
-    pts = M.space.points
-    fixed = set(M.constants.values())
-    out = []
-
-    def extend(partial: Dict[str, str], used: set, idx: int):
-        if idx == len(pts):
-            cand = dict(partial)
-            for rel in M.sig.relations:
-                table = M.tables[rel.name]
-                for tup in product(pts, repeat=rel.arity):
-                    if table[tup] != table[tuple(cand[p] for p in tup)]:
-                        return
-            out.append(cand)
-            return
-        p = pts[idx]
-        for q in pts:
-            if q in used:
-                continue
-            # named constants must stay put
-            if (p in fixed or q in fixed) and p != q:
-                continue
-            if any(M.space.d(p, pts[i]) != M.space.d(q, partial[pts[i]]) for i in range(idx)):
-                continue
-            partial[p] = q
-            used.add(q)
-            extend(partial, used, idx + 1)
-            used.discard(q)
-            del partial[p]
-
-    extend({}, set(), 0)
-    return out
-
-
-def space_isometries(space: RationalMetricSpace) -> List[Dict[str, str]]:
-    """All distance-preserving bijections of a finite space, lex order."""
+def _isometries(space: RationalMetricSpace, fixed=frozenset()) -> List[Dict[str, str]]:
+    """Distance-preserving bijections of a finite space in lex order, each
+    point of fixed mapped to itself (pinned during the search)."""
     pts = space.points
-    out = []
+    free = [q for q in pts if q not in fixed]
+    out: List[Dict[str, str]] = []
 
     def extend(partial: Dict[str, str], used: set, idx: int):
         if idx == len(pts):
             out.append(dict(partial))
             return
         p = pts[idx]
-        for q in pts:
+        for q in ((p,) if p in fixed else free):
             if q in used:
                 continue
             if any(space.d(p, pts[i]) != space.d(q, partial[pts[i]]) for i in range(idx)):
@@ -248,3 +200,22 @@ def space_isometries(space: RationalMetricSpace) -> List[Dict[str, str]]:
 
     extend({}, set(), 0)
     return out
+
+
+def automorphisms(M: FiniteStructure) -> List[Dict[str, str]]:
+    """All distance-, table- and constant-preserving bijections, lex order."""
+    def keeps_tables(g: Dict[str, str]) -> bool:
+        for rel in M.sig.relations:
+            table = M.tables[rel.name]
+            for tup in product(M.space.points, repeat=rel.arity):
+                if table[tup] != table[tuple(g[p] for p in tup)]:
+                    return False
+        return True
+
+    return [g for g in _isometries(M.space, frozenset(M.constants.values()))
+            if keeps_tables(g)]
+
+
+def space_isometries(space: RationalMetricSpace) -> List[Dict[str, str]]:
+    """All distance-preserving bijections of a finite space, lex order."""
+    return _isometries(space)

@@ -10,9 +10,9 @@ Rationals are written num/den (or a bare integer).  Head names other than
 the keywords are relation symbols looked up in the signature; bare terms are
 constants when the signature declares them and variables otherwise.  Parse
 errors carry the character position.  Formulas nest at most MAX_DEPTH
-levels (an atom or a constant is one level; the limit lives in `formula`):
-the walkers over a formula are recursive, and at this depth all of them,
-predicate expansion doubling it included, stay well inside Python's
+levels (an atom or a constant is one level; the limit lives in `formula`).
+Every walker over a formula is one recursive `formula.fold`, which takes
+twice that depth, enough for predicate expansion, well inside Python's
 recursion limit.
 """
 
@@ -22,14 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .formula import (AbsDiff, AtomD, AtomR, Const, ConstName, DotMinus,
-                      DotPlus, DotScale, Formula, FormulaError, Half, Inf,
-                      MAX_DEPTH, Max, Min, Neg, PURE_METRIC, Signature, Sup,
-                      Var)
+from .formula import (BINARY, CONNECTIVES, QUANTIFIER, SCALE, AtomD, AtomR,
+                      Const, ConstName, DotScale, Formula, FormulaError,
+                      MAX_DEPTH, PURE_METRIC, Signature, Var, fold)
 from .rational import format_rational
 
-KEYWORDS = {"d", "half", "dotminus", "min", "max", "absdiff", "neg",
-            "dotplus", "scale", "sup", "inf"}
+KEYWORDS = {AtomD.keyword, *CONNECTIVES}
 
 
 class ParseError(FormulaError):
@@ -139,39 +137,34 @@ def _parse_formula(tokens: List[_Token], k: int, sig: Signature,
         t1, k = _parse_term(tokens, k, sig)
         t2, k = _parse_term(tokens, k, sig)
         return close(k, AtomD(t1, t2))
-    if name == "half":
-        body, k = _parse_formula(tokens, k, sig, loose, depth + 1)
-        return close(k, Half(body))
-    if name == "neg":
-        body, k = _parse_formula(tokens, k, sig, loose, depth + 1)
-        return close(k, Neg(body))
-    if name == "scale":
-        qtok = _expect(tokens, k, "a rational")
-        if not _is_rational(qtok.text):
-            raise ParseError(f"expected a rational scale factor, got {qtok.text!r}", qtok.pos)
-        try:
-            factor = Fraction(qtok.text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational {qtok.text!r}", qtok.pos) from None
-        if factor <= 0:
-            raise ParseError("scale factor must be positive", qtok.pos)
-        body, k = _parse_formula(tokens, k + 1, sig, loose, depth + 1)
-        return close(k, DotScale(factor, body))
-    if name in ("dotminus", "dotplus", "min", "max", "absdiff"):
-        cls = {"dotminus": DotMinus, "dotplus": DotPlus,
-               "min": Min, "max": Max, "absdiff": AbsDiff}[name]
+    cls = CONNECTIVES.get(name)
+    if cls is not None and cls.shape is BINARY:
         left, k = _parse_formula(tokens, k, sig, loose, depth + 1)
         right, k = _parse_formula(tokens, k, sig, loose, depth + 1)
         return close(k, cls(left, right))
-    if name in ("sup", "inf"):
-        vtok = _expect(tokens, k, "a variable")
-        if vtok.text in "()" or _is_rational(vtok.text) or vtok.text in KEYWORDS:
-            raise ParseError(f"expected a variable, got {vtok.text!r}", vtok.pos)
-        if sig.is_constant(vtok.text):
-            raise ParseError(f"{vtok.text!r} is a constant, cannot quantify it", vtok.pos)
-        body, k = _parse_formula(tokens, k + 1, sig, loose, depth + 1)
-        cls = Sup if name == "sup" else Inf
-        return close(k, cls(vtok.text, body))
+    if cls is not None:
+        lead = ()                       # the factor or variable before the body
+        if cls.shape is SCALE:
+            qtok = _expect(tokens, k, "a rational")
+            if not _is_rational(qtok.text):
+                raise ParseError(f"expected a rational scale factor, got {qtok.text!r}", qtok.pos)
+            try:
+                lead = (Fraction(qtok.text),)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad rational {qtok.text!r}", qtok.pos) from None
+            if lead[0] <= 0:
+                raise ParseError("scale factor must be positive", qtok.pos)
+            k += 1
+        elif cls.shape is QUANTIFIER:
+            vtok = _expect(tokens, k, "a variable")
+            if vtok.text in "()" or _is_rational(vtok.text) or vtok.text in KEYWORDS:
+                raise ParseError(f"expected a variable, got {vtok.text!r}", vtok.pos)
+            if sig.is_constant(vtok.text):
+                raise ParseError(f"{vtok.text!r} is a constant, cannot quantify it", vtok.pos)
+            lead = (vtok.text,)
+            k += 1
+        body, k = _parse_formula(tokens, k, sig, loose, depth + 1)
+        return close(k, cls(*lead, body))
 
     # Anything else is a relation atom.
     if not sig.has_relation(name):
@@ -198,32 +191,16 @@ def _parse_formula(tokens: List[_Token], k: int, sig: Signature,
     return AtomR(name, tuple(args)), k + 1
 
 
+def _printer(keyword):
+    return lambda *parts: f"({keyword} {' '.join(parts)})"
+
+
+_PRINT = {**{cls: _printer(kw) for kw, cls in CONNECTIVES.items()},
+          DotScale: lambda q, body: f"(scale {format_rational(q)} {body})",
+          Const: lambda f: format_rational(f.value),
+          AtomD: lambda f: f"(d {f.left.name} {f.right.name})",
+          AtomR: lambda f: f"({f.name} {' '.join(t.name for t in f.args)})"}
+
+
 def print_formula(phi: Formula) -> str:
-    if isinstance(phi, Const):
-        return format_rational(phi.value)
-    if isinstance(phi, AtomD):
-        return f"(d {phi.left.name} {phi.right.name})"
-    if isinstance(phi, AtomR):
-        args = " ".join(t.name for t in phi.args)
-        return f"({phi.name} {args})"
-    if isinstance(phi, Half):
-        return f"(half {print_formula(phi.body)})"
-    if isinstance(phi, Neg):
-        return f"(neg {print_formula(phi.body)})"
-    if isinstance(phi, DotScale):
-        return f"(scale {format_rational(phi.factor)} {print_formula(phi.body)})"
-    if isinstance(phi, DotMinus):
-        return f"(dotminus {print_formula(phi.left)} {print_formula(phi.right)})"
-    if isinstance(phi, DotPlus):
-        return f"(dotplus {print_formula(phi.left)} {print_formula(phi.right)})"
-    if isinstance(phi, Min):
-        return f"(min {print_formula(phi.left)} {print_formula(phi.right)})"
-    if isinstance(phi, Max):
-        return f"(max {print_formula(phi.left)} {print_formula(phi.right)})"
-    if isinstance(phi, AbsDiff):
-        return f"(absdiff {print_formula(phi.left)} {print_formula(phi.right)})"
-    if isinstance(phi, Sup):
-        return f"(sup {phi.var} {print_formula(phi.body)})"
-    if isinstance(phi, Inf):
-        return f"(inf {phi.var} {print_formula(phi.body)})"
-    raise FormulaError(f"cannot print {phi!r}")
+    return fold(phi, _PRINT)

@@ -44,10 +44,11 @@ from math import lcm
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .formula import (AbsDiff, AtomD, AtomR, Const, ConstName, DotMinus,
-                      DotPlus, DotScale, Formula, Half, Inf, MAX_DEPTH,
-                      Max, Min, Neg, Signature, Sup, Var, check_depth,
-                      free_variables, is_quantifier_free, lipschitz)
+from .formula import (CONNECTIVES, AbsDiff, AtomD, AtomR, Const, ConstName,
+                      DotMinus, DotPlus, DotScale, Formula, Half, MAX_DEPTH,
+                      Max, Min, Neg, Signature, Sup, Var, atoms, by_shape,
+                      fold, free_variables, is_quantifier_free, keep, lipschitz,
+                      nesting_depth)
 from .intervals import (Enclosure, as_enclosure, enc_absdiff, enc_dot_add,
                         enc_dot_sub, enc_half, enc_max, enc_min, enc_neg,
                         enc_scale, sqrt_enclosure)
@@ -69,7 +70,6 @@ class PredicateDef:
     def __post_init__(self):
         if not self.params:
             raise UrysohnError("predicate definition needs at least one parameter")
-        check_depth(self.body)
         if not is_quantifier_free(self.body):
             raise UrysohnError("predicate definitions must be quantifier free")
 
@@ -81,9 +81,10 @@ class AnchoredStructure:
 
     def __post_init__(self):
         for name, d in self.defs.items():
-            for atom_name in _relation_names(d.body):
-                raise UrysohnError(
-                    f"definition of {name} uses relation symbol {atom_name}")
+            for atom in atoms(d.body):
+                if isinstance(atom, AtomR):
+                    raise UrysohnError(
+                        f"definition of {name} uses relation symbol {atom.name}")
             loose = free_variables(d.body) - set(d.params)
             if loose:
                 raise UrysohnError(f"definition of {name} has stray variables {loose}")
@@ -93,58 +94,27 @@ class AnchoredStructure:
         return Signature((), self.anchors.points)
 
 
-def _relation_names(phi: Formula):
-    if isinstance(phi, AtomR):
-        yield phi.name
-    for c in phi.children():
-        yield from _relation_names(c)
+# Rebuilding a formula: each connective's rule is its class constructor.
+_REBUILD = {Const: keep, **{cls: cls for cls in CONNECTIVES.values()}}
 
 
 def expand_predicates(phi: Formula, anchored: AnchoredStructure) -> Formula:
     """Inline every relation atom through its definition."""
-    def sub_term(t, env):
-        if isinstance(t, Var) and t.name in env:
-            return env[t.name]
-        return t
+    def inline(f: AtomR) -> Formula:
+        d = anchored.defs.get(f.name)
+        if d is None:
+            raise UrysohnError(f"no definition for relation symbol {f.name}")
+        if len(f.args) != len(d.params):
+            raise UrysohnError(f"arity mismatch for {f.name}")
+        env = dict(zip(d.params, f.args))
 
-    def sub(f: Formula, env) -> Formula:
-        if isinstance(f, Const):
-            return f
-        if isinstance(f, AtomD):
-            return AtomD(sub_term(f.left, env), sub_term(f.right, env))
-        if isinstance(f, AtomR):
-            raise UrysohnError(f"nested relation symbol {f.name}")
-        return _rebuild(f, [sub(c, env) for c in f.children()])
+        def nested(g: AtomR):
+            raise UrysohnError(f"nested relation symbol {g.name}")
 
-    def go(f: Formula) -> Formula:
-        if isinstance(f, AtomR):
-            d = anchored.defs.get(f.name)
-            if d is None:
-                raise UrysohnError(f"no definition for relation symbol {f.name}")
-            if len(f.args) != len(d.params):
-                raise UrysohnError(f"arity mismatch for {f.name}")
-            return sub(d.body, dict(zip(d.params, f.args)))
-        if isinstance(f, (Const, AtomD)):
-            return f
-        return _rebuild(f, [go(c) for c in f.children()])
+        return fold(d.body, {**_REBUILD, AtomR: nested, AtomD: lambda a: AtomD(
+            *(env.get(t.name, t) if isinstance(t, Var) else t for t in (a.left, a.right)))})
 
-    return go(phi)
-
-
-def _rebuild(f: Formula, kids: List[Formula]) -> Formula:
-    if isinstance(f, Half):
-        return Half(kids[0])
-    if isinstance(f, Neg):
-        return Neg(kids[0])
-    if isinstance(f, DotScale):
-        return DotScale(f.factor, kids[0])
-    if isinstance(f, (Min, Max, AbsDiff, DotMinus, DotPlus)):
-        return type(f)(kids[0], kids[1])
-    if isinstance(f, Sup):
-        return Sup(f.var, kids[0])
-    if isinstance(f, Inf):
-        return Inf(f.var, kids[0])
-    raise UrysohnError(f"cannot rebuild {f!r}")
+    return fold(phi, {**_REBUILD, AtomD: keep, AtomR: inline})
 
 
 @dataclass(frozen=True)
@@ -180,7 +150,10 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
     enclosures of successive rounds are intersected, so the width never
     grows with extra rounds.
     """
-    _check_depth(phi)
+    # The parser holds parsed text to MAX_DEPTH; this holds formulas built in
+    # Python to it too, measured without recursion.
+    if nesting_depth(phi) > MAX_DEPTH:
+        raise UrysohnError(f"formula nested deeper than {MAX_DEPTH} levels")
     params = dict(params or {})
     body = expand_predicates(phi, anchored)
     sig = anchored.signature
@@ -192,31 +165,18 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
             raise UrysohnError(f"parameter {v} -> {p!r} is not an anchor")
 
     h0 = snap_mesh(Fraction(budget.mesh), anchored.anchors)
-    coeffs: Dict[int, Fraction] = {}    # lipschitz per quantifier node, by identity
+    # per quantifier node, by identity: (lipschitz, body is quantifier free)
+    nodes: Dict[int, Tuple[Fraction, bool]] = {}
     result = None
     for r in range(budget.rounds + 1):
-        e = _eval_at_mesh(body, anchored.anchors, sig, params, h0 / (2 ** r), coeffs)
+        e = _eval_at_mesh(body, anchored.anchors, sig, params, h0 / (2 ** r), nodes)
         result = e if result is None else result.intersect(e)
     return result
 
 
-def _check_depth(phi: Formula) -> None:
-    """Refuse phi nested deeper than MAX_DEPTH, before a recursive walker.
-
-    The parser holds parsed text to that limit; this holds formulas built in
-    Python to it too, and walks them with an explicit stack.
-    """
-    stack = [(phi, 1)]
-    while stack:
-        f, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise UrysohnError(f"formula nested deeper than {MAX_DEPTH} levels")
-        stack.extend((c, depth + 1) for c in f.children())
-
-
 def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                   params: Mapping[str, str], h: Fraction,
-                  coeffs: Dict[int, Fraction]) -> Enclosure:
+                  nodes: Dict[int, Tuple[Fraction, bool]]) -> Enclosure:
     names = anchors.points
     index = {p: i for i, p in enumerate(names)}
     n = h.denominator               # snap_mesh makes h = 1/n
@@ -263,18 +223,21 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
             if not pruned(k + 1):
                 walk(row, k + 1, leaf, pruned)
 
-    def quantify(f) -> Enclosure:
+    def quantify(f, body) -> Enclosure:
+        # the grid search below evaluates f.body itself: body() is not used
         is_sup = isinstance(f, Sup)
-        coeff = coeffs.get(id(f))
-        if coeff is None:
-            coeff = coeffs[id(f)] = lipschitz(f.body, sig, only_var=f.var)
+        known = nodes.get(id(f))
+        if known is None:
+            known = nodes[id(f)] = (lipschitz(f.body, sig, only_var=f.var),
+                                    is_quantifier_free(f.body))
+        coeff, body_qf = known
         m = len(steps)
 
         saved = env.get(f.var)
         env[f.var] = m
         row = [0] * m
         steps.append(row)
-        if is_quantifier_free(f.body):
+        if body_qf:
             best = exact_optimum(f.body, m, row, is_sup)
         else:
             best = nested_optimum(f.body, row, is_sup)
@@ -370,25 +333,8 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int):
     Both compute with Python ints only; caps and truncations become
     comparisons with N and 0.
     """
-    def points(atom: AtomD) -> Tuple[int, int]:
-        i, j = point_of(atom.left), point_of(atom.right)
-        return (i, j) if i > j else (j, i)
-
-    def den(f: Formula) -> int:
-        if isinstance(f, Const):
-            return Fraction(f.value).denominator
-        if isinstance(f, AtomD):
-            i, j = points(f)
-            return 1 if i == j else n
-        if isinstance(f, Half):
-            return 2 * den(f.body)
-        if isinstance(f, DotScale):
-            return Fraction(f.factor).denominator * den(f.body)
-        if isinstance(f, (Neg, Min, Max, AbsDiff, DotMinus, DotPlus)):
-            return lcm(*(den(c) for c in f.children()))
-        raise UrysohnError(f"cannot compile {f!r}")
-
-    N = den(body)
+    N = fold(body, {**_DENOMINATOR,
+                    AtomD: lambda f: 1 if point_of(f.left) == point_of(f.right) else n})
     unit = N // n                       # N over n: one mesh step
     unknown = (0, N)
 
@@ -396,144 +342,156 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int):
         pair = (c, c)
         return (lambda s: c), (lambda s, filled: pair)
 
-    def build(f: Formula):
-        if isinstance(f, Const):
-            return constant(int(Fraction(f.value) * N))
-        if isinstance(f, AtomD):
-            i, j = points(f)
-            if i == j:
-                return constant(0)
-            if i != m:                  # two known points
-                def g(s):
-                    return steps[i][j] * unit
-
-                def b(s, filled):
-                    v = steps[i][j] * unit
-                    return v, v
-                return g, b
-
-            def b(s, filled):
-                if j < filled:
-                    v = s[j] * unit
-                    return v, v
-                return unknown
-            return (itemgetter(j) if unit == 1 else (lambda s: s[j] * unit)), b
-        if isinstance(f, Half):
-            a, ab = build(f.body)
-
-            def b(s, filled):
-                lo, hi = ab(s, filled)
-                return lo // 2, hi // 2
-            return (lambda s: a(s) // 2), b
-        if isinstance(f, Neg):
-            a, ab = build(f.body)
-
-            def b(s, filled):
-                lo, hi = ab(s, filled)
-                return N - hi, N - lo
-            return (lambda s: N - a(s)), b
-        if isinstance(f, DotScale):
-            a, ab = build(f.body)
-            q = Fraction(f.factor)
-            num, dnm = q.numerator, q.denominator
-
+    def atom(f: AtomD):
+        i, j = point_of(f.left), point_of(f.right)
+        i, j = (i, j) if i > j else (j, i)
+        if i == j:
+            return constant(0)
+        if i != m:                      # two known points
             def g(s):
-                v = a(s) * num // dnm
-                return v if v < N else N
+                return steps[i][j] * unit
 
             def b(s, filled):
-                lo, hi = ab(s, filled)
-                lo, hi = lo * num // dnm, hi * num // dnm
-                return (lo if lo < N else N), (hi if hi < N else N)
+                v = steps[i][j] * unit
+                return v, v
             return g, b
-        (a, ab), (c, cb) = build(f.left), build(f.right)
-        if isinstance(f, Min):
-            def g(s):
-                x, y = a(s), c(s)
-                return x if x < y else y
 
-            def b(s, filled):
-                (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
-                return (xl if xl < yl else yl), (xh if xh < yh else yh)
-        elif isinstance(f, Max):
-            def g(s):
-                x, y = a(s), c(s)
-                return x if x > y else y
+        def b(s, filled):
+            if j < filled:
+                v = s[j] * unit
+                return v, v
+            return unknown
+        return (itemgetter(j) if unit == 1 else (lambda s: s[j] * unit)), b
 
-            def b(s, filled):
-                (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
-                return (xl if xl > yl else yl), (xh if xh > yh else yh)
-        elif isinstance(f, AbsDiff):
-            def g(s):
-                return abs(a(s) - c(s))
+    def half(x):
+        a, ab = x
 
-            def b(s, filled):
-                (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
-                hi = max(xh - yl, yh - xl)
-                if xh < yl:
-                    return yl - xh, hi
-                if yh < xl:
-                    return xl - yh, hi
-                return 0, hi
-        elif isinstance(f, DotMinus):
-            def g(s):
-                v = a(s) - c(s)
-                return v if v > 0 else 0
+        def b(s, filled):
+            lo, hi = ab(s, filled)
+            return lo // 2, hi // 2
+        return (lambda s: a(s) // 2), b
 
-            def b(s, filled):
-                (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
-                lo, hi = xl - yh, xh - yl
-                return (lo if lo > 0 else 0), (hi if hi > 0 else 0)
-        else:
-            def g(s):
-                v = a(s) + c(s)
-                return v if v < N else N
+    def neg(x):
+        a, ab = x
 
-            def b(s, filled):
-                (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
-                lo, hi = xl + yl, xh + yh
-                return (lo if lo < N else N), (hi if hi < N else N)
+        def b(s, filled):
+            lo, hi = ab(s, filled)
+            return N - hi, N - lo
+        return (lambda s: N - a(s)), b
+
+    def scale(factor, x):
+        a, ab = x
+        q = Fraction(factor)
+        num, dnm = q.numerator, q.denominator
+
+        def g(s):
+            v = a(s) * num // dnm
+            return v if v < N else N
+
+        def b(s, filled):
+            lo, hi = ab(s, filled)
+            lo, hi = lo * num // dnm, hi * num // dnm
+            return (lo if lo < N else N), (hi if hi < N else N)
         return g, b
 
-    g, b = build(body)
+    def min_(x, y):
+        (a, ab), (c, cb) = x, y
+
+        def g(s):
+            x, y = a(s), c(s)
+            return x if x < y else y
+
+        def b(s, filled):
+            (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+            return (xl if xl < yl else yl), (xh if xh < yh else yh)
+        return g, b
+
+    def max_(x, y):
+        (a, ab), (c, cb) = x, y
+
+        def g(s):
+            x, y = a(s), c(s)
+            return x if x > y else y
+
+        def b(s, filled):
+            (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+            return (xl if xl > yl else yl), (xh if xh > yh else yh)
+        return g, b
+
+    def absdiff(x, y):
+        (a, ab), (c, cb) = x, y
+
+        def g(s):
+            return abs(a(s) - c(s))
+
+        def b(s, filled):
+            (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+            hi = max(xh - yl, yh - xl)
+            if xh < yl:
+                return yl - xh, hi
+            if yh < xl:
+                return xl - yh, hi
+            return 0, hi
+        return g, b
+
+    def dot_minus(x, y):
+        (a, ab), (c, cb) = x, y
+
+        def g(s):
+            v = a(s) - c(s)
+            return v if v > 0 else 0
+
+        def b(s, filled):
+            (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+            lo, hi = xl - yh, xh - yl
+            return (lo if lo > 0 else 0), (hi if hi > 0 else 0)
+        return g, b
+
+    def dot_plus(x, y):
+        (a, ab), (c, cb) = x, y
+
+        def g(s):
+            v = a(s) + c(s)
+            return v if v < N else N
+
+        def b(s, filled):
+            (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+            lo, hi = xl + yl, xh + yh
+            return (lo if lo < N else N), (hi if hi < N else N)
+        return g, b
+
+    g, b = fold(body, {Const: lambda f: constant(int(Fraction(f.value) * N)),
+                       AtomD: atom, Half: half, Neg: neg, DotScale: scale,
+                       Min: min_, Max: max_, AbsDiff: absdiff,
+                       DotMinus: dot_minus, DotPlus: dot_plus})
     return g, b, N
+
+
+# The common denominator of a compiled body; distance atoms add n per call.
+_DENOMINATOR = {Const: lambda f: Fraction(f.value).denominator, Neg: keep,
+                Half: lambda d: 2 * d, DotScale: lambda q, d: Fraction(q).denominator * d,
+                **by_shape(binary=lcm)}
+
+
+# Enclosure arithmetic: each connective's rule is its interval extension.
+_ENCLOSE = {Const: lambda f: Enclosure.exact(f.value), Half: enc_half, Neg: enc_neg,
+            DotScale: enc_scale, Min: enc_min, Max: enc_max, AbsDiff: enc_absdiff,
+            DotMinus: enc_dot_sub, DotPlus: enc_dot_add}
 
 
 def _enc_eval(f: Formula, dist, point_of, quantify) -> Enclosure:
     """Enclosure arithmetic over the current partial space.
 
     dist(i, j) is the distance between points i and j of the partial space,
-    a rational or an enclosure; quantify handles the sup/inf nodes and is
-    None in quantifier-free contexts.
+    a rational or an enclosure; quantify handles the sup/inf nodes, as in
+    `fold`, and is None in quantifier-free contexts.
     """
-    def go(f):
-        if isinstance(f, (Sup, Inf)):
-            if quantify is None:
-                raise UrysohnError("quantifier in a quantifier-free context")
-            return quantify(f)
-        if isinstance(f, Const):
-            return Enclosure.exact(f.value)
-        if isinstance(f, AtomD):
-            return as_enclosure(dist(point_of(f.left), point_of(f.right)))
-        if isinstance(f, Half):
-            return enc_half(go(f.body))
-        if isinstance(f, Neg):
-            return enc_neg(go(f.body))
-        if isinstance(f, DotScale):
-            return enc_scale(f.factor, go(f.body))
-        if isinstance(f, Min):
-            return enc_min(go(f.left), go(f.right))
-        if isinstance(f, Max):
-            return enc_max(go(f.left), go(f.right))
-        if isinstance(f, AbsDiff):
-            return enc_absdiff(go(f.left), go(f.right))
-        if isinstance(f, DotMinus):
-            return enc_dot_sub(go(f.left), go(f.right))
-        if isinstance(f, DotPlus):
-            return enc_dot_add(go(f.left), go(f.right))
-        raise UrysohnError(f"unknown node {f!r}")
+    return fold(f, {**_ENCLOSE, AtomD: lambda a: as_enclosure(
+        dist(point_of(a.left), point_of(a.right)))}, quantify or _quantifier_free)
 
-    return go(f)
+
+def _quantifier_free(f, body):
+    raise UrysohnError("quantifier in a quantifier-free context")
 
 
 def qf_decide(phi: Formula, fragment: RationalMetricSpace) -> Fraction:
