@@ -6,7 +6,9 @@ exact/enclosure flag and a timing field (excluded from any comparison).
 Exit codes: 0 success, 1 domain error with a diagnostic on stderr (or a
 reader that closed stdout early, silently), 2 usage error.  Artifact
 arguments are file paths, or names resolved in the catalog when --catalog
-(or METRICLOGIC_CATALOG) is set.
+(or METRICLOGIC_CATALOG) is set.  A subcommand is declared by one row of
+COMMANDS: its handler and its arguments, as argparse's add_argument takes
+them.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import textio
 from .amalgam import amalgamate
 from .catalog import Catalog, CatalogError, parse_enumeration
-from .formula import Signature, lipschitz, borel_level
+from .formula import Formula, Relation, Signature, lipschitz, borel_level
 from .graded import (PartialIsometry, approx_search,
                      ApproxWitness, check_formula_invariance,
                      check_graded_axioms, graded_eval, GroupMetricContext,
@@ -34,8 +37,8 @@ from .quenum import qu_enumerate
 from .rational import format_rational, parse_rational
 from .reduction import check_g_invariance, encode, orbit_equiv
 from .scprobe import sc_probe
-from .structures import (FiniteStructure, canonical_enumeration, delta_seq,
-                         evaluate, mod_member, space_isometries)
+from .structures import (FiniteStructure, automorphisms, canonical_enumeration,
+                         delta_seq, evaluate, mod_member, space_isometries)
 from .suite import run_suite
 from .syntax import parse as parse_formula_text, print_formula
 from .urysohn import (AnchoredStructure, PredicateDef, QuantifierBudget,
@@ -45,14 +48,6 @@ from .vaught import nice_closure, vaught_delta, vaught_sets, vaught_star
 
 class CliError(ValueError):
     pass
-
-
-def _fr(q) -> str:
-    return format_rational(q)
-
-
-def _enc(e: Enclosure) -> Dict[str, str]:
-    return {"lo": _fr(e.lo), "hi": _fr(e.hi)}
 
 
 def _is_file(ref: str) -> bool:
@@ -66,7 +61,6 @@ def _is_file(ref: str) -> bool:
 
 class Session:
     def __init__(self, args):
-        self.args = args
         self.inputs: Dict[str, str] = {}
         catalog_dir = args.catalog or os.environ.get("METRICLOGIC_CATALOG")
         self.catalog = Catalog(catalog_dir) if catalog_dir else None
@@ -90,28 +84,32 @@ class Session:
     def structure(self, ref: str, label: str = "structure") -> FiniteStructure:
         return textio.parse_structure(self.text_of(ref, label))
 
-    def formula_text(self, ref: str, label: str = "formula") -> str:
+    def formula(self, ref: str, sig: Signature, label: str = "formula",
+                loose: bool = False) -> Formula:
+        """A formula from a file, a catalog formula entry or inline text."""
         if _is_file(ref):
-            return self.text_of(ref, label)
+            return parse_formula_text(self.text_of(ref, label), sig, loose=loose)
+        text = ref                        # inline formula text
         if self.catalog is not None:
             try:
-                kind, text = self.catalog.get(ref)
+                kind, stored = self.catalog.get(ref)
                 if kind == "formula":
-                    self.inputs[label] = text
-                    return text
+                    text = stored
             except CatalogError:
                 pass
-        self.inputs[label] = ref          # inline formula text
-        return ref
+        self.inputs[label] = text
+        return parse_formula_text(text, sig, loose=loose)
 
-    def report(self, command: str, result: dict, exact: bool) -> dict:
+    def report(self, command: str, result, elapsed_ms: int) -> dict:
+        """The report of a handler's result: a dict, exact, or an Enclosure."""
+        exact = not isinstance(result, Enclosure)
+        if not exact:
+            result = {"lo": format_rational(result.lo), "hi": format_rational(result.hi)}
         digests = {label: hashlib.sha256(text.encode()).hexdigest()[:16]
                    for label, text in sorted(self.inputs.items())}
         return {"command": command, "inputs": digests, "result": result,
                 "exact": "exact" if exact else "enclosure",
-                "timing_ms": self._elapsed_ms}
-
-    _elapsed_ms = 0
+                "timing_ms": elapsed_ms}
 
 
 def _assignment(spec: Optional[str]) -> Dict[str, str]:
@@ -127,9 +125,9 @@ def _assignment(spec: Optional[str]) -> Dict[str, str]:
 
 
 def _sig_for(session: Session, args) -> Signature:
-    if getattr(args, "structure", None):
+    if args.structure:
         return session.structure(args.structure, "signature-structure").sig
-    if getattr(args, "fragment", None):
+    if args.fragment:
         return Signature((), session.space(args.fragment, "fragment").points)
     return Signature()
 
@@ -140,8 +138,7 @@ def cmd_validate(session, args):
     text = session.text_of(args.space, "space")
     points, dist = textio.parse_space_raw(text)
     report = validate_table(points, dist)
-    return {"ok": report.ok,
-            "violations": [str(v) for v in report.violations]}, True
+    return {"ok": report.ok, "violations": [str(v) for v in report.violations]}
 
 
 def cmd_extend(session, args):
@@ -154,7 +151,7 @@ def cmd_extend(session, args):
         values[p] = parse_rational(v)
     f = KatetovFunction(space, values)
     out = one_point_extend(space, f, name=args.name or "")
-    return {"space": textio.serialize_space(out)}, True
+    return {"space": textio.serialize_space(out)}
 
 
 def cmd_amalgamate(session, args):
@@ -163,60 +160,52 @@ def cmd_amalgamate(session, args):
     res = amalgamate(host, args.a_points.split(), b_space, args.q,
                      parse_rational(args.eps))
     return {"space": textio.serialize_space(res.space),
-            "displacement": _fr(res.displacement),
+            "displacement": format_rational(res.displacement),
             "b_names": list(res.b_names),
-            "witness": {p: res.witness.map[p] for p in res.witness.source.points}}, True
+            "witness": {p: res.witness.map[p] for p in res.witness.source.points}}
 
 
 def cmd_enumerate_qu(session, args):
     seed = session.space(args.space, "seed")
     out, cert = qu_enumerate(seed, args.denominator_bound, args.budget)
-    tasks = [{"subset": list(t.subset), "values": [_fr(v) for v in t.values],
+    tasks = [{"subset": list(t.subset), "values": [format_rational(v) for v in t.values],
               "realized_by": t.realized_by, "added_point": t.added_point}
              for t in cert.tasks]
-    return {"space": textio.serialize_space(out), "tasks": tasks}, True
+    return {"space": textio.serialize_space(out), "tasks": tasks}
 
 
 def cmd_parse(session, args):
-    sig = _sig_for(session, args)
-    text = session.formula_text(args.formula)
-    phi = parse_formula_text(text, sig, loose=args.loose)
-    return {"canonical": print_formula(phi)}, True
+    phi = session.formula(args.formula, _sig_for(session, args), loose=args.loose)
+    return {"canonical": print_formula(phi)}
 
 
 def cmd_lipschitz(session, args):
     sig = _sig_for(session, args)
-    phi = parse_formula_text(session.formula_text(args.formula), sig)
-    return {"coefficient": _fr(lipschitz(phi, sig))}, True
+    phi = session.formula(args.formula, sig)
+    return {"coefficient": format_rational(lipschitz(phi, sig))}
 
 
 def cmd_borel_level(session, args):
-    sig = _sig_for(session, args)
-    phi = parse_formula_text(session.formula_text(args.formula), sig,
-                             loose=args.loose)
+    phi = session.formula(args.formula, _sig_for(session, args), loose=args.loose)
     level = borel_level(phi, args.cmp)
-    return {"class": level.class_kind, "index": level.index}, True
+    return {"class": level.class_kind, "index": level.index}
 
 
 def cmd_eval(session, args):
     M = session.structure(args.structure)
-    phi = parse_formula_text(session.formula_text(args.formula), M.sig)
-    value = evaluate(phi, M, _assignment(args.assign))
-    return {"value": _fr(value)}, True
+    phi = session.formula(args.formula, M.sig)
+    return {"value": format_rational(evaluate(phi, M, _assignment(args.assign)))}
 
 
 def cmd_delta_seq(session, args):
     M = session.structure(args.structure, "structure-m")
     N = session.structure(args.other, "structure-n")
-    enum = _enumeration(session, args, M)
-    e = delta_seq(M, N, enum, args.k)
-    return _enc(e), False
+    return delta_seq(M, N, _enumeration(session, args, M), args.k)
 
 
 def _enumeration(session, args, M):
-    ref = getattr(args, "enumeration", None)
-    if ref:
-        return parse_enumeration(session.text_of(ref, "enumeration"))
+    if args.enumeration:
+        return parse_enumeration(session.text_of(args.enumeration, "enumeration"))
     if session.catalog is not None and session.catalog.manifest.get("delta_enumeration"):
         _, text = session.catalog.get(session.catalog.manifest["delta_enumeration"])
         session.inputs["enumeration"] = text
@@ -226,22 +215,21 @@ def _enumeration(session, args, M):
 
 def cmd_mod_member(session, args):
     M = session.structure(args.structure)
-    phi = parse_formula_text(session.formula_text(args.formula), M.sig)
+    phi = session.formula(args.formula, M.sig)
     member = mod_member(M, phi, _assignment(args.assign),
                         parse_rational(args.eps), args.cmp)
-    return {"member": member}, True
+    return {"member": member}
 
 
 def cmd_sc_probe(session, args):
     M = session.structure(args.structure)
-    pool = [parse_formula_text(session.formula_text(ref, f"pool{i}"), M.sig)
-            for i, ref in enumerate(args.formula)]
+    pool = [session.formula(ref, M.sig, f"pool{i}") for i, ref in enumerate(args.formula)]
     rep = sc_probe(M, args.n, parse_rational(args.eps), pool, args.depth)
     return {"status": rep.status,
             "family": [str(c) for c in rep.family],
             "failing_tuple": list(rep.failing_tuple),
             "failing_delta": [str(c) for c in rep.failing_delta],
-            "families_examined": rep.families_examined}, True
+            "families_examined": rep.families_examined}
 
 
 def _anchored(session, args) -> AnchoredStructure:
@@ -260,32 +248,27 @@ def _anchored(session, args) -> AnchoredStructure:
 
 def cmd_eval_urysohn(session, args):
     anchored = _anchored(session, args)
-    from .formula import Relation
     rels = tuple(Relation(name, len(d.params))
                  for name, d in anchored.defs.items())
-    sig = Signature(rels, anchored.anchors.points)
-    phi = parse_formula_text(session.formula_text(args.formula), sig)
+    phi = session.formula(args.formula, Signature(rels, anchored.anchors.points))
     budget = QuantifierBudget(parse_rational(args.mesh), args.rounds)
-    e = eval_urysohn(phi, anchored, _assignment(args.params), budget)
-    return _enc(e), False
+    return eval_urysohn(phi, anchored, _assignment(args.params), budget)
 
 
 def cmd_qf_decide(session, args):
     fragment = session.space(args.fragment, "fragment")
-    sig = Signature((), fragment.points)
-    phi = parse_formula_text(session.formula_text(args.formula), sig)
+    phi = session.formula(args.formula, Signature((), fragment.points))
     value = qf_decide(phi, fragment)
-    result = {"value": _fr(value)}
+    result = {"value": format_rational(value)}
     if args.threshold is not None:
         t = parse_rational(args.threshold)
         result["below"] = value < t
         result["above"] = value > t
-    return result, True
+    return result
 
 
 def cmd_theta_demo(session, args):
-    e = theta_demo(parse_rational(args.q), parse_rational(args.tol))
-    return _enc(e), False
+    return theta_demo(parse_rational(args.q), parse_rational(args.tol))
 
 
 def _descriptor(session, args):
@@ -303,9 +286,7 @@ def cmd_graded_eval(session, args):
     D = _descriptor(session, args)
     g = _isometry(session, space, args.isometry, "isometry", target)
     value = graded_eval(D, g)
-    if isinstance(value, Enclosure):
-        return _enc(value), False
-    return {"value": _fr(value)}, True
+    return value if isinstance(value, Enclosure) else {"value": format_rational(value)}
 
 
 def cmd_graded_axioms(session, args):
@@ -325,7 +306,7 @@ def cmd_graded_axioms(session, args):
             "identity_checks": rep.checked_identity,
             "symmetry_checks": rep.checked_symmetry,
             "subadditivity_checks": rep.checked_subadditivity,
-            "failures": [f"{f.axiom}: {f.witness}" for f in rep.failures]}, True
+            "failures": [f"{f.axiom}: {f.witness}" for f in rep.failures]}
 
 
 def cmd_rho_s(session, args):
@@ -333,26 +314,22 @@ def cmd_rho_s(session, args):
     g = _isometry(session, space, args.g, "g")
     h = _isometry(session, space, args.h, "h")
     enum = tuple(args.enumeration.split()) if args.enumeration else space.points
-    ctx = GroupMetricContext(space, enum)
-    e = rho_s(g, h, ctx, args.k)
-    return _enc(e), False
+    return rho_s(g, h, GroupMetricContext(space, enum), args.k)
 
 
 def cmd_invariance(session, args):
     M = session.structure(args.structure)
-    phi = parse_formula_text(session.formula_text(args.formula), M.sig)
+    phi = session.formula(args.formula, M.sig)
     if args.sample:
         samples = [_isometry(session, M.space, ref, f"sample{i}")
                    for i, ref in enumerate(args.sample)]
     else:
-        from .structures import automorphisms
-        samples = [PartialIsometry(M.space, M.space, m)
-                   for m in automorphisms(M)]
+        samples = [PartialIsometry(M.space, M.space, m) for m in automorphisms(M)]
     rep = check_formula_invariance(phi, M, _assignment(args.assign), samples)
     return {"ok": rep.ok, "checked": rep.checked,
-            "failures": [f"gap {_fr(f.gap)} exceeds bound {_fr(f.bound)}"
-                         for f in rep.failures],
-            "rejected": list(rep.rejected)}, True
+            "failures": [f"gap {format_rational(f.gap)} exceeds bound "
+                         f"{format_rational(f.bound)}" for f in rep.failures],
+            "rejected": list(rep.rejected)}
 
 
 def cmd_approx_search(session, args):
@@ -363,9 +340,9 @@ def cmd_approx_search(session, args):
     if isinstance(res, ApproxWitness):
         return {"found": True,
                 "witness": dict(sorted(res.isometry.map.items())),
-                "h_value_squared": _fr(res.h_radicand),
-                "structure_distance": _fr(res.structure_distance)}, True
-    return {"found": False, "examined": res.examined}, True
+                "h_value_squared": format_rational(res.h_radicand),
+                "structure_distance": format_rational(res.structure_distance)}
+    return {"found": False, "examined": res.examined}
 
 
 def cmd_oligo_probe(session, args):
@@ -374,29 +351,24 @@ def cmd_oligo_probe(session, args):
     return {"family": [list(t) for t in res.family],
             "family_size": len(res.family),
             "orbits": res.orbit_count,
-            "group_order": res.group_order}, True
+            "group_order": res.group_order}
 
 
 def _gspace(session, args):
     return textio.parse_gspace(session.text_of(args.gspace, "gspace"))
 
 
-def cmd_vaught_delta(session, args):
+def cmd_vaught_table(transform, session, args):
+    """vaught-delta and vaught-star: transform is vaught_delta or vaught_star."""
     X, space_tables, group_tables = _gspace(session, args)
-    table = vaught_delta(X, space_tables[args.phi], group_tables[args.j])
-    return {"table": {x: _fr(table[x]) for x in X.points}}, True
-
-
-def cmd_vaught_star(session, args):
-    X, space_tables, group_tables = _gspace(session, args)
-    table = vaught_star(X, space_tables[args.phi], group_tables[args.j])
-    return {"table": {x: _fr(table[x]) for x in X.points}}, True
+    table = transform(X, space_tables[args.phi], group_tables[args.j])
+    return {"table": {x: format_rational(table[x]) for x in X.points}}
 
 
 def cmd_vaught_sets(session, args):
     X, _, _ = _gspace(session, args)
     star, delta = vaught_sets(X, args.set.split(), args.u.split())
-    return {"star": sorted(star), "delta": sorted(delta)}, True
+    return {"star": sorted(star), "delta": sorted(delta)}
 
 
 def cmd_nice_closure(session, args):
@@ -407,13 +379,12 @@ def cmd_nice_closure(session, args):
     res = nice_closure(X, family, cosets, args.budget, scales)
     return {"size": len(res.family), "fixed_point": res.fixed_point,
             "applications": res.applications,
-            "tables": [[_fr(v) for v in vec] for vec in res.family]}, True
+            "tables": [[format_rational(v) for v in vec] for vec in res.family]}
 
 
 def cmd_encode(session, args):
     inst = textio.parse_instance(session.text_of(args.instance, "instance"))
-    M = encode(inst, args.x)
-    return {"structure": textio.serialize_structure(M)}, True
+    return {"structure": textio.serialize_structure(encode(inst, args.x))}
 
 
 def cmd_orbit_equiv(session, args):
@@ -423,7 +394,7 @@ def cmd_orbit_equiv(session, args):
     return {"same_orbit": res.same_orbit, "isomorphic": res.isomorphic,
             "orbit_witness": res.orbit_witness,
             "iso_witness": dict(sorted(res.iso_witness.items())) if res.iso_witness else None,
-            "g_invariance_failures": invariance}, True
+            "g_invariance_failures": invariance}
 
 
 def cmd_lemma_suite(session, args):
@@ -432,7 +403,7 @@ def cmd_lemma_suite(session, args):
     session.inputs["seed"] = str(args.seed)
     return {"ok": rep.ok, "instances": rep.instances, "checks": rep.checks,
             "per_lemma": dict(sorted(rep.per_lemma.items())),
-            "violations": rep.violations}, True
+            "violations": rep.violations}
 
 
 def cmd_catalog_put(session, args):
@@ -441,7 +412,7 @@ def cmd_catalog_put(session, args):
     text = Path(args.file).read_text()
     session.inputs["artifact"] = text
     entry = session.catalog.put(args.name, args.kind, text)
-    return {"stored": args.name, "kind": entry["kind"], "file": entry["file"]}, True
+    return {"stored": args.name, "kind": entry["kind"], "file": entry["file"]}
 
 
 def cmd_catalog_get(session, args):
@@ -449,7 +420,7 @@ def cmd_catalog_get(session, args):
         raise CliError("catalog-get needs --catalog (or METRICLOGIC_CATALOG)")
     kind, text = session.catalog.get(args.name)
     session.inputs["artifact"] = text
-    return {"kind": kind, "text": text}, True
+    return {"kind": kind, "text": text}
 
 
 # ------------------------------------------------------------- wiring
@@ -465,6 +436,80 @@ def _int_at_least(low: int):
     return parse
 
 
+def arg(*flags, **keywords):
+    """One argument of a subcommand, as add_argument takes it."""
+    return flags, keywords
+
+
+EPS = arg("--eps", required=True)
+ASSIGN = arg("--assign", default="")
+SIGNATURE = (arg("--structure"), arg("--fragment"))
+VAUGHT_TABLE = (arg("gspace"), arg("--phi", required=True), arg("--j", required=True))
+
+# subcommand -> (handler, its arguments in order)
+COMMANDS = {
+    "validate": (cmd_validate, arg("space")),
+    "extend": (cmd_extend, arg("space"),
+               arg("--value", action="append", required=True, metavar="POINT=NUM/DEN"),
+               arg("--name", default="")),
+    "amalgamate": (cmd_amalgamate, arg("host"), arg("b_space"),
+                   arg("--a-points", required=True), arg("--q", type=int, default=0), EPS),
+    "enumerate-qu": (cmd_enumerate_qu, arg("space"),
+                     arg("--denominator-bound", type=int, required=True),
+                     arg("--budget", type=int, required=True)),
+    "parse": (cmd_parse, arg("formula"), *SIGNATURE, arg("--loose", action="store_true")),
+    "lipschitz": (cmd_lipschitz, arg("formula"), *SIGNATURE),
+    "borel-level": (cmd_borel_level, arg("formula"),
+                    arg("--cmp", choices=("<", ">"), default="<"), *SIGNATURE,
+                    arg("--loose", action="store_true", default=True)),
+    "eval": (cmd_eval, arg("structure"), arg("formula"), ASSIGN),
+    "delta-seq": (cmd_delta_seq, arg("structure"), arg("other"), arg("--enumeration"),
+                  arg("--k", type=int, required=True)),
+    "mod-member": (cmd_mod_member, arg("structure"), arg("formula"), ASSIGN, EPS,
+                   arg("--cmp", choices=("<", ">"), required=True)),
+    "sc-probe": (cmd_sc_probe, arg("structure"), arg("--n", type=int, required=True), EPS,
+                 arg("--formula", action="append", default=[]),
+                 arg("--depth", type=int, default=1)),
+    "eval-urysohn": (cmd_eval_urysohn, arg("formula"), arg("--anchors", required=True),
+                     arg("--define", action="append", default=[], metavar="R(x)=FORMULA"),
+                     arg("--params", default=""), arg("--mesh", default="1/16"),
+                     arg("--rounds", type=int, default=2)),
+    "qf-decide": (cmd_qf_decide, arg("fragment"), arg("formula"), arg("--threshold")),
+    "theta-demo": (cmd_theta_demo, arg("--q", required=True),
+                   arg("--tol", default="1/1000000")),
+    "graded-eval": (cmd_graded_eval, arg("descriptor"), arg("isometry"),
+                    arg("--space", required=True), arg("--target")),
+    "graded-axioms": (cmd_graded_axioms, arg("descriptor"), arg("--space", required=True),
+                      arg("--pair", action="append", default=[], metavar="ISOFILE,ISOFILE")),
+    "rho-s": (cmd_rho_s, arg("g"), arg("h"), arg("--space", required=True),
+              arg("--enumeration"), arg("--k", type=int, required=True)),
+    "invariance": (cmd_invariance, arg("structure"), arg("formula"), ASSIGN,
+                   arg("--sample", action="append", default=[])),
+    "approx-search": (cmd_approx_search, arg("structure"), arg("other"), arg("descriptor"),
+                      EPS, arg("--budget", type=int, default=1000)),
+    "oligo-probe": (cmd_oligo_probe, arg("structure"), arg("--n", type=int, required=True),
+                    EPS),
+    "vaught-delta": (partial(cmd_vaught_table, vaught_delta), *VAUGHT_TABLE),
+    "vaught-star": (partial(cmd_vaught_table, vaught_star), *VAUGHT_TABLE),
+    "vaught-sets": (cmd_vaught_sets, arg("gspace"), arg("--set", required=True),
+                    arg("--u", required=True)),
+    "nice-closure": (cmd_nice_closure, arg("gspace"),
+                     arg("--family", action="append", required=True),
+                     arg("--cosets", action="append", default=[]),
+                     arg("--budget", type=int, required=True), arg("--scales", default="")),
+    "encode": (cmd_encode, arg("instance"), arg("--x", required=True)),
+    "orbit-equiv": (cmd_orbit_equiv, arg("instance"), arg("--x", required=True),
+                    arg("--xp", required=True)),
+    "lemma-suite": (cmd_lemma_suite, arg("--seed", type=int, default=0),
+                    arg("--instances", type=_int_at_least(0), default=50),
+                    arg("--max-points", type=_int_at_least(2), default=12),
+                    arg("--max-group", type=_int_at_least(1), default=24),
+                    arg("--max-denominator", type=_int_at_least(1), default=8)),
+    "catalog-put": (cmd_catalog_put, arg("name"), arg("kind"), arg("file")),
+    "catalog-get": (cmd_catalog_get, arg("name")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="metriclogic",
@@ -472,196 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--catalog", help="artifact catalog directory")
     top.add_argument("--format", choices=("text", "json"), default="text")
     sub = top.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, fn, configure):
+    for name, (fn, *arguments) in COMMANDS.items():
         p = sub.add_parser(name)
-        configure(p)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
         p.set_defaults(fn=fn)
-
-    add("validate", cmd_validate, lambda p: p.add_argument("space"))
-
-    def c_extend(p):
-        p.add_argument("space")
-        p.add_argument("--value", action="append", required=True,
-                       metavar="POINT=NUM/DEN")
-        p.add_argument("--name", default="")
-    add("extend", cmd_extend, c_extend)
-
-    def c_amalgamate(p):
-        p.add_argument("host")
-        p.add_argument("b_space")
-        p.add_argument("--a-points", required=True)
-        p.add_argument("--q", type=int, default=0)
-        p.add_argument("--eps", required=True)
-    add("amalgamate", cmd_amalgamate, c_amalgamate)
-
-    def c_enum(p):
-        p.add_argument("space")
-        p.add_argument("--denominator-bound", type=int, required=True)
-        p.add_argument("--budget", type=int, required=True)
-    add("enumerate-qu", cmd_enumerate_qu, c_enum)
-
-    def c_parse(p):
-        p.add_argument("formula")
-        p.add_argument("--structure")
-        p.add_argument("--fragment")
-        p.add_argument("--loose", action="store_true")
-    add("parse", cmd_parse, c_parse)
-
-    def c_lip(p):
-        p.add_argument("formula")
-        p.add_argument("--structure")
-        p.add_argument("--fragment")
-    add("lipschitz", cmd_lipschitz, c_lip)
-
-    def c_borel(p):
-        p.add_argument("formula")
-        p.add_argument("--cmp", choices=("<", ">"), default="<")
-        p.add_argument("--structure")
-        p.add_argument("--fragment")
-        p.add_argument("--loose", action="store_true", default=True)
-    add("borel-level", cmd_borel_level, c_borel)
-
-    def c_eval(p):
-        p.add_argument("structure")
-        p.add_argument("formula")
-        p.add_argument("--assign", default="")
-    add("eval", cmd_eval, c_eval)
-
-    def c_delta(p):
-        p.add_argument("structure")
-        p.add_argument("other")
-        p.add_argument("--enumeration")
-        p.add_argument("--k", type=int, required=True)
-    add("delta-seq", cmd_delta_seq, c_delta)
-
-    def c_mod(p):
-        p.add_argument("structure")
-        p.add_argument("formula")
-        p.add_argument("--assign", default="")
-        p.add_argument("--eps", required=True)
-        p.add_argument("--cmp", choices=("<", ">"), required=True)
-    add("mod-member", cmd_mod_member, c_mod)
-
-    def c_probe(p):
-        p.add_argument("structure")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--eps", required=True)
-        p.add_argument("--formula", action="append", default=[])
-        p.add_argument("--depth", type=int, default=1)
-    add("sc-probe", cmd_sc_probe, c_probe)
-
-    def c_ury(p):
-        p.add_argument("formula")
-        p.add_argument("--anchors", required=True)
-        p.add_argument("--define", action="append", default=[],
-                       metavar="R(x)=FORMULA")
-        p.add_argument("--params", default="")
-        p.add_argument("--mesh", default="1/16")
-        p.add_argument("--rounds", type=int, default=2)
-    add("eval-urysohn", cmd_eval_urysohn, c_ury)
-
-    def c_qf(p):
-        p.add_argument("fragment")
-        p.add_argument("formula")
-        p.add_argument("--threshold")
-    add("qf-decide", cmd_qf_decide, c_qf)
-
-    def c_theta(p):
-        p.add_argument("--q", required=True)
-        p.add_argument("--tol", default="1/1000000")
-    add("theta-demo", cmd_theta_demo, c_theta)
-
-    def c_geval(p):
-        p.add_argument("descriptor")
-        p.add_argument("isometry")
-        p.add_argument("--space", required=True)
-        p.add_argument("--target")
-    add("graded-eval", cmd_graded_eval, c_geval)
-
-    def c_gax(p):
-        p.add_argument("descriptor")
-        p.add_argument("--space", required=True)
-        p.add_argument("--pair", action="append", default=[],
-                       metavar="ISOFILE,ISOFILE")
-    add("graded-axioms", cmd_graded_axioms, c_gax)
-
-    def c_rho(p):
-        p.add_argument("g")
-        p.add_argument("h")
-        p.add_argument("--space", required=True)
-        p.add_argument("--enumeration")
-        p.add_argument("--k", type=int, required=True)
-    add("rho-s", cmd_rho_s, c_rho)
-
-    def c_inv(p):
-        p.add_argument("structure")
-        p.add_argument("formula")
-        p.add_argument("--assign", default="")
-        p.add_argument("--sample", action="append", default=[])
-    add("invariance", cmd_invariance, c_inv)
-
-    def c_approx(p):
-        p.add_argument("structure")
-        p.add_argument("other")
-        p.add_argument("descriptor")
-        p.add_argument("--eps", required=True)
-        p.add_argument("--budget", type=int, default=1000)
-    add("approx-search", cmd_approx_search, c_approx)
-
-    def c_oligo(p):
-        p.add_argument("structure")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--eps", required=True)
-    add("oligo-probe", cmd_oligo_probe, c_oligo)
-
-    def c_vd(p):
-        p.add_argument("gspace")
-        p.add_argument("--phi", required=True)
-        p.add_argument("--j", required=True)
-    add("vaught-delta", cmd_vaught_delta, c_vd)
-    add("vaught-star", cmd_vaught_star, c_vd)
-
-    def c_vs(p):
-        p.add_argument("gspace")
-        p.add_argument("--set", required=True)
-        p.add_argument("--u", required=True)
-    add("vaught-sets", cmd_vaught_sets, c_vs)
-
-    def c_nc(p):
-        p.add_argument("gspace")
-        p.add_argument("--family", action="append", required=True)
-        p.add_argument("--cosets", action="append", default=[])
-        p.add_argument("--budget", type=int, required=True)
-        p.add_argument("--scales", default="")
-    add("nice-closure", cmd_nice_closure, c_nc)
-
-    def c_encode(p):
-        p.add_argument("instance")
-        p.add_argument("--x", required=True)
-    add("encode", cmd_encode, c_encode)
-
-    def c_orbit(p):
-        p.add_argument("instance")
-        p.add_argument("--x", required=True)
-        p.add_argument("--xp", required=True)
-    add("orbit-equiv", cmd_orbit_equiv, c_orbit)
-
-    def c_suite(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--instances", type=_int_at_least(0), default=50)
-        p.add_argument("--max-points", type=_int_at_least(2), default=12)
-        p.add_argument("--max-group", type=_int_at_least(1), default=24)
-        p.add_argument("--max-denominator", type=_int_at_least(1), default=8)
-    add("lemma-suite", cmd_lemma_suite, c_suite)
-
-    def c_cput(p):
-        p.add_argument("name")
-        p.add_argument("kind")
-        p.add_argument("file")
-    add("catalog-put", cmd_catalog_put, c_cput)
-
-    add("catalog-get", cmd_catalog_get, lambda p: p.add_argument("name"))
     return top
 
 
@@ -716,13 +576,12 @@ def _main(argv: Optional[List[str]]) -> int:
     session = Session(args)
     start = time.monotonic()
     try:
-        result, exact = args.fn(session, args)
+        result = args.fn(session, args)
     except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    session._elapsed_ms = int((time.monotonic() - start) * 1000)
-    report = session.report(args.subcommand, result, exact)
-    print(render(report, args.format))
+    elapsed_ms = int((time.monotonic() - start) * 1000)
+    print(render(session.report(args.subcommand, result, elapsed_ms), args.format))
     return 0
 
 

@@ -26,7 +26,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .formula import Relation, Signature
 from .metric import MetricError, RationalMetricSpace
-from .structures import FiniteStructure, space_isometries
+from .structures import FiniteStructure, carries_tables, space_isometries
+from .vaught import compose_permutations, group_closure
 
 
 class ReductionError(ValueError):
@@ -150,23 +151,12 @@ def orbit_equiv(inst: ReductionInstance, x: str, xp: str) -> OrbitEquivResult:
             break
 
     mx, mxp = encode(inst, x), encode(inst, xp)
-    iso_witness = None
-    for iso in space_isometries(inst.y_space):
-        if _transports(mx, mxp, iso):
-            iso_witness = iso
-            break
+    iso_witness = next((iso for iso in space_isometries(inst.y_space)
+                        if carries_tables(mx, mxp, iso)), None)
     return OrbitEquivResult(same, iso_witness is not None, orbit_witness, iso_witness)
 
 
-def _transports(mx: FiniteStructure, mxp: FiniteStructure,
-                iso: Mapping[str, str]) -> bool:
-    """Does iso carry the tables of mx to those of mxp exactly?"""
-    for rel in mx.sig.relations:
-        tx, txp = mx.tables[rel.name], mxp.tables[rel.name]
-        for tup, value in tx.items():
-            if txp[tuple(iso[p] for p in tup)] != value:
-                return False
-    return True
+_transports = carries_tables      # the older name, which the acceptance tests import
 
 
 def check_g_invariance(inst: ReductionInstance, x: str) -> List[str]:
@@ -209,6 +199,8 @@ def random_instance(rng: random.Random, max_y: int = 4, max_x: int = 6,
     acting group is a subgroup of Iso(Y) of size at most max_group, which
     bounds the cost of the exact table enumerations.
     """
+    if max_group < 1:
+        raise ReductionError("max_group must be >= 1")
     ny = rng.randint(2, max_y)
     ypts = tuple(f"s{i}" for i in range(ny))
     # two distance values produce symmetric spaces reasonably often
@@ -226,31 +218,14 @@ def random_instance(rng: random.Random, max_y: int = 4, max_x: int = 6,
             for pq in dist:
                 dist[pq] = max(d1, d2)
 
-    y_isos = space_isometries(y_space)
-
-    def closure(seeds):
-        group: List[Mapping[str, str]] = [{p: p for p in ypts}]
-        frontier = list(group) + [s for s in seeds if s not in group]
-        group = group + [s for s in seeds if s not in group]
-        while frontier:
-            new = []
-            for a in seeds:
-                for b in frontier:
-                    c = {p: a[b[p]] for p in ypts}
-                    if c not in group:
-                        group.append(c)
-                        new.append(c)
-                        if len(group) > max_group:
-                            return None
-            frontier = new
-        return group
-
+    y_isos = [tuple(g[p] for p in ypts) for g in space_isometries(y_space)]
     group = None
     for n_seeds in (rng.randint(1, 2), 1, 0):
         seeds = rng.sample(y_isos, min(len(y_isos), n_seeds))
-        group = closure(seeds)
+        group = group_closure(ypts, seeds, compose_permutations(ypts), max_group)
         if group is not None:
             break
+    group = [dict(zip(ypts, g)) for g in group]
 
     nx = rng.randint(2, max_x)
     xpts = tuple(f"x{i}" for i in range(nx))
@@ -302,27 +277,12 @@ def _random_x_action(rng: random.Random, group: List[Mapping[str, str]],
         gi, gj = group[i], group[j]
         return index[tuple(gi[gj[p]] for p in ypts)]
 
-    def close(gen_idxs: List[int]) -> frozenset:
-        members = {0}
-        frontier = [0] + [i for i in gen_idxs if i != 0]
-        members |= set(frontier)
-        while frontier:
-            new = []
-            for a in gen_idxs:
-                for b in frontier:
-                    c = compose_idx(a, b)
-                    if c not in members:
-                        members.add(c)
-                        new.append(c)
-            frontier = new
-        return frozenset(members)
-
     m = len(xpts)
     gen_idxs = [rng.randrange(n)]
-    subgroup = close(gen_idxs)
+    subgroup = group_closure(0, gen_idxs, compose_idx)
     while n // len(subgroup) > m:
         gen_idxs.append(rng.randrange(n))
-        subgroup = close(gen_idxs)
+        subgroup = group_closure(0, gen_idxs, compose_idx)
 
     cosets = []
     seen = set()

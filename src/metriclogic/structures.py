@@ -202,18 +202,20 @@ def _isometries(space: RationalMetricSpace, fixed=frozenset()) -> List[Dict[str,
     return out
 
 
+def carries_tables(M: FiniteStructure, N: FiniteStructure, g: Mapping[str, str]) -> bool:
+    """Does the bijection g carry every relation table of M exactly onto N's?"""
+    for rel in M.sig.relations:
+        source, target = M.tables[rel.name], N.tables[rel.name]
+        for tup in product(M.space.points, repeat=rel.arity):
+            if target[tuple(g[p] for p in tup)] != source[tup]:
+                return False
+    return True
+
+
 def automorphisms(M: FiniteStructure) -> List[Dict[str, str]]:
     """All distance-, table- and constant-preserving bijections, lex order."""
-    def keeps_tables(g: Dict[str, str]) -> bool:
-        for rel in M.sig.relations:
-            table = M.tables[rel.name]
-            for tup in product(M.space.points, repeat=rel.arity):
-                if table[tup] != table[tuple(g[p] for p in tup)]:
-                    return False
-        return True
-
     return [g for g in _isometries(M.space, frozenset(M.constants.values()))
-            if keeps_tables(g)]
+            if carries_tables(M, M, g)]
 
 
 def space_isometries(space: RationalMetricSpace) -> List[Dict[str, str]]:

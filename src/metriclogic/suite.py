@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from .rational import ONE, ZERO, dot_add
-from .vaught import (FiniteGSpace, GradedTable, characteristic,
-                     conjugate_table, is_invariant, is_subgroup_table,
+from .vaught import (FiniteGSpace, GradedTable, characteristic, compose_permutations,
+                     conjugate_table, group_closure, is_invariant, is_subgroup_table,
                      translate_table, vaught_delta, vaught_sets, vaught_star,
                      _value_grid)
 
@@ -48,32 +48,11 @@ def random_gspace(rng: random.Random, max_points: int = 12,
         for _ in range(rng.randint(1, 2)):
             perm = list(points)
             rng.shuffle(perm)
-            gens.append(dict(zip(points, perm)))
-        perms = {tuple(points): dict(zip(points, points))}
-        frontier = [dict(zip(points, points))] + gens
-        for g in gens:
-            perms[tuple(g[p] for p in points)] = g
-        if len(perms) > max_group:
+            gens.append(tuple(perm))
+        perms = group_closure(points, gens, compose_permutations(points), max_group)
+        if perms is None:
             continue
-        ok = True
-        while frontier and ok:
-            nxt = []
-            for a in gens:
-                for b in frontier:
-                    comp = {p: a[b[p]] for p in points}
-                    key = tuple(comp[p] for p in points)
-                    if key not in perms:
-                        perms[key] = comp
-                        nxt.append(comp)
-                        if len(perms) > max_group:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            frontier = nxt
-        if not ok:
-            continue
-        named = {f"g{i}": perm for i, perm in enumerate(perms.values())}
+        named = {f"g{i}": dict(zip(points, perm)) for i, perm in enumerate(perms)}
         return FiniteGSpace.from_permutations(points, named)
 
 

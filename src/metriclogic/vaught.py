@@ -110,6 +110,36 @@ class FiniteGSpace:
                             {n: dict(perms[n]) for n in names})
 
 
+def group_closure(identity, generators, compose, cap=None):
+    """The group generated by generators, in breadth-first order: identity,
+    then the distinct generators, then compose(a, b) for each generator a and
+    each element b of the last frontier.  Elements must be hashable.  None
+    once the group, its starting set included, has more than cap elements."""
+    group = dict.fromkeys([identity, *generators])
+    if cap is not None and len(group) > cap:
+        return None
+    gens, frontier = list(group)[1:], list(group)
+    while frontier:
+        new = []
+        for a in gens:
+            for b in frontier:
+                c = compose(a, b)
+                if c not in group:
+                    group[c] = None
+                    new.append(c)
+                    if cap is not None and len(group) > cap:
+                        return None
+        frontier = new
+    return list(group)
+
+
+def compose_permutations(points: Sequence[str]):
+    """compose(a, b) = a after b, on permutations of points written as the
+    tuple of images of points in order."""
+    pos = {p: i for i, p in enumerate(points)}
+    return lambda a, b: tuple(a[pos[q]] for q in b)
+
+
 def check_table(X: FiniteGSpace, table: GradedTable, on_group: bool) -> None:
     keys = X.elements if on_group else X.points
     for k in keys:

@@ -117,6 +117,25 @@ def test_automorphisms_are_the_isometries_that_keep_constants_and_tables():
     assert nontrivial > 20
 
 
+def test_carries_tables_agrees_with_transport():
+    # one check for automorphisms and for orbit_equiv's witness: g carries
+    # M's tables onto N's exactly when transporting M along g gives N's tables
+    from metriclogic.structures import carries_tables
+    rng = random.Random(21)
+    agree = disagree = 0
+    for _ in range(100):
+        M = symmetric_structure(rng)
+        isos = space_isometries(M.space)
+        for h in isos:
+            N = M.transport(h)
+            for g in isos:
+                got = carries_tables(M, N, g)
+                assert got == (M.transport(g).tables == N.tables)
+                agree += got
+                disagree += not got
+    assert agree > 100 and disagree > 100
+
+
 # -------------------------------------------------- truncated weighted sum
 
 def test_truncated_weighted_sum():

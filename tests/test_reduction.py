@@ -130,3 +130,16 @@ def test_encode_injective_with_separating_basis():
         for i, a in enumerate(encodings):
             for b in encodings[i + 1:]:
                 assert a != b
+
+
+@pytest.mark.parametrize("max_group", [1, 2])
+def test_random_instance_respects_a_small_group_cap(max_group):
+    # the identity and the seed isometries count against the cap too
+    for seed in range(300):
+        inst = random_instance(random.Random(seed), 4, 4, 2, max_group)
+        assert len(inst.elements) <= max_group
+
+
+def test_random_instance_refuses_a_group_cap_below_one():
+    with pytest.raises(ReductionError):
+        random_instance(random.Random(0), max_group=0)

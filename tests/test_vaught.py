@@ -163,6 +163,19 @@ def test_random_gspace_respects_a_small_group_cap(max_group):
         assert len(X.elements) <= max_group
 
 
+def test_group_closure_order_and_cap():
+    from metriclogic.vaught import compose_permutations, group_closure
+    pts = (0, 1, 2, 3)
+    compose = compose_permutations(pts)
+    r, s = (1, 2, 3, 0), (1, 0, 2, 3)           # a 4-cycle and a transposition
+    # identity first, then the distinct generators, then breadth first
+    assert group_closure(pts, [r, pts, r], compose) == [pts, r, (2, 3, 0, 1), (3, 0, 1, 2)]
+    assert len(group_closure(pts, [r, s], compose)) == 24
+    assert group_closure(pts, [r, s], compose, cap=24) is not None
+    assert group_closure(pts, [r, s], compose, cap=23) is None
+    assert group_closure(pts, [r, s], compose, cap=2) is None     # the starting set is 3
+
+
 def test_run_suite_deterministic():
     a = run_suite(seed=3, instances=4)
     b = run_suite(seed=3, instances=4)
