@@ -21,20 +21,34 @@ are returned as certified enclosures.  The main entry points:
 - reduction: encoding of finite group actions as metric structures with
   orbit equivalence realized as isomorphism.
 - cli / catalog / textio: command line, artifact store, text formats.
+
+The names below are re-exported on first use (PEP 562), so importing the
+package loads none of its modules.
 """
 
-from .intervals import Enclosure
-from .metric import (EmbeddingWitness, KatetovFunction, MetricError,
-                     RationalMetricSpace, one_point_extend, validate_table)
-from .formula import (BorelLevel, Formula, Relation, Signature, borel_level,
-                      lipschitz)
-from .structures import FiniteStructure, delta_seq, evaluate, mod_member
-from .syntax import parse, print_formula
+_HOME = {
+    "Enclosure": "intervals",
+    "EmbeddingWitness": "metric", "KatetovFunction": "metric", "MetricError": "metric",
+    "RationalMetricSpace": "metric", "one_point_extend": "metric",
+    "validate_table": "metric",
+    "BorelLevel": "formula", "Formula": "formula", "Relation": "formula",
+    "Signature": "formula", "borel_level": "formula", "lipschitz": "formula",
+    "FiniteStructure": "structures", "delta_seq": "structures", "evaluate": "structures",
+    "mod_member": "structures",
+    "parse": "syntax", "print_formula": "syntax",
+}
 
-__all__ = [
-    "Enclosure", "EmbeddingWitness", "KatetovFunction", "MetricError",
-    "RationalMetricSpace", "one_point_extend", "validate_table",
-    "BorelLevel", "Formula", "Relation", "Signature", "borel_level",
-    "lipschitz", "FiniteStructure", "delta_seq", "evaluate", "mod_member",
-    "parse", "print_formula",
-]
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import textio
-from .syntax import parse, print_formula
 
 
 class CatalogError(ValueError):
@@ -41,6 +40,7 @@ def _write_atomic(path: Path, text: str):
 
 
 def _canon_formula(text: str) -> str:
+    from .syntax import parse, print_formula
     return print_formula(parse(text, loose=True)) + "\n"
 
 

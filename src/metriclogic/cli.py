@@ -8,7 +8,8 @@ reader that closed stdout early, silently), 2 usage error.  Artifact
 arguments are file paths, or names resolved in the catalog when --catalog
 (or METRICLOGIC_CATALOG) is set.  A subcommand is declared by one row of
 COMMANDS: its handler and its arguments, as argparse's add_argument takes
-them.
+them.  A handler imports the library modules it calls when it runs, so a
+call loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -23,27 +24,8 @@ from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from . import textio
-from .amalgam import amalgamate
-from .catalog import Catalog, CatalogError, parse_enumeration
-from .formula import Formula, Relation, Signature, lipschitz, borel_level
-from .graded import (PartialIsometry, approx_search,
-                     ApproxWitness, check_formula_invariance,
-                     check_graded_axioms, graded_eval, GroupMetricContext,
-                     oligo_probe, rho_s)
 from .intervals import Enclosure
-from .metric import KatetovFunction, RationalMetricSpace, one_point_extend, validate_table
-from .quenum import qu_enumerate
 from .rational import format_rational, parse_rational
-from .reduction import check_g_invariance, encode, orbit_equiv
-from .scprobe import sc_probe
-from .structures import (FiniteStructure, automorphisms, canonical_enumeration,
-                         delta_seq, evaluate, mod_member, space_isometries)
-from .suite import run_suite
-from .syntax import parse as parse_formula_text, print_formula
-from .urysohn import (AnchoredStructure, PredicateDef, QuantifierBudget,
-                      eval_urysohn, qf_decide, theta_demo)
-from .vaught import nice_closure, vaught_delta, vaught_sets, vaught_star
 
 
 class CliError(ValueError):
@@ -63,12 +45,16 @@ class Session:
     def __init__(self, args):
         self.inputs: Dict[str, str] = {}
         catalog_dir = args.catalog or os.environ.get("METRICLOGIC_CATALOG")
-        self.catalog = Catalog(catalog_dir) if catalog_dir else None
+        self.catalog = None
+        if catalog_dir:
+            from .catalog import Catalog
+            self.catalog = Catalog(catalog_dir)
 
     def text_of(self, ref: str, label: str) -> str:
         if _is_file(ref):
             text = Path(ref).read_text()
         elif self.catalog is not None:
+            from .catalog import CatalogError
             try:
                 _, text = self.catalog.get(ref)
             except CatalogError:
@@ -79,18 +65,22 @@ class Session:
         return text
 
     def space(self, ref: str, label: str = "space") -> RationalMetricSpace:
+        from . import textio
         return textio.parse_space(self.text_of(ref, label))
 
     def structure(self, ref: str, label: str = "structure") -> FiniteStructure:
+        from . import textio
         return textio.parse_structure(self.text_of(ref, label))
 
     def formula(self, ref: str, sig: Signature, label: str = "formula",
                 loose: bool = False) -> Formula:
         """A formula from a file, a catalog formula entry or inline text."""
+        from .syntax import parse as parse_formula_text
         if _is_file(ref):
             return parse_formula_text(self.text_of(ref, label), sig, loose=loose)
         text = ref                        # inline formula text
         if self.catalog is not None:
+            from .catalog import CatalogError
             try:
                 kind, stored = self.catalog.get(ref)
                 if kind == "formula":
@@ -124,7 +114,17 @@ def _assignment(spec: Optional[str]) -> Dict[str, str]:
     return out
 
 
+def _named(flag: str, names, name: str) -> str:
+    """name, if it is one of names; else a diagnostic naming the flag, the
+    name and the names there are."""
+    if name not in names:
+        known = ", ".join(names) or "none defined"
+        raise CliError(f"{flag}: unknown name {name!r} (known: {known})")
+    return name
+
+
 def _sig_for(session: Session, args) -> Signature:
+    from .formula import Signature
     if args.structure:
         return session.structure(args.structure, "signature-structure").sig
     if args.fragment:
@@ -135,6 +135,8 @@ def _sig_for(session: Session, args) -> Signature:
 # ----------------------------------------------------------- subcommands
 
 def cmd_validate(session, args):
+    from . import textio
+    from .metric import validate_table
     text = session.text_of(args.space, "space")
     points, dist = textio.parse_space_raw(text)
     report = validate_table(points, dist)
@@ -142,6 +144,8 @@ def cmd_validate(session, args):
 
 
 def cmd_extend(session, args):
+    from . import textio
+    from .metric import KatetovFunction, one_point_extend
     space = session.space(args.space)
     values = {}
     for item in args.value:
@@ -155,6 +159,8 @@ def cmd_extend(session, args):
 
 
 def cmd_amalgamate(session, args):
+    from . import textio
+    from .amalgam import amalgamate
     host = session.space(args.host, "host")
     b_space = session.space(args.b_space, "b-space")
     res = amalgamate(host, args.a_points.split(), b_space, args.q,
@@ -166,6 +172,8 @@ def cmd_amalgamate(session, args):
 
 
 def cmd_enumerate_qu(session, args):
+    from . import textio
+    from .quenum import qu_enumerate
     seed = session.space(args.space, "seed")
     out, cert = qu_enumerate(seed, args.denominator_bound, args.budget)
     tasks = [{"subset": list(t.subset), "values": [format_rational(v) for v in t.values],
@@ -175,35 +183,42 @@ def cmd_enumerate_qu(session, args):
 
 
 def cmd_parse(session, args):
+    from .syntax import print_formula
     phi = session.formula(args.formula, _sig_for(session, args), loose=args.loose)
     return {"canonical": print_formula(phi)}
 
 
 def cmd_lipschitz(session, args):
+    from .formula import lipschitz
     sig = _sig_for(session, args)
     phi = session.formula(args.formula, sig)
     return {"coefficient": format_rational(lipschitz(phi, sig))}
 
 
 def cmd_borel_level(session, args):
+    from .formula import borel_level
     phi = session.formula(args.formula, _sig_for(session, args), loose=args.loose)
     level = borel_level(phi, args.cmp)
     return {"class": level.class_kind, "index": level.index}
 
 
 def cmd_eval(session, args):
+    from .structures import evaluate
     M = session.structure(args.structure)
     phi = session.formula(args.formula, M.sig)
     return {"value": format_rational(evaluate(phi, M, _assignment(args.assign)))}
 
 
 def cmd_delta_seq(session, args):
+    from .structures import delta_seq
     M = session.structure(args.structure, "structure-m")
     N = session.structure(args.other, "structure-n")
     return delta_seq(M, N, _enumeration(session, args, M), args.k)
 
 
 def _enumeration(session, args, M):
+    from .catalog import parse_enumeration
+    from .structures import canonical_enumeration
     if args.enumeration:
         return parse_enumeration(session.text_of(args.enumeration, "enumeration"))
     if session.catalog is not None and session.catalog.manifest.get("delta_enumeration"):
@@ -214,6 +229,7 @@ def _enumeration(session, args, M):
 
 
 def cmd_mod_member(session, args):
+    from .structures import mod_member
     M = session.structure(args.structure)
     phi = session.formula(args.formula, M.sig)
     member = mod_member(M, phi, _assignment(args.assign),
@@ -222,6 +238,7 @@ def cmd_mod_member(session, args):
 
 
 def cmd_sc_probe(session, args):
+    from .scprobe import sc_probe
     M = session.structure(args.structure)
     pool = [session.formula(ref, M.sig, f"pool{i}") for i, ref in enumerate(args.formula)]
     rep = sc_probe(M, args.n, parse_rational(args.eps), pool, args.depth)
@@ -233,6 +250,9 @@ def cmd_sc_probe(session, args):
 
 
 def _anchored(session, args) -> AnchoredStructure:
+    from .formula import Signature
+    from .syntax import parse as parse_formula_text
+    from .urysohn import AnchoredStructure, PredicateDef
     anchors = session.space(args.anchors, "anchors")
     defs = {}
     for i, d in enumerate(args.define or []):
@@ -247,6 +267,8 @@ def _anchored(session, args) -> AnchoredStructure:
 
 
 def cmd_eval_urysohn(session, args):
+    from .formula import Relation, Signature
+    from .urysohn import QuantifierBudget, eval_urysohn
     anchored = _anchored(session, args)
     rels = tuple(Relation(name, len(d.params))
                  for name, d in anchored.defs.items())
@@ -256,6 +278,8 @@ def cmd_eval_urysohn(session, args):
 
 
 def cmd_qf_decide(session, args):
+    from .formula import Signature
+    from .urysohn import qf_decide
     fragment = session.space(args.fragment, "fragment")
     phi = session.formula(args.formula, Signature((), fragment.points))
     value = qf_decide(phi, fragment)
@@ -268,19 +292,24 @@ def cmd_qf_decide(session, args):
 
 
 def cmd_theta_demo(session, args):
+    from .urysohn import theta_demo
     return theta_demo(parse_rational(args.q), parse_rational(args.tol))
 
 
 def _descriptor(session, args):
+    from . import textio
     return textio.parse_descriptor(session.text_of(args.descriptor, "descriptor"))
 
 
 def _isometry(session, space, ref, label, target=None):
+    from . import textio
+    from .graded import PartialIsometry
     mapping = textio.parse_isometry_lines(session.text_of(ref, label))
     return PartialIsometry.build(space, target or space, mapping)
 
 
 def cmd_graded_eval(session, args):
+    from .graded import graded_eval
     space = session.space(args.space)
     target = session.space(args.target, "target") if args.target else space
     D = _descriptor(session, args)
@@ -290,11 +319,15 @@ def cmd_graded_eval(session, args):
 
 
 def cmd_graded_axioms(session, args):
+    from .graded import PartialIsometry, check_graded_axioms
+    from .structures import space_isometries
     space = session.space(args.space)
     D = _descriptor(session, args)
     if args.pair:
         pairs = []
         for i, spec in enumerate(args.pair):
+            if spec.count(",") != 1:
+                raise CliError(f"--pair wants ISOFILE,ISOFILE, got {spec!r}")
             ga, gb = spec.split(",")
             pairs.append((_isometry(session, space, ga.strip(), f"pair{i}a"),
                           _isometry(session, space, gb.strip(), f"pair{i}b")))
@@ -310,6 +343,7 @@ def cmd_graded_axioms(session, args):
 
 
 def cmd_rho_s(session, args):
+    from .graded import GroupMetricContext, rho_s
     space = session.space(args.space)
     g = _isometry(session, space, args.g, "g")
     h = _isometry(session, space, args.h, "h")
@@ -318,6 +352,8 @@ def cmd_rho_s(session, args):
 
 
 def cmd_invariance(session, args):
+    from .graded import PartialIsometry, check_formula_invariance
+    from .structures import automorphisms
     M = session.structure(args.structure)
     phi = session.formula(args.formula, M.sig)
     if args.sample:
@@ -333,6 +369,7 @@ def cmd_invariance(session, args):
 
 
 def cmd_approx_search(session, args):
+    from .graded import ApproxWitness, approx_search
     M = session.structure(args.structure, "structure-m")
     N = session.structure(args.other, "structure-n")
     D = _descriptor(session, args)
@@ -346,6 +383,7 @@ def cmd_approx_search(session, args):
 
 
 def cmd_oligo_probe(session, args):
+    from .graded import oligo_probe
     M = session.structure(args.structure)
     res = oligo_probe(M, args.n, parse_rational(args.eps))
     return {"family": [list(t) for t in res.family],
@@ -355,26 +393,33 @@ def cmd_oligo_probe(session, args):
 
 
 def _gspace(session, args):
+    from . import textio
     return textio.parse_gspace(session.text_of(args.gspace, "gspace"))
 
 
 def cmd_vaught_table(transform, session, args):
-    """vaught-delta and vaught-star: transform is vaught_delta or vaught_star."""
+    """vaught-delta and vaught-star: transform names vaught_delta or vaught_star."""
+    from . import vaught
     X, space_tables, group_tables = _gspace(session, args)
-    table = transform(X, space_tables[args.phi], group_tables[args.j])
+    phi = space_tables[_named("--phi", space_tables, args.phi)]
+    j = group_tables[_named("--j", group_tables, args.j)]
+    table = getattr(vaught, transform)(X, phi, j)
     return {"table": {x: format_rational(table[x]) for x in X.points}}
 
 
 def cmd_vaught_sets(session, args):
+    from .vaught import vaught_sets
     X, _, _ = _gspace(session, args)
     star, delta = vaught_sets(X, args.set.split(), args.u.split())
     return {"star": sorted(star), "delta": sorted(delta)}
 
 
 def cmd_nice_closure(session, args):
+    from .vaught import nice_closure
     X, space_tables, group_tables = _gspace(session, args)
-    family = [space_tables[name] for name in args.family]
-    cosets = [group_tables[name] for name in (args.cosets or [])]
+    family = [space_tables[_named("--family", space_tables, name)] for name in args.family]
+    cosets = [group_tables[_named("--cosets", group_tables, name)]
+              for name in (args.cosets or [])]
     scales = [parse_rational(s) for s in (args.scales.split() if args.scales else [])]
     res = nice_closure(X, family, cosets, args.budget, scales)
     return {"size": len(res.family), "fixed_point": res.fixed_point,
@@ -383,13 +428,18 @@ def cmd_nice_closure(session, args):
 
 
 def cmd_encode(session, args):
+    from . import textio
+    from .reduction import encode
     inst = textio.parse_instance(session.text_of(args.instance, "instance"))
     return {"structure": textio.serialize_structure(encode(inst, args.x))}
 
 
 def cmd_orbit_equiv(session, args):
+    from . import textio
+    from .reduction import check_g_invariance, orbit_equiv
     inst = textio.parse_instance(session.text_of(args.instance, "instance"))
-    res = orbit_equiv(inst, args.x, args.xp)
+    points = inst.x_space.points
+    res = orbit_equiv(inst, _named("--x", points, args.x), _named("--xp", points, args.xp))
     invariance = check_g_invariance(inst, args.x)
     return {"same_orbit": res.same_orbit, "isomorphic": res.isomorphic,
             "orbit_witness": res.orbit_witness,
@@ -398,6 +448,7 @@ def cmd_orbit_equiv(session, args):
 
 
 def cmd_lemma_suite(session, args):
+    from .suite import run_suite
     rep = run_suite(args.seed, args.instances, args.max_points,
                     args.max_group, args.max_denominator)
     session.inputs["seed"] = str(args.seed)
@@ -469,7 +520,7 @@ COMMANDS = {
                    arg("--cmp", choices=("<", ">"), required=True)),
     "sc-probe": (cmd_sc_probe, arg("structure"), arg("--n", type=int, required=True), EPS,
                  arg("--formula", action="append", default=[]),
-                 arg("--depth", type=int, default=1)),
+                 arg("--depth", type=_int_at_least(0), default=1)),
     "eval-urysohn": (cmd_eval_urysohn, arg("formula"), arg("--anchors", required=True),
                      arg("--define", action="append", default=[], metavar="R(x)=FORMULA"),
                      arg("--params", default=""), arg("--mesh", default="1/16"),
@@ -486,11 +537,11 @@ COMMANDS = {
     "invariance": (cmd_invariance, arg("structure"), arg("formula"), ASSIGN,
                    arg("--sample", action="append", default=[])),
     "approx-search": (cmd_approx_search, arg("structure"), arg("other"), arg("descriptor"),
-                      EPS, arg("--budget", type=int, default=1000)),
+                      EPS, arg("--budget", type=_int_at_least(0), default=1000)),
     "oligo-probe": (cmd_oligo_probe, arg("structure"), arg("--n", type=int, required=True),
                     EPS),
-    "vaught-delta": (partial(cmd_vaught_table, vaught_delta), *VAUGHT_TABLE),
-    "vaught-star": (partial(cmd_vaught_table, vaught_star), *VAUGHT_TABLE),
+    "vaught-delta": (partial(cmd_vaught_table, "vaught_delta"), *VAUGHT_TABLE),
+    "vaught-star": (partial(cmd_vaught_table, "vaught_star"), *VAUGHT_TABLE),
     "vaught-sets": (cmd_vaught_sets, arg("gspace"), arg("--set", required=True),
                     arg("--u", required=True)),
     "nice-closure": (cmd_nice_closure, arg("gspace"),

@@ -387,7 +387,11 @@ def oligo_probe(M: FiniteStructure, n: int, eps: Fraction,
     """
     from itertools import product as iproduct
 
+    if n < 1:
+        raise GradedError("n must be >= 1")
     eps = Fraction(eps)
+    if eps < 0:
+        raise GradedError("eps must be >= 0")
     pts = M.space.points
     if len(pts) ** n > max_tuples:
         raise SizeGuardError(f"{len(pts)}^{n} tuples exceed the guard ({max_tuples})")

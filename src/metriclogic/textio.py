@@ -14,7 +14,9 @@ Instances:   sections `yspace`/`xspace` holding space blocks, `element NAME`
 
 Serialization is canonical: fixed ordering, exact `num/den` rationals, one
 trailing newline.  parse(serialize(x)) reproduces x, and serialize is a
-byte-identity on its own output.
+byte-identity on its own output.  A parser imports the module of the
+objects it builds when it runs, so reading a space loads no formula,
+structure or group code.
 """
 
 from __future__ import annotations
@@ -23,14 +25,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Tuple
 
-from .formula import Relation, Signature
-from .graded import (GradedAtomDescriptor, GradedDescriptor,
-                     GradedMaxDescriptor)
 from .metric import RationalMetricSpace
 from .rational import format_rational, parse_rational
-from .reduction import GroupElement, ReductionInstance
-from .structures import FiniteStructure
-from .vaught import FiniteGSpace, GSpaceError
 
 
 class FormatError(ValueError):
@@ -117,6 +113,8 @@ def serialize_structure(M: FiniteStructure) -> str:
 
 
 def parse_structure(text: str) -> FiniteStructure:
+    from .formula import Relation, Signature
+    from .structures import FiniteStructure
     lines = _lines(text)
     space_lines, rest = [], []
     for i, line in enumerate(lines):
@@ -193,6 +191,8 @@ def parse_isometry_lines(text: str) -> Dict[str, str]:
 # ------------------------------------------------------------ descriptors
 
 def serialize_descriptor(D: GradedDescriptor) -> str:
+    from .graded import GradedAtomDescriptor
+
     def leaf(a: GradedAtomDescriptor) -> str:
         return (f"graded {a.kind} {format_rational(a.scale)} "
                 f"[{' '.join(a.base)}] -> [{' '.join(a.shift)}]")
@@ -203,6 +203,7 @@ def serialize_descriptor(D: GradedDescriptor) -> str:
 
 
 def parse_descriptor(text: str) -> GradedDescriptor:
+    from .graded import GradedMaxDescriptor
     body = " ".join(_lines(text)).strip()
     if body.startswith("max{"):
         if not body.endswith("}"):
@@ -214,6 +215,7 @@ def parse_descriptor(text: str) -> GradedDescriptor:
 
 
 def _parse_leaf(text: str) -> GradedAtomDescriptor:
+    from .graded import GradedAtomDescriptor
     head, sep, tail = text.partition("[")
     if not sep:
         raise FormatError(f"bad descriptor: {text!r}")
@@ -253,6 +255,7 @@ def serialize_gspace(X: FiniteGSpace, space_tables: Dict[str, Dict[str, Fraction
 
 def parse_gspace(text: str):
     """Returns (FiniteGSpace, space tables, group tables)."""
+    from .vaught import FiniteGSpace, GSpaceError
     lines = _lines(text)
     if not lines or not lines[0].startswith("points"):
         raise FormatError("group space must start with a `points` line")
@@ -310,6 +313,7 @@ def serialize_instance(inst: ReductionInstance) -> str:
 
 
 def parse_instance(text: str) -> ReductionInstance:
+    from .reduction import GroupElement, ReductionInstance
     lines = _lines(text)
     sections: Dict[str, List[str]] = {"yspace": [], "xspace": []}
     elements: List[Tuple[str, Dict[str, str], Dict[str, str]]] = []

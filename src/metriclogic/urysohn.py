@@ -99,7 +99,11 @@ _REBUILD = {Const: keep, **{cls: cls for cls in CONNECTIVES.values()}}
 
 
 def expand_predicates(phi: Formula, anchored: AnchoredStructure) -> Formula:
-    """Inline every relation atom through its definition."""
+    """Inline every relation atom through its definition; phi itself when it
+    has none."""
+    if AtomR not in map(type, atoms(phi)):
+        return phi
+
     def inline(f: AtomR) -> Formula:
         d = anchored.defs.get(f.name)
         if d is None:

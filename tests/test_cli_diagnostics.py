@@ -1,0 +1,62 @@
+"""One-line diagnostics for degenerate parameters and unknown names."""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from metriclogic.cli import main
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def call(*argv):
+    """(exit code, stderr) of one call; argparse's usage exit counts too."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("n, eps, message", [
+    ("0", "1/2", "error: n must be >= 1"),
+    ("-1", "1/2", "error: n must be >= 1"),
+    ("1", "-1", "error: eps must be >= 0")])
+def test_oligo_probe_refuses_degenerate_parameters(n, eps, message):
+    code, err = call("oligo-probe", DATA / "twopoint.struct", "--n", n, "--eps", eps)
+    assert (code, err) == (1, message + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sc-probe", DATA / "twopoint.struct", "--n", "1", "--eps", "1/2", "--depth", "-1"],
+    ["approx-search", DATA / "twopoint.struct", DATA / "twopoint.struct",
+     DATA / "stab.graded", "--eps", "1/4", "--budget", "-1"]])
+def test_negative_depth_and_budget_are_usage_errors(argv):
+    code, err = call(*argv)
+    assert code == 2 and "must be >= 0, got -1" in err
+
+
+def test_nice_closure_names_the_unknown_family():
+    code, err = call("nice-closure", DATA / "swap.gspace", "--family", "zz", "--budget", "3")
+    assert (code, err) == (1, "error: --family: unknown name 'zz' (known: mark)\n")
+
+
+def test_vaught_delta_names_the_unknown_table():
+    code, err = call("vaught-delta", DATA / "swap.gspace", "--phi", "nope", "--j", "full")
+    assert (code, err) == (1, "error: --phi: unknown name 'nope' (known: mark)\n")
+
+
+def test_orbit_equiv_names_the_unknown_point():
+    code, err = call("orbit-equiv", DATA / "swapx.inst", "--x", "nope", "--xp", "x1")
+    assert (code, err) == (1, "error: --x: unknown name 'nope' (known: x0, x1)\n")
+
+
+def test_graded_axioms_wants_a_pair_of_isometries():
+    isom = DATA / "id3.isom"
+    code, err = call("graded-axioms", DATA / "stab.graded", "--space", DATA / "eq3.space",
+                     "--pair", isom)
+    assert (code, err) == (1, f"error: --pair wants ISOFILE,ISOFILE, got {str(isom)!r}\n")

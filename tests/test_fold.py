@@ -80,6 +80,19 @@ def test_expand_predicates_under_every_connective(connective):
     assert expand_predicates(parse(text, SIG_P), anchored) == parse(inlined, SIG_A)
 
 
+def test_expand_predicates_returns_a_relation_free_formula_itself():
+    anchored = AnchoredStructure(RationalMetricSpace.build(("a",), {}), {})
+    phi = parse("(sup x (max (d a x) (half (d x y))))", SIG_A)
+    assert expand_predicates(phi, anchored) is phi
+
+
+def test_expand_predicates_refuses_a_relation_free_formula_past_the_limit():
+    anchored = AnchoredStructure(RationalMetricSpace.build(("a",), {}), {})
+    with pytest.raises(FormulaError, match=f"deeper than {2 * MAX_DEPTH} levels"):
+        expand_predicates(halves(2 * MAX_DEPTH + 1), anchored)
+
+
+
 # ------------------------------------------------- one isometry backtracker
 
 def symmetric_structure(rng):

@@ -237,3 +237,10 @@ def test_oligo_size_guard():
     M = FiniteStructure(space, Signature(), {}, {})
     with pytest.raises(SizeGuardError):
         oligo_probe(M, 9, F(1, 2), max_tuples=1000)
+
+
+@pytest.mark.parametrize("n, eps", [(0, F(1, 2)), (-1, F(1, 2)), (1, F(-1))])
+def test_oligo_refuses_degenerate_parameters(n, eps):
+    M = FiniteStructure(equilateral(2), Signature(), {}, {})
+    with pytest.raises(GradedError, match="must be >= "):
+        oligo_probe(M, n, eps)
