@@ -291,10 +291,11 @@ def katetov_spread(space: RationalMetricSpace, on: Mapping[str, Fraction]) -> Di
     Uses the shortest-path value min_a (f(a) + d(a, x)) capped at 1, which
     stays admissible because the diameter is at most 1.
     """
+    on = {a: Fraction(v) for a, v in on.items()}
     out: Dict[str, Fraction] = {}
     for x in space.points:
         if x in on:
-            out[x] = Fraction(on[x])
+            out[x] = on[x]
         else:
-            out[x] = min(ONE, min(Fraction(on[a]) + space.d(a, x) for a in on))
+            out[x] = min(ONE, min(v + space.d(a, x) for a, v in on.items()))
     return out

@@ -144,13 +144,13 @@ def orbit_equiv(inst: ReductionInstance, x: str, xp: str) -> OrbitEquivResult:
     The two answers agree on every instance the generator produces; a
     disagreement would falsify the finite-scale reduction.
     """
+    mx, mxp = encode(inst, x), encode(inst, xp)     # raise on an unknown point
     same, orbit_witness = False, None
     for g in inst.elements:
         if g.x_map[x] == xp:
             same, orbit_witness = True, g.name
             break
 
-    mx, mxp = encode(inst, x), encode(inst, xp)
     iso_witness = next((iso for iso in space_isometries(inst.y_space)
                         if carries_tables(mx, mxp, iso)), None)
     return OrbitEquivResult(same, iso_witness is not None, orbit_witness, iso_witness)

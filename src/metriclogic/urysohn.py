@@ -28,12 +28,19 @@ No Fraction or enclosure is built per grid point:
   coordinates, gives N times the endpoints enclosure arithmetic would give,
   and the subtree is skipped when the bound cannot beat the running optimum.
 
-A quantified body (an outer level of a nested sentence) is evaluated through
-enclosures, as a whole vector, with no bound.
+A prenex chain Q1 x1 ... Qk xk over a quantifier-free body is one integer
+minimax over the chain's step vectors, a row per point.  Alpha-beta search
+(Knuth & Moore 1975) passes a window down the levels and stops a level once
+its optimum leaves it; the innermost body's compiled bound, with the unset
+coordinates of every row unknown, skips partial and complete rows at every
+level.  A level's widening is the same for all its vectors and monotone, so
+the exact minimax widened level by level is the endpoint-wise merge of the
+widened inner enclosures.  A quantifier under a connective is evaluated
+through enclosures, vector by vector, with no bound.
 
-Pruning only ever drops vectors whose values cannot beat the optimum, so the
-result is the exact grid optimum (plus the Lipschitz term) whatever was
-pruned: the same rationals as a walk over every grid vector.
+Pruning and cutoffs only ever drop vectors whose values cannot change the
+optimum, so the result is the exact grid optimum (plus the Lipschitz term)
+whatever was dropped: the same rationals as a walk over every grid vector.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .formula import (CONNECTIVES, AbsDiff, AtomD, AtomR, Const, ConstName,
-                      DotMinus, DotPlus, DotScale, Formula, Half, MAX_DEPTH,
+                      DotMinus, DotPlus, DotScale, Formula, Half, Inf, MAX_DEPTH,
                       Max, Min, Neg, Signature, Sup, Var, atoms, by_shape,
                       fold, free_variables, is_quantifier_free, keep, lipschitz,
                       nesting_depth)
@@ -169,7 +176,8 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
             raise UrysohnError(f"parameter {v} -> {p!r} is not an anchor")
 
     h0 = snap_mesh(Fraction(budget.mesh), anchored.anchors)
-    # per quantifier node, by identity: (lipschitz, body is quantifier free)
+    # per quantifier node, by identity: (lipschitz, prenex over a
+    # quantifier-free body)
     nodes: Dict[int, Tuple[Fraction, bool]] = {}
     result = None
     for r in range(budget.rounds + 1):
@@ -228,72 +236,109 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                 walk(row, k + 1, leaf, pruned)
 
     def quantify(f, body) -> Enclosure:
-        # the grid search below evaluates f.body itself: body() is not used
-        is_sup = isinstance(f, Sup)
-        known = nodes.get(id(f))
-        if known is None:
-            known = nodes[id(f)] = (lipschitz(f.body, sig, only_var=f.var),
-                                    is_quantifier_free(f.body))
-        coeff, body_qf = known
-        m = len(steps)
-
-        saved = env.get(f.var)
-        env[f.var] = m
-        row = [0] * m
-        steps.append(row)
-        if body_qf:
-            best = exact_optimum(f.body, m, row, is_sup)
+        # the grid search below evaluates f.body itself: body() is not used.
+        # A prenex chain Q1 x1 ... Qk xk over a quantifier-free body is one
+        # integer search; any other body is walked through enclosures.
+        chain = [f]
+        prenex = info(f)[1]
+        while prenex and isinstance(chain[-1].body, (Sup, Inf)):
+            chain.append(chain[-1].body)
+        m0 = len(steps)
+        outer = dict(env)
+        for i, q in enumerate(chain):   # a later binding shadows an earlier one
+            env[q.var] = m0 + i
+            steps.append([0] * (m0 + i))
+        if prenex:
+            best = chain_optimum(chain, m0)
         else:
-            best = nested_optimum(f.body, row, is_sup)
-        steps.pop()
-        if saved is None:
-            del env[f.var]
-        else:
-            env[f.var] = saved
+            best = nested_optimum(f.body, steps[m0], isinstance(f, Sup))
+        del steps[m0:]
+        env.clear()
+        env.update(outer)
 
         if best is None:
             raise UrysohnError("empty admissibility polytope; inputs were inconsistent")
-        if m == 0:
-            # the first abstract point is unconstrained: one exact branch
-            return best
         # The optimum over the polytope lies within coeff * h of the grid's,
         # on the far side: best +. [0, err] for sup, best -. [0, err] for inf.
-        err = Enclosure(ZERO, min(ONE, coeff * h))
-        return enc_dot_add(best, err) if is_sup else enc_dot_sub(best, err)
+        # Widening commutes with the endpoint-wise merge of the level above,
+        # so the levels widen from the innermost outward; the first abstract
+        # point is unconstrained (one exact branch) and is not widened.
+        for i in reversed(range(len(chain))):
+            if m0 + i:
+                err = Enclosure(ZERO, min(ONE, info(chain[i])[0] * h))
+                best = (enc_dot_add if isinstance(chain[i], Sup) else enc_dot_sub)(best, err)
+        return best
 
-    def exact_optimum(body: Formula, m: int, row: List[int],
-                      is_sup: bool) -> Optional[Enclosure]:
-        # Full vectors: the compiled body, exact in integers over N.
-        # Partial vectors: its integer interval bound, which skips subtrees
-        # that cannot beat the optimum.
-        key = (id(body), m, tuple(sorted(env.items())))
+    def info(f) -> Tuple[Fraction, bool]:
+        # (lipschitz in f.var, the body below the directly nested
+        # quantifiers is quantifier free), once per node
+        known = nodes.get(id(f))
+        if known is None:
+            inner = f.body
+            while isinstance(inner, (Sup, Inf)):
+                inner = inner.body
+            known = nodes[id(f)] = (lipschitz(f.body, sig, only_var=f.var),
+                                    is_quantifier_free(inner))
+        return known
+
+    def chain_optimum(chain, m0: int) -> Optional[Enclosure]:
+        # The grid minimax over the chain's points m0 ... last, in integers
+        # over N: alpha-beta over the levels, each walking its admissible
+        # rows, with the compiled bound skipping partial and complete rows
+        # that cannot move the level's optimum past its window.
+        last = m0 + len(chain) - 1
+        body = chain[-1].body
+        key = (id(body), m0, last, tuple(sorted(env.items())))
         if key not in compiled:
-            compiled[key] = _compile(body, point_of, m, steps, n)
+            compiled[key] = _compile(body, point_of, last, steps, n, m0)
         g, bound, N = compiled[key]
-        if m == 0:
-            return Enclosure.exact(Fraction(g(row), N))
-        pick = max if is_sup else min
-        best = None                     # the optimum over N
+        s = steps[last]
 
-        def values(lo: int, hi: int):
-            for s in range(lo, hi + 1):
-                row[m - 1] = s
-                yield g(row)
+        def search(t: int, alpha: int, beta: int) -> int:
+            # Level t's value if it lies in (alpha, beta); otherwise a value
+            # on the same side of the window.
+            m = m0 + t
+            row = steps[m]
+            is_sup = isinstance(chain[t], Sup)
+            start = sum(range(m0, m))   # row m's place in the chain's rows
+            best = alpha if is_sup else beta
+            if not row:
+                return g(s) if m == last else search(t + 1, alpha, beta)
 
-        def leaf(lo: int, hi: int) -> None:
-            nonlocal best
-            v = pick(values(lo, hi), default=None)
-            if v is not None and (best is None or pick(v, best) != best):
-                best = v
+            def pruned(filled: int) -> bool:
+                if best >= beta if is_sup else best <= alpha:
+                    return True
+                lo, hi = bound(s, start + filled)
+                return hi <= best if is_sup else lo >= best
 
-        def pruned(filled: int) -> bool:
-            if best is None:
-                return False
-            lo, hi = bound(row, filled)
-            return hi <= best if is_sup else lo >= best
+            def values(lo: int, hi: int, i: int = m - 1):
+                # i is a local: this loop runs once per grid point
+                for x in range(lo, hi + 1):
+                    s[i] = x
+                    yield g(s)
 
-        walk(row, 0, leaf, pruned)
-        return None if best is None else Enclosure.exact(Fraction(best, N))
+            def last_leaf(lo: int, hi: int) -> None:
+                nonlocal best
+                v = pick(values(lo, hi), default=None)
+                if v is not None:
+                    best = pick(v, best)
+
+            def leaf(lo: int, hi: int) -> None:
+                # each complete row is tested like a partial one, then searched
+                nonlocal best
+                for x in range(lo, hi + 1):
+                    row[m - 1] = x
+                    if not pruned(m):
+                        v = (search(t + 1, best, beta) if is_sup
+                             else search(t + 1, alpha, best))
+                        best = pick(v, best)
+
+            pick = max if is_sup else min
+            walk(row, 0, last_leaf if m == last else leaf, pruned)
+            return best
+
+        v = search(0, -1, N + 1)        # values lie in [0, N]: an open window
+        return Enclosure.exact(Fraction(v, N)) if 0 <= v <= N else None
 
     def nested_optimum(body: Formula, row: List[int],
                        is_sup: bool) -> Optional[Enclosure]:
@@ -316,11 +361,14 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
     return go(phi)
 
 
-def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int):
+def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
+             first: Optional[int] = None):
     """Compile a quantifier-free body at new point m into integer closures.
 
-    A distance atom between the new point and known point j is coordinate j
-    of the new point's step vector s; one between known points i > j is
+    Points first ... m are the chain being searched (first defaults to m);
+    their rows, laid end to end, hold the coordinates the bound counts.  A
+    distance atom between the new point and known point j is coordinate j
+    of the new point's step vector s; one between points i > j is
     steps[i][j], read when a closure runs, so the closures serve every
     placement of the known points.  Returns (g, b, N), where N clears every
     intermediate value and bound: n for distances, the constants'
@@ -328,8 +376,9 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int):
     scale factor.
 
     * g(s) / N is the exact value of the body at a full vector s.
-    * b(s, filled) = (lo, hi) bounds N times the value when only s[j] for
-      j < filled are set, the others ranging over [0, N]: the interval
+    * b(s, filled) = (lo, hi) bounds N times the value when only the first
+      filled coordinates of the chain's rows are set (for first = m, s[j]
+      for j < filled), the others ranging over [0, N]: the interval
       extension, connective by connective as in `intervals` (Moore, Kearfott
       & Cloud 2009, ch. 11), so lo / N and hi / N are exactly the endpoints
       that enclosure arithmetic gives.
@@ -337,6 +386,7 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int):
     Both compute with Python ints only; caps and truncations become
     comparisons with N and 0.
     """
+    first = m if first is None else first
     N = fold(body, {**_DENOMINATOR,
                     AtomD: lambda f: 1 if point_of(f.left) == point_of(f.right) else n})
     unit = N // n                       # N over n: one mesh step
@@ -351,17 +401,18 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int):
         i, j = (i, j) if i > j else (j, i)
         if i == j:
             return constant(0)
-        if i != m:                      # two known points
-            def g(s):
-                return steps[i][j] * unit
-
+        # the coordinate's place in the chain's rows; before the chain, known
+        at = sum(range(first, i)) + j if i >= first else -1
+        if i < m:
             def b(s, filled):
-                v = steps[i][j] * unit
-                return v, v
-            return g, b
+                if at < filled:
+                    v = steps[i][j] * unit
+                    return v, v
+                return unknown
+            return (lambda s: steps[i][j] * unit), b
 
         def b(s, filled):
-            if j < filled:
+            if at < filled:
                 v = s[j] * unit
                 return v, v
             return unknown

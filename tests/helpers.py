@@ -9,12 +9,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from metriclogic.formula import (AbsDiff, AtomD, AtomR, Const, ConstName,
                                  DotMinus, DotPlus, DotScale, Half, Inf, Max,
-                                 Min, Neg, Relation, Signature, Sup, Var)
+                                 Min, Neg, Relation, Signature, Sup, Var,
+                                 is_quantifier_free, lipschitz)
 from metriclogic.metric import RationalMetricSpace
-from metriclogic.structures import FiniteStructure
+from metriclogic.structures import FiniteStructure, evaluate
 
 
 def triangle_violations(points, d):
@@ -210,3 +212,92 @@ def random_formula(rng: random.Random, sig: Signature, variables, depth: int):
 
 
 SMALL_SIG = Signature((Relation("P", 1), Relation("E", 2)), ())
+
+
+# ------------------------------------------------------------ urysohn grid
+
+def snapped_mesh(dists, mesh: Fraction) -> Fraction:
+    """The Urysohn search's mesh: 1/(D*2^t) <= mesh, D clearing the distances."""
+    den = 1
+    for d in dists:
+        den = den * d.denominator // gcd(den, d.denominator)
+    h = Fraction(1, den)
+    while h > mesh:
+        h /= 2
+    return h
+
+
+def _grid_points(space, h):
+    """(space with a new point, its name) for every admissible distance
+    vector of a new point over space on the grid h.  A vector with a zero
+    coordinate is the point at distance 0 itself."""
+    n, pts = h.denominator, space.points
+    for s in product(range(n + 1), repeat=len(pts)):
+        f = {p: k * h for p, k in zip(pts, s)}
+        if any(not abs(f[p] - f[q]) <= space.d(p, q) <= f[p] + f[q]
+               for p, q in combinations(pts, 2)):
+            continue
+        on = [p for p in pts if f[p] == 0]
+        if on:
+            yield space, on[0]
+        else:
+            name = f"new{len(pts)}"
+            yield space.with_point(name, f), name
+
+
+def _endpoints(f, kids):
+    """A connective's enclosure from its children's (lo, hi), endpoint by
+    endpoint, with the truncations of the [0, 1] connectives."""
+    one, zero = Fraction(1), Fraction(0)
+    if isinstance(f, Half):
+        (a, b), = kids
+        return a / 2, b / 2
+    if isinstance(f, Neg):
+        (a, b), = kids
+        return one - b, one - a
+    if isinstance(f, DotScale):
+        (a, b), = kids
+        q = Fraction(f.factor)
+        return min(one, q * a), min(one, q * b)
+    (a, b), (c, d) = kids
+    if isinstance(f, Min):
+        return min(a, c), min(b, d)
+    if isinstance(f, Max):
+        return max(a, c), max(b, d)
+    if isinstance(f, DotPlus):
+        return min(one, a + c), min(one, b + d)
+    if isinstance(f, DotMinus):
+        return max(zero, a - d), max(zero, b - c)
+    if isinstance(f, AbsDiff):
+        return max(zero, a - d, c - b), max(b - c, d - a)
+    raise TypeError(f"not a connective: {f!r}")
+
+
+def grid_enclosure(phi, space, env, sig, h, known=None):
+    """The Urysohn grid search's (lo, hi) for phi, by plain loops.
+
+    A quantifier-free formula is evaluated exactly with `structures.evaluate`
+    on the partial space.  A quantifier visits every admissible grid vector
+    of a new point, merges its body's enclosures lo with lo and hi with hi,
+    then widens by lipschitz * h on the far side, unless the new point is the
+    first point of the partial space (known counts the anchors and the
+    enclosing quantifiers).  A connective combines its children's endpoints.
+    """
+    known = len(sig.constants) if known is None else known
+    if is_quantifier_free(phi):
+        M = FiniteStructure(space, sig, {}, {p: p for p in sig.constants})
+        v = evaluate(phi, M, env)
+        return v, v
+    if isinstance(phi, (Sup, Inf)):
+        pick = max if isinstance(phi, Sup) else min
+        es = [grid_enclosure(phi.body, ext, {**env, phi.var: p}, sig, h, known + 1)
+              for ext, p in _grid_points(space, h)]
+        lo, hi = pick(e[0] for e in es), pick(e[1] for e in es)
+        if known == 0:
+            return lo, hi
+        err = lipschitz(phi.body, sig, only_var=phi.var) * h
+        if isinstance(phi, Sup):
+            return lo, min(Fraction(1), hi + err)
+        return max(Fraction(0), lo - err), hi
+    kids = [phi.body] if hasattr(phi, "body") else [phi.left, phi.right]
+    return _endpoints(phi, [grid_enclosure(k, space, env, sig, h, known) for k in kids])

@@ -1,0 +1,172 @@
+"""Nested sentences as one integer minimax, against a plain-loop oracle.
+
+A prenex chain Q1 x1 ... Qk xk over a quantifier-free body is searched as
+one alpha-beta minimax with the compiled bound at every level; a quantifier
+under a connective is still walked through enclosures.  Both must return
+exactly what `helpers.grid_enclosure` gets by visiting every admissible grid
+vector at every level, and the chain search must visit far fewer leaves.
+"""
+
+from fractions import Fraction as F
+from pathlib import Path
+
+from hypothesis import assume, example, given, settings, strategies as st
+
+from helpers import grid_enclosure, snapped_mesh
+from metriclogic import textio, urysohn
+from metriclogic.formula import Signature
+from metriclogic.intervals import Enclosure
+from metriclogic.metric import RationalMetricSpace
+from metriclogic.syntax import parse
+from metriclogic.urysohn import AnchoredStructure, QuantifierBudget, eval_urysohn
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+ANCHORS = ("a", "b", "c")
+MESHES = (F(1, 2), F(1, 3), F(1, 4))
+W2 = "(sup x (inf y (sup z (dotminus (d x z) (d y z)))))"
+# Leaves the oracle visits at most, summed over the rounds: it builds and
+# evaluates a finite structure per leaf.
+ORACLE_LEAVES = 6000
+
+
+def bodies(terms, max_leaves=5):
+    """Quantifier-free bodies over the distance atoms of terms."""
+    leaf = st.one_of(
+        st.sampled_from(["1/3", "3/4"]),
+        st.builds(lambda p, q: f"(d {p} {q})", st.sampled_from(terms), st.sampled_from(terms)))
+    return st.recursive(leaf, lambda kids: st.one_of(
+        kids.map(lambda f: f"(half {f})"),
+        kids.map(lambda f: f"(neg {f})"),
+        st.builds(lambda q, f: f"(scale {q} {f})", st.sampled_from(["2/3", "3"]), kids),
+        st.builds(lambda op, f, g: f"({op} {f} {g})",
+                  st.sampled_from(["min", "max", "absdiff", "dotminus", "dotplus"]),
+                  kids, kids)), max_leaves=max_leaves)
+
+
+def anchor_spaces(draw, k):
+    """k anchors whose distances share one denominator d <= 4 and lie in
+    [1/2, 1], so every triangle holds."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    choices = [F(j, d) for j in range(-(-d // 2), d + 1)]
+    names = ANCHORS[:k]
+    dist = {(p, q): draw(st.sampled_from(choices))
+            for i, p in enumerate(names) for q in names[i + 1:]}
+    return names, dist
+
+
+def oracle_cost(dist, mesh, rounds, rows):
+    """Grid vectors the oracle enumerates, at most: (n + 1) per coordinate."""
+    h = snapped_mesh(dist.values(), mesh)
+    return sum((h.denominator * 2 ** r + 1) ** rows for r in range(rounds + 1))
+
+
+def check(names, dist, text, params, mesh, rounds):
+    sig = Signature((), names)
+    phi = parse(text, sig)
+    anchors = RationalMetricSpace.build(names, dist)
+    h = snapped_mesh(dist.values(), mesh)
+    lo, hi = F(0), F(1)
+    for r in range(rounds + 1):
+        e = grid_enclosure(phi, anchors, dict(params), sig, h / 2 ** r)
+        lo, hi = max(lo, e[0]), min(hi, e[1])
+    got = eval_urysohn(phi, AnchoredStructure(anchors), params, QuantifierBudget(mesh, rounds))
+    assert got == Enclosure(lo, hi)
+
+
+@st.composite
+def prenex_chains(draw):
+    """Q1 v1 ... Qk vk body, k = 2 or 3, over 0-3 anchors.  The chain's
+    variables repeat (a later binding shadows an earlier one) and may
+    shadow u, a free variable sent to an anchor."""
+    levels = draw(st.integers(2, 3))
+    k = draw(st.integers(0, 3 if levels == 2 else 2))
+    names, dist = anchor_spaces(draw, k)
+    params = {"u": draw(st.sampled_from(names))} if names and draw(st.booleans()) else {}
+    chain = [draw(st.sampled_from(["x", "y", "u"] if params else ["x", "y"]))
+             for _ in range(levels)]
+    text = draw(bodies(names + tuple(sorted(set(chain) | set(params)))))
+    for v in reversed(chain):
+        text = f"({draw(st.sampled_from(['sup', 'inf']))} {v} {text})"
+    mesh, rounds = draw(st.sampled_from(MESHES)), draw(st.integers(0, 1))
+    rows = levels * k + levels * (levels - 1) // 2
+    assume(oracle_cost(dist, mesh, rounds, rows) <= ORACLE_LEAVES)
+    return names, dist, text, params, mesh, rounds
+
+
+@given(prenex_chains())
+@example(((), {}, "(sup x (inf y (dotminus (d x y) (half (d x y)))))", {}, F(1, 4), 1))
+@example((("a", "b"), {("a", "b"): F(1, 2)}, "(sup x (inf x (d a x)))", {}, F(1, 4), 0))
+@example((("a", "b"), {("a", "b"): F(1, 2)}, "(inf x (sup y (neg (d b x))))", {}, F(1, 4), 0))
+@example((("a",), {}, "(inf u (sup x (dotminus (d u x) (d a x))))", {"u": "a"}, F(1, 2), 1))
+@settings(max_examples=80, deadline=None)
+def test_prenex_chain_equals_plain_loops(instance):
+    check(*instance)
+
+
+@st.composite
+def connective_bodies(draw):
+    """Q x (op T (Q' y ...)): a quantifier, or a chain of two, under a
+    connective, beside a quantifier-free side T over the anchors and x."""
+    k = draw(st.integers(1, 2))
+    names, dist = anchor_spaces(draw, k)
+    inner_vars = ["y"] if k == 2 else draw(st.sampled_from([["y"], ["y", "z"]]))
+    inner = draw(bodies(names + ("x",) + tuple(inner_vars), max_leaves=4))
+    for v in reversed(inner_vars):
+        inner = f"({draw(st.sampled_from(['sup', 'inf']))} {v} {inner})"
+    inner = draw(st.sampled_from([inner, f"(neg {inner})", f"(half {inner})"]))
+    side = draw(bodies(names + ("x",), max_leaves=3))
+    op = draw(st.sampled_from(["min", "max", "absdiff", "dotminus", "dotplus"]))
+    pair = (side, inner) if draw(st.booleans()) else (inner, side)
+    text = f"({draw(st.sampled_from(['sup', 'inf']))} x ({op} {pair[0]} {pair[1]}))"
+    mesh, rounds = draw(st.sampled_from(MESHES)), draw(st.integers(0, 1))
+    rows = k + sum(k + 1 + i for i in range(len(inner_vars)))
+    assume(oracle_cost(dist, mesh, rounds, rows) <= ORACLE_LEAVES)
+    return names, dist, text, {}, mesh, rounds
+
+
+@given(connective_bodies())
+@example((("a",), {}, "(sup x (min (d a x) (inf y (sup z (dotminus (d x z) (d y z))))))",
+          {}, F(1, 2), 0))
+@settings(max_examples=60, deadline=None)
+def test_quantifier_under_a_connective_equals_plain_loops(instance):
+    check(*instance)
+
+
+def counted_leaves(monkeypatch):
+    """Count the compiled bodies' evaluations at full vectors."""
+    calls = [0]
+    real = urysohn._compile
+
+    def counted(*args):
+        g, bound, N = real(*args)
+
+        def g_counted(s):
+            calls[0] += 1
+            return g(s)
+        return g_counted, bound, N
+
+    monkeypatch.setattr(urysohn, "_compile", counted)
+    return calls
+
+
+def test_w2_over_one_anchor_visits_few_leaves(monkeypatch):
+    """W2 at 1/8: the walk over every outer vector evaluated the compiled
+    body 44467 times; cutoffs and the bound at every level leave under 5559."""
+    calls = counted_leaves(monkeypatch)
+    space = RationalMetricSpace.build(("s",), {})
+    phi = parse(W2, Signature((), ("s",)))
+    e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(F(1, 8), 0))
+    assert e == Enclosure(F(0), F(3, 8))
+    assert calls[0] <= 5558
+
+
+def test_w2_over_pair_space(monkeypatch):
+    """W2 over two anchors at 1/4: 206564 evaluations without a bound; the
+    chain search makes 9754, and would make 32801 if a level cut off only
+    past its window rather than on reaching it."""
+    calls = counted_leaves(monkeypatch)
+    space = textio.parse_space((DATA / "pair.space").read_text())
+    phi = parse(W2, Signature((), space.points))
+    e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(F(1, 4), 0))
+    assert e == Enclosure(F(0), F(3, 5))
+    assert calls[0] <= 12000

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from metriclogic.reduction import (GroupElement, ReductionError,
                                    ReductionInstance, check_g_invariance,
                                    encode, orbit_equiv, random_instance,
                                    separating_prefix_length)
+from metriclogic.textio import parse_instance
 
 
 def trivial_instance():
@@ -143,3 +145,12 @@ def test_random_instance_respects_a_small_group_cap(max_group):
 def test_random_instance_refuses_a_group_cap_below_one():
     with pytest.raises(ReductionError):
         random_instance(random.Random(0), max_group=0)
+
+
+@pytest.mark.parametrize("x, xp", [("nope", "x1"), ("x0", "nope")])
+def test_orbit_equiv_rejects_an_unknown_point(x, xp):
+    # encode's check runs before the orbit scan indexes the group's maps
+    inst = parse_instance((Path(__file__).resolve().parent.parent / "data" / "swapx.inst")
+                          .read_text())
+    with pytest.raises(ReductionError, match="'nope' is not a point of X"):
+        orbit_equiv(inst, x, xp)
