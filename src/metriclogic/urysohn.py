@@ -14,7 +14,7 @@ anchor distance denominators.  With every known distance on that grid,
 rounding an admissible real vector up coordinatewise stays admissible, which
 is what makes the lipschitz * mesh error bound sound.
 
-The grid walk runs over integer step vectors s (the new point lies s[j] * h
+The grid search runs over integer step vectors s (the new point lies s[j] * h
 from known point j).  A quantifier-free body is compiled once per quantifier
 node and mesh round into closures over Python ints scaled by one common
 denominator N (n for distances, the constants' denominators, doubled under
@@ -24,19 +24,25 @@ table when a closure runs, so one compilation serves every outer vector.
 No Fraction or enclosure is built per grid point:
 
 * At a full vector the compiled body gives the exact value.
-* At a partial vector its compiled interval bound, with [0, N] for the unset
-  coordinates, gives N times the endpoints enclosure arithmetic would give,
-  and the subtree is skipped when the bound cannot beat the running optimum.
+* Over a box of step ranges, L[c] <= s_c <= H[c] for each coordinate c, its
+  compiled interval bound gives N times the endpoints enclosure arithmetic
+  would give, and the box is skipped when the bound cannot beat the running
+  optimum.  A set coordinate is a point range; an unset one is [0, n] or,
+  at the top level, the triangle hull of the ranges before it.
 
 A prenex chain Q1 x1 ... Qk xk over a quantifier-free body is one integer
-minimax over the chain's step vectors, a row per point.  Alpha-beta search
-(Knuth & Moore 1975) passes a window down the levels and stops a level once
-its optimum leaves it; the innermost body's compiled bound, with the unset
-coordinates of every row unknown, skips partial and complete rows at every
-level.  A level's widening is the same for all its vectors and monotone, so
-the exact minimax widened level by level is the endpoint-wise merge of the
-widened inner enclosures.  A quantifier under a connective is evaluated
-through enclosures, vector by vector, with no bound.
+minimax over the chain's step vectors, a row per point, with one box over
+all the rows.  Alpha-beta search (Knuth & Moore 1975) passes a window down
+the levels.  The top level, with no window from above, bisects each
+coordinate but the last and descends into the half with the better bound
+first, so the optimum turns up early and the bound skips the rest (interval
+branch and bound, Moore, Kearfott & Cloud 2009, ch. 11); the levels below
+walk their rows in step order.  Values lie in [0, N], so a level stops once
+its optimum reaches the window's edge or that range's end.  A level's
+widening is the same for all its vectors and monotone, so the exact minimax
+widened level by level is the endpoint-wise merge of the widened inner
+enclosures.  A quantifier under a connective is evaluated through
+enclosures, vector by vector, with no bound.
 
 Pruning and cutoffs only ever drop vectors whose values cannot change the
 optimum, so the result is the exact grid optimum (plus the Lipschitz term)
@@ -218,22 +224,14 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
     def go(f: Formula) -> Enclosure:
         return _enc_eval(f, dist, point_of, quantify)
 
-    def walk(row: List[int], k: int, leaf, pruned) -> None:
-        # Integer steps s_k admissible against the known points j < k:
-        # |d_kj - s_j| <= s_k <= min(n, s_j + d_kj).
-        lo, hi = 0, n
-        known = steps[k]
-        for j in range(k):
-            d, sj = known[j], row[j]
-            lo = max(lo, d - sj, sj - d)
-            hi = min(hi, sj + d)
+    def walk(row: List[int], k: int, leaf) -> None:
+        lo, hi = _span(steps, n, k, row, row)
         if k == len(row) - 1:
             leaf(lo, hi)
             return
         for s in range(lo, hi + 1):
             row[k] = s
-            if not pruned(k + 1):
-                walk(row, k + 1, leaf, pruned)
+            walk(row, k + 1, leaf)
 
     def quantify(f, body) -> Enclosure:
         # the grid search below evaluates f.body itself: body() is not used.
@@ -283,58 +281,100 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
 
     def chain_optimum(chain, m0: int) -> Optional[Enclosure]:
         # The grid minimax over the chain's points m0 ... last, in integers
-        # over N: alpha-beta over the levels, each walking its admissible
-        # rows, with the compiled bound skipping partial and complete rows
-        # that cannot move the level's optimum past its window.
+        # over N: alpha-beta over the levels.  The box [L, H] holds every
+        # coordinate of the chain's rows; the top level searches it best
+        # first by bisection, the levels below in step order.
         last = m0 + len(chain) - 1
         body = chain[-1].body
         key = (id(body), m0, last, tuple(sorted(env.items())))
         if key not in compiled:
             compiled[key] = _compile(body, point_of, last, steps, n, m0)
-        g, bound, N = compiled[key]
+        g, b, N = compiled[key]
         s = steps[last]
+        size = sum(range(m0, last + 1))
+        L, H = [0] * size, [n] * size      # every coordinate unset
 
         def search(t: int, alpha: int, beta: int) -> int:
             # Level t's value if it lies in (alpha, beta); otherwise a value
             # on the same side of the window.
             m = m0 + t
             row = steps[m]
-            is_sup = isinstance(chain[t], Sup)
-            start = sum(range(m0, m))   # row m's place in the chain's rows
-            best = alpha if is_sup else beta
             if not row:
                 return g(s) if m == last else search(t + 1, alpha, beta)
+            is_sup = isinstance(chain[t], Sup)
+            base = sum(range(m0, m))    # row m's place in the chain's rows
+            k_last = m - 1
+            best = alpha if is_sup else beta
+            # values lie in [0, N]: the level is done once its optimum
+            # reaches the window's edge or the end of that range
+            limit = min(beta, N) if is_sup else max(alpha, 0)
 
-            def pruned(filled: int) -> bool:
-                if best >= beta if is_sup else best <= alpha:
-                    return True
-                lo, hi = bound(s, start + filled)
-                return hi <= best if is_sup else lo >= best
-
-            def values(lo: int, hi: int, i: int = m - 1):
-                # i is a local: this loop runs once per grid point
-                for x in range(lo, hi + 1):
-                    s[i] = x
-                    yield g(s)
-
-            def last_leaf(lo: int, hi: int) -> None:
+            def fill(k: int, lo: int, hi: int) -> None:
+                # coordinate k over [lo, hi] in step order, the coordinates
+                # after it unset
                 nonlocal best
-                v = pick(values(lo, hi), default=None)
-                if v is not None:
-                    best = pick(v, best)
-
-            def leaf(lo: int, hi: int) -> None:
-                # each complete row is tested like a partial one, then searched
-                nonlocal best
+                if k == k_last and m == last:     # each value fills s
+                    top = best
+                    for x in range(lo, hi + 1):
+                        s[k] = x
+                        v = g(s)
+                        if v > top if is_sup else v < top:
+                            top = v
+                            if v >= limit if is_sup else v <= limit:
+                                break
+                    best = top
+                    return
+                c = base + k
                 for x in range(lo, hi + 1):
-                    row[m - 1] = x
-                    if not pruned(m):
-                        v = (search(t + 1, best, beta) if is_sup
-                             else search(t + 1, alpha, best))
-                        best = pick(v, best)
+                    if best >= limit if is_sup else best <= limit:
+                        break
+                    row[k] = L[c] = H[c] = x
+                    bl, bh = b(L, H)
+                    if bh <= best if is_sup else bl >= best:
+                        continue            # the box cannot move the optimum
+                    if k < k_last:
+                        fill(k + 1, *_span(steps, n, k + 1, row, row))
+                    else:
+                        v = search(t + 1, best, beta) if is_sup else search(t + 1, alpha, best)
+                        best = max(v, best) if is_sup else min(v, best)
+                L[c], H[c] = 0, n
 
-            pick = max if is_sup else min
-            walk(row, 0, last_leaf if m == last else leaf, pruned)
+            def split(k: int, lo: int, hi: int) -> None:
+                # the top level (base 0): coordinate k over [lo, hi], the
+                # earlier ones fixed, the box bounded by the caller (or the
+                # whole row); the better half of the box first
+                while lo == hi and k < k_last:
+                    # fixed: the next coordinate's exact range is its hull,
+                    # so the box is the one bounded
+                    row[k] = L[k] = H[k] = lo
+                    k += 1
+                    lo, hi = _span(steps, n, k, L, H)
+                if k == k_last:
+                    fill(k, lo, hi)
+                    return
+                mid = (lo + hi) // 2
+                halves = []
+                for a, z in ((lo, mid), (mid + 1, hi)):
+                    L[k], H[k] = a, z
+                    # the triangle hull of the later coordinates over the box
+                    for c in range(k + 1, m):
+                        L[c], H[c] = _span(steps, n, c, L, H)
+                        if L[c] > H[c]:     # no admissible vector in the box
+                            break
+                    else:
+                        bl, bh = b(L, H)
+                        # better first: higher hi under sup, lower lo under
+                        # inf, the lower half on ties
+                        halves.append((-bh if is_sup else bl, a, z, bl, bh))
+                halves.sort()
+                for _, a, z, bl, bh in halves:
+                    if best >= limit if is_sup else best <= limit:
+                        break
+                    if bh > best if is_sup else bl < best:
+                        split(k, a, z)
+
+            # the top level best first, the levels below in step order
+            (fill if t else split)(0, 0, n)
             return best
 
         v = search(0, -1, N + 1)        # values lie in [0, N]: an open window
@@ -355,10 +395,24 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                 e = go(body)
                 best = e if best is None else merge(best, e)
 
-        walk(row, 0, leaf, lambda filled: False)
+        walk(row, 0, leaf)
         return best
 
     return go(phi)
+
+
+def _span(steps: List[List[int]], n: int, k: int, L, H) -> Tuple[int, int]:
+    """Steps admissible for coordinate k of a new point's step vector when
+    each earlier coordinate j lies in [L[j], H[j]]: the hull of
+    |d_kj - s_j| <= s_k <= min(n, s_j + d_kj) over that box, d_kj = steps[k][j].
+    With L = H = the vector itself it is the exact range."""
+    lo, hi = 0, n
+    known = steps[k]
+    for j in range(k):
+        d = known[j]
+        lo = max(lo, d - H[j], L[j] - d)
+        hi = min(hi, H[j] + d)
+    return lo, hi
 
 
 def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
@@ -366,7 +420,7 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
     """Compile a quantifier-free body at new point m into integer closures.
 
     Points first ... m are the chain being searched (first defaults to m);
-    their rows, laid end to end, hold the coordinates the bound counts.  A
+    their rows, laid end to end, hold the coordinates the bound reads.  A
     distance atom between the new point and known point j is coordinate j
     of the new point's step vector s; one between points i > j is
     steps[i][j], read when a closure runs, so the closures serve every
@@ -376,12 +430,13 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
     scale factor.
 
     * g(s) / N is the exact value of the body at a full vector s.
-    * b(s, filled) = (lo, hi) bounds N times the value when only the first
-      filled coordinates of the chain's rows are set (for first = m, s[j]
-      for j < filled), the others ranging over [0, N]: the interval
+    * b(L, H) = (lo, hi) bounds N times the value over the box
+      L[c] <= s_c <= H[c], c indexing the coordinates of the chain's rows
+      laid end to end (for first = m, the coordinates of s): the interval
       extension, connective by connective as in `intervals` (Moore, Kearfott
       & Cloud 2009, ch. 11), so lo / N and hi / N are exactly the endpoints
-      that enclosure arithmetic gives.
+      that enclosure arithmetic gives over [L[c] / n, H[c] / n].  On a point
+      box, L = H = s, it is (g(s), g(s)).
 
     Both compute with Python ints only; caps and truncations become
     comparisons with N and 0.
@@ -390,47 +445,41 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
     N = fold(body, {**_DENOMINATOR,
                     AtomD: lambda f: 1 if point_of(f.left) == point_of(f.right) else n})
     unit = N // n                       # N over n: one mesh step
-    unknown = (0, N)
 
     def constant(c: int):
         pair = (c, c)
-        return (lambda s: c), (lambda s, filled: pair)
+        return (lambda s: c), (lambda L, H: pair)
 
     def atom(f: AtomD):
         i, j = point_of(f.left), point_of(f.right)
         i, j = (i, j) if i > j else (j, i)
         if i == j:
             return constant(0)
-        # the coordinate's place in the chain's rows; before the chain, known
-        at = sum(range(first, i)) + j if i >= first else -1
-        if i < m:
-            def b(s, filled):
-                if at < filled:
-                    v = steps[i][j] * unit
-                    return v, v
-                return unknown
-            return (lambda s: steps[i][j] * unit), b
-
-        def b(s, filled):
-            if at < filled:
-                v = s[j] * unit
+        if i < first:                   # before the chain: known
+            def b(L, H):
+                v = steps[i][j] * unit
                 return v, v
-            return unknown
+            return (lambda s: steps[i][j] * unit), b
+        at = sum(range(first, i)) + j   # the coordinate's place in the box
+        b = ((lambda L, H: (L[at], H[at])) if unit == 1
+             else (lambda L, H: (L[at] * unit, H[at] * unit)))
+        if i < m:
+            return (lambda s: steps[i][j] * unit), b
         return (itemgetter(j) if unit == 1 else (lambda s: s[j] * unit)), b
 
     def half(x):
         a, ab = x
 
-        def b(s, filled):
-            lo, hi = ab(s, filled)
+        def b(L, H):
+            lo, hi = ab(L, H)
             return lo // 2, hi // 2
         return (lambda s: a(s) // 2), b
 
     def neg(x):
         a, ab = x
 
-        def b(s, filled):
-            lo, hi = ab(s, filled)
+        def b(L, H):
+            lo, hi = ab(L, H)
             return N - hi, N - lo
         return (lambda s: N - a(s)), b
 
@@ -443,8 +492,8 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
             v = a(s) * num // dnm
             return v if v < N else N
 
-        def b(s, filled):
-            lo, hi = ab(s, filled)
+        def b(L, H):
+            lo, hi = ab(L, H)
             lo, hi = lo * num // dnm, hi * num // dnm
             return (lo if lo < N else N), (hi if hi < N else N)
         return g, b
@@ -456,8 +505,8 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
             x, y = a(s), c(s)
             return x if x < y else y
 
-        def b(s, filled):
-            (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+        def b(L, H):
+            (xl, xh), (yl, yh) = ab(L, H), cb(L, H)
             return (xl if xl < yl else yl), (xh if xh < yh else yh)
         return g, b
 
@@ -468,8 +517,8 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
             x, y = a(s), c(s)
             return x if x > y else y
 
-        def b(s, filled):
-            (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+        def b(L, H):
+            (xl, xh), (yl, yh) = ab(L, H), cb(L, H)
             return (xl if xl > yl else yl), (xh if xh > yh else yh)
         return g, b
 
@@ -479,8 +528,8 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
         def g(s):
             return abs(a(s) - c(s))
 
-        def b(s, filled):
-            (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+        def b(L, H):
+            (xl, xh), (yl, yh) = ab(L, H), cb(L, H)
             hi = max(xh - yl, yh - xl)
             if xh < yl:
                 return yl - xh, hi
@@ -496,8 +545,8 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
             v = a(s) - c(s)
             return v if v > 0 else 0
 
-        def b(s, filled):
-            (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+        def b(L, H):
+            (xl, xh), (yl, yh) = ab(L, H), cb(L, H)
             lo, hi = xl - yh, xh - yl
             return (lo if lo > 0 else 0), (hi if hi > 0 else 0)
         return g, b
@@ -509,8 +558,8 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
             v = a(s) + c(s)
             return v if v < N else N
 
-        def b(s, filled):
-            (xl, xh), (yl, yh) = ab(s, filled), cb(s, filled)
+        def b(L, H):
+            (xl, xh), (yl, yh) = ab(L, H), cb(L, H)
             lo, hi = xl + yl, xh + yh
             return (lo if lo < N else N), (hi if hi < N else N)
         return g, b

@@ -227,6 +227,17 @@ def snapped_mesh(dists, mesh: Fraction) -> Fraction:
     return h
 
 
+def admissible_steps(steps, n):
+    """Every integer step vector s in [0, n]^m of a new point over m known
+    points, steps[p][q] apart in mesh steps, with
+    |s_p - s_q| <= steps[p][q] <= s_p + s_q for every pair."""
+    m = len(steps)
+    for s in product(range(n + 1), repeat=m):
+        if all(abs(s[p] - s[q]) <= steps[p][q] <= s[p] + s[q]
+               for p, q in combinations(range(m), 2)):
+            yield s
+
+
 def _grid_points(space, h):
     """(space with a new point, its name) for every admissible distance
     vector of a new point over space on the grid h.  A vector with a zero

@@ -170,3 +170,11 @@ def test_w2_over_pair_space(monkeypatch):
     e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(F(1, 4), 0))
     assert e == Enclosure(F(0), F(3, 5))
     assert calls[0] <= 12000
+
+
+def test_a_level_below_the_top_resets_its_row():
+    """(inf x (sup y (inf z (d x y)))) over one anchor: once the middle
+    level returns, its last coordinate d(x, y) must read as unset again in
+    the box.  Left at its last fixed value, it made the top level's bound
+    skip the optimum ([0, 1/2] instead of [1/2, 1])."""
+    check(("a",), {}, "(inf x (sup y (inf z (d x y))))", {}, F(1, 2), 0)

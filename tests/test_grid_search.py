@@ -4,8 +4,9 @@ The oracle enumerates every admissible integer step vector of the new point
 and evaluates the body exactly on the anchors plus that point with
 `structures.evaluate`; the search must return exactly that optimum, widened
 by lipschitz * h on the far side, however it prunes.  Nested sentences get
-the same oracle at each level, and the compiled pruning bound is pinned to
-the enclosure arithmetic it replaces.
+the same oracle at each level, the compiled pruning bound is pinned to the
+enclosure arithmetic it replaces, and the triangle hull that boxes the top
+level's later coordinates to every admissible vector it must hold.
 """
 
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from math import lcm
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+from helpers import admissible_steps
 from metriclogic import urysohn
 from metriclogic.formula import Inf, Signature, Sup, lipschitz
 from metriclogic.intervals import Enclosure
@@ -102,20 +104,31 @@ def test_grid_search_equals_brute_force(instance):
     assert eval_urysohn(phi, anchored, {}, QuantifierBudget(mesh, 0)) == expected
 
 
+def step_table(names, dist, n):
+    """The anchors' distances in mesh steps, a full row per anchor."""
+    return [[int(dist.get((p, q), dist.get((q, p), 0)) * n) for q in names] for p in names]
+
+
+def boxes(n, m):
+    """m step ranges [lo, hi] within [0, n]: points, the whole range or any."""
+    return st.lists(st.one_of(st.integers(0, n).map(lambda v: (v, v)), st.just((0, n)),
+                              st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)),
+                    min_size=m, max_size=m)
+
+
 @given(instances(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_integer_bound_is_the_enclosure_bound(instance, data):
-    """At any partial vector the compiled bound is, endpoint for endpoint, N
-    times the enclosure of the body with [0,1] for the unset coordinates, so
-    every pruning decision is the enclosure's; at a full vector it is the
-    exact value."""
+    """Over any box of step ranges L[c] <= s_c <= H[c] the compiled bound is,
+    endpoint for endpoint, N times the enclosure of the body with
+    [L[c]/n, H[c]/n] for coordinate c, so every pruning decision is the
+    enclosure's; on a point box it is the exact value."""
     names, dist, text, mesh = instance
     n = snapped(dist, mesh).denominator
     m = len(names)
-    steps = [[int(dist.get((p, q), dist.get((q, p), 0)) * n) for q in names]
-             for p in names]
+    steps = step_table(names, dist, n)
     row = data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
-    filled = data.draw(st.integers(0, m))
+    L, H = (list(ends) for ends in zip(*data.draw(boxes(n, m))))
     steps.append(row)
     index = {p: i for i, p in enumerate(names + ("x",))}
     body = parse(text, Signature((), names)).body
@@ -127,15 +140,39 @@ def test_integer_bound_is_the_enclosure_bound(instance, data):
         i, j = max(i, j), min(i, j)
         if i == j:
             return F(0)
-        if i < m or j < filled:
+        if i < m:
             return F(steps[i][j], n)
-        return Enclosure(F(0), F(1))
+        return Enclosure(F(L[j], n), F(H[j], n))
 
     g, bound, N = urysohn._compile(body, point_of, m, steps, n)
     e = urysohn._enc_eval(body, dist_at, point_of, None)
-    assert bound(row, filled) == (N * e.lo, N * e.hi)
-    if filled == m:
-        assert bound(row, m) == (g(row), g(row))
+    assert bound(L, H) == (N * e.lo, N * e.hi)
+    assert bound(row, row) == (g(row), g(row))
+
+
+@given(instances(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_triangle_hull_holds_every_admissible_vector(instance, data):
+    """Box the first k coordinates of a new point's step vector and give
+    each later one, in order, `_span` over the coordinates before it: every
+    admissible grid vector in the box lies in those hulls."""
+    names, dist, _, mesh = instance
+    n = snapped(dist, mesh).denominator
+    m = len(names)
+    assume((n + 1) ** m <= 3000)
+    steps = step_table(names, dist, n)
+    k = data.draw(st.integers(0, m))
+    L, H = [], []
+    for lo, hi in data.draw(boxes(n, k)):
+        L.append(lo)
+        H.append(hi)
+    for c in range(k, m):
+        lo, hi = urysohn._span(steps, n, c, L, H)
+        L.append(lo)
+        H.append(hi)
+    for s in admissible_steps(steps, n):
+        if all(L[c] <= s[c] <= H[c] for c in range(k)):
+            assert all(L[c] <= s[c] <= H[c] for c in range(k, m)), s
 
 
 NESTED_DISTANCES = (F(1, 2), F(3, 4), F(1))
@@ -231,18 +268,19 @@ def counting(monkeypatch, name, wrap=lambda result: result):
 def test_interval_bound_only_at_partial_vectors(monkeypatch):
     """W1 at 1/160: the compiled bound runs once per partial vector at most.
 
-    The 161 values of the first coordinate are the partial vectors; the
-    second coordinate completes a vector, which the compiled body evaluates
-    exactly.  The sentence itself is the only enclosure evaluation.
+    The top level bisects the first coordinate's range, bounding both halves
+    of each split, and scans the second coordinate with the compiled body;
+    a walk in step order would bound each of the first coordinate's 161
+    values.  The sentence itself is the only enclosure evaluation.
     """
     bound_calls = [0]
 
     def count_bound(compiled):
         g, bound, N = compiled
 
-        def counted(s, filled):
+        def counted(L, H):
             bound_calls[0] += 1
-            return bound(s, filled)
+            return bound(L, H)
         return g, counted, N
 
     enc_calls = counting(monkeypatch, "_enc_eval")
@@ -285,3 +323,50 @@ def test_lipschitz_once_per_quantifier(monkeypatch):
     e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(F(1, 4), 1))
     assert e.contains(F(0))
     assert sorted(calls) == ["x", "y", "z"]
+
+
+def counting_work(monkeypatch):
+    """Count the compiled bodies' evaluations and their bound's calls."""
+    evals, bounds = [0], [0]
+
+    def wrap(compiled):
+        g, bound, N = compiled
+
+        def g_counted(s):
+            evals[0] += 1
+            return g(s)
+
+        def bound_counted(L, H):
+            bounds[0] += 1
+            return bound(L, H)
+        return g_counted, bound_counted, N
+
+    counting(monkeypatch, "_compile", wrap)
+    return evals, bounds
+
+
+PAIR = RationalMetricSpace.build(("a", "b"), {("a", "b"): F(3, 5)})
+
+
+def test_w1_at_fine_mesh_scans_one_row(monkeypatch):
+    """W1 over a, b at 3/5, mesh 1/5120: the step-order walk evaluated the
+    body 2362369 times and bounded 5121 partial vectors.  Best-first
+    bisection reaches d(a, x) = 1536 first, scans its 3073 values of
+    d(b, x), and every other box's bound then falls short."""
+    evals, bounds = counting_work(monkeypatch)
+    phi = parse("(inf x (max (d a x) (d b x)))", Signature((), ("a", "b")))
+    e = eval_urysohn(phi, AnchoredStructure(PAIR), {}, QuantifierBudget(F(1, 5120), 0))
+    assert e == Enclosure(F(307, 1024), F(3, 10))
+    assert evals[0] <= 10000
+    assert bounds[0] <= 100
+
+
+def test_search_stops_at_the_range_end(monkeypatch):
+    """sup x d(a, x) over a, b at 3/5, mesh 1/160: the walk evaluated the
+    body 17105 times.  The better half first leads to d(a, x) = 1, and the
+    first value there is N, which no other vector can beat."""
+    evals, _ = counting_work(monkeypatch)
+    phi = parse("(sup x (d a x))", Signature((), ("a", "b")))
+    e = eval_urysohn(phi, AnchoredStructure(PAIR), {}, QuantifierBudget(F(1, 160), 0))
+    assert e == Enclosure(F(1), F(1))
+    assert evals[0] <= 5
