@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .rational import ONE, ZERO, dot_add, dot_scale, dot_sub, format_rational
+from .rational import ONE, ZERO, dot_add, dot_sub, format_rational
 
 
 @dataclass(frozen=True)
@@ -53,26 +53,8 @@ class Enclosure:
         return f"lo {format_rational(self.lo)} hi {format_rational(self.hi)}"
 
 
-def as_enclosure(value) -> Enclosure:
-    if isinstance(value, Enclosure):
-        return value
-    return Enclosure.exact(value)
-
-
-# Pointwise interval extensions of the dotted connectives.  All of them are
-# monotone except absdiff, which needs the usual case split.
-
-def enc_neg(a: Enclosure) -> Enclosure:
-    return Enclosure(ONE - a.hi, ONE - a.lo)
-
-
-def enc_half(a: Enclosure) -> Enclosure:
-    return Enclosure(a.lo / 2, a.hi / 2)
-
-
-def enc_scale(q: Fraction, a: Enclosure) -> Enclosure:
-    return Enclosure(dot_scale(q, a.lo), dot_scale(q, a.hi))
-
+# The widening of a quantifier level: truncated sum and difference of
+# enclosures, both monotone, endpoint by endpoint.
 
 def enc_dot_add(a: Enclosure, b: Enclosure) -> Enclosure:
     return Enclosure(dot_add(a.lo, b.lo), dot_add(a.hi, b.hi))
@@ -80,25 +62,6 @@ def enc_dot_add(a: Enclosure, b: Enclosure) -> Enclosure:
 
 def enc_dot_sub(a: Enclosure, b: Enclosure) -> Enclosure:
     return Enclosure(dot_sub(a.lo, b.hi), dot_sub(a.hi, b.lo))
-
-
-def enc_min(a: Enclosure, b: Enclosure) -> Enclosure:
-    return Enclosure(min(a.lo, b.lo), min(a.hi, b.hi))
-
-
-def enc_max(a: Enclosure, b: Enclosure) -> Enclosure:
-    return Enclosure(max(a.lo, b.lo), max(a.hi, b.hi))
-
-
-def enc_absdiff(a: Enclosure, b: Enclosure) -> Enclosure:
-    hi = max(a.hi - b.lo, b.hi - a.lo)
-    if a.hi < b.lo:
-        lo = b.lo - a.hi
-    elif b.hi < a.lo:
-        lo = a.lo - b.hi
-    else:
-        lo = ZERO
-    return Enclosure(lo, hi)
 
 
 def truncated_weighted_sum(terms) -> Enclosure:

@@ -15,13 +15,14 @@ rounding an admissible real vector up coordinatewise stays admissible, which
 is what makes the lipschitz * mesh error bound sound.
 
 The grid search runs over integer step vectors s (the new point lies s[j] * h
-from known point j).  A quantifier-free body is compiled once per quantifier
-node and mesh round into closures over Python ints scaled by one common
-denominator N (n for distances, the constants' denominators, doubled under
-each half, times the denominator of each scale factor).  Distances between
-known points (anchors and outer quantified points) are read from the step
-table when a closure runs, so one compilation serves every outer vector.
-No Fraction or enclosure is built per grid point:
+from known point j).  Every formula it meets is its prenex run Q1 x1 ... Qk
+xk (k = 0 when its top is no quantifier) over a body.  The body is compiled
+once per node and mesh round into closures over Python ints scaled by one
+common denominator N (n for distances, the constants' denominators, doubled
+under each half, times the denominator of each scale factor).  Distances
+between known points (anchors and outer quantified points) are read from
+the step table when a closure runs, so one compilation serves every outer
+vector.  No Fraction or enclosure is built per grid point:
 
 * At a full vector the compiled body gives the exact value.
 * Over a box of step ranges, L[c] <= s_c <= H[c] for each coordinate c, its
@@ -29,20 +30,24 @@ No Fraction or enclosure is built per grid point:
   would give, and the box is skipped when the bound cannot beat the running
   optimum.  A set coordinate is a point range; an unset one is [0, n] or,
   at the top level, the triangle hull of the ranges before it.
+* A quantifier under a connective is a leaf of the body: at a full vector
+  its widened enclosure, found by the same search at that partial space
+  (N clears its denominators too), and [0, N] over any wider box.  A body
+  with leaves has an enclosure at each full vector, kept once per vector,
+  and each endpoint is searched apart with the same bound.
 
-A prenex chain Q1 x1 ... Qk xk over a quantifier-free body is one integer
-minimax over the chain's step vectors, a row per point, with one box over
-all the rows.  Alpha-beta search (Knuth & Moore 1975) passes a window down
-the levels.  The top level, with no window from above, bisects each
-coordinate but the last and descends into the half with the better bound
-first, so the optimum turns up early and the bound skips the rest (interval
-branch and bound, Moore, Kearfott & Cloud 2009, ch. 11); the levels below
-walk their rows in step order.  Values lie in [0, N], so a level stops once
-its optimum reaches the window's edge or that range's end.  A level's
-widening is the same for all its vectors and monotone, so the exact minimax
-widened level by level is the endpoint-wise merge of the widened inner
-enclosures.  A quantifier under a connective is evaluated through
-enclosures, vector by vector, with no bound.
+The run is one integer minimax over its step vectors, a row per point, with
+one box over all the rows.  Alpha-beta search (Knuth & Moore 1975) passes a
+window down the levels.  The top level, with no window from above, bisects
+each coordinate but the last and descends into the half with the better
+bound first, so the optimum turns up early and the bound skips the rest
+(interval branch and bound, Moore, Kearfott & Cloud 2009, ch. 11); the
+levels below walk their rows in step order.  Values lie in [0, N], so a
+level stops once its optimum reaches the window's edge or that range's end.
+A level's widening is the same for all its vectors and monotone, so the
+exact minimax widened level by level is the endpoint-wise merge of the
+widened inner enclosures.  An empty run is its body at the point box with
+no coordinates.
 
 Pruning and cutoffs only ever drop vectors whose values cannot change the
 optimum, so the result is the exact grid optimum (plus the Lipschitz term)
@@ -62,9 +67,7 @@ from .formula import (CONNECTIVES, AbsDiff, AtomD, AtomR, Const, ConstName,
                       Max, Min, Neg, Signature, Sup, Var, atoms, by_shape,
                       fold, free_variables, is_quantifier_free, keep, lipschitz,
                       nesting_depth)
-from .intervals import (Enclosure, as_enclosure, enc_absdiff, enc_dot_add,
-                        enc_dot_sub, enc_half, enc_max, enc_min, enc_neg,
-                        enc_scale, sqrt_enclosure)
+from .intervals import Enclosure, enc_dot_add, enc_dot_sub, sqrt_enclosure
 from .metric import RationalMetricSpace
 from .rational import ONE, ZERO, dot_scale
 from .structures import FiniteStructure, evaluate
@@ -182,9 +185,8 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
             raise UrysohnError(f"parameter {v} -> {p!r} is not an anchor")
 
     h0 = snap_mesh(Fraction(budget.mesh), anchored.anchors)
-    # per quantifier node, by identity: (lipschitz, prenex over a
-    # quantifier-free body)
-    nodes: Dict[int, Tuple[Fraction, bool]] = {}
+    # per quantifier node, by identity: its lipschitz coefficient
+    nodes: Dict[int, Fraction] = {}
     result = None
     for r in range(budget.rounds + 1):
         e = _eval_at_mesh(body, anchored.anchors, sig, params, h0 / (2 ** r), nodes)
@@ -194,7 +196,7 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
 
 def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                   params: Mapping[str, str], h: Fraction,
-                  nodes: Dict[int, Tuple[Fraction, bool]]) -> Enclosure:
+                  nodes: Dict[int, Fraction]) -> Enclosure:
     names = anchors.points
     index = {p: i for i, p in enumerate(names)}
     n = h.denominator               # snap_mesh makes h = 1/n
@@ -203,8 +205,9 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
     steps: List[List[int]] = [[int(anchors.d(p, q) * n) for q in names] for p in names]
 
     env: Dict[str, int] = {v: index[p] for v, p in params.items()}
-    # _compile's closures per quantifier-free body, keyed by everything its
-    # atoms resolve through: the node, the new point and the environment.
+    # per body: (quantifier free, _compile's closures), keyed by everything
+    # its atoms resolve through: the node, the chain's points and the
+    # environment.
     compiled: Dict[tuple, tuple] = {}
 
     def point_of(term) -> int:
@@ -215,84 +218,61 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
             raise UrysohnError(f"unbound variable {term.name!r}")
         return i
 
-    def dist(i: int, j: int) -> Fraction:
-        if i == j:
-            return ZERO
-        i, j = (i, j) if i > j else (j, i)
-        return Fraction(steps[i][j], n)
-
-    def go(f: Formula) -> Enclosure:
-        return _enc_eval(f, dist, point_of, quantify)
-
-    def walk(row: List[int], k: int, leaf) -> None:
-        lo, hi = _span(steps, n, k, row, row)
-        if k == len(row) - 1:
-            leaf(lo, hi)
-            return
-        for s in range(lo, hi + 1):
-            row[k] = s
-            walk(row, k + 1, leaf)
-
-    def quantify(f, body) -> Enclosure:
-        # the grid search below evaluates f.body itself: body() is not used.
-        # A prenex chain Q1 x1 ... Qk xk over a quantifier-free body is one
-        # integer search; any other body is walked through enclosures.
-        chain = [f]
-        prenex = info(f)[1]
-        while prenex and isinstance(chain[-1].body, (Sup, Inf)):
-            chain.append(chain[-1].body)
+    def value(f: Formula) -> Enclosure:
+        # f's prenex run Q1 x1 ... Qk xk (k = 0 when f is no quantifier) and
+        # the body below it: one search at the current partial space.
+        chain = []
+        while isinstance(f, (Sup, Inf)):
+            chain.append(f)
+            f = f.body
         m0 = len(steps)
         outer = dict(env)
         for i, q in enumerate(chain):   # a later binding shadows an earlier one
             env[q.var] = m0 + i
             steps.append([0] * (m0 + i))
-        if prenex:
-            best = chain_optimum(chain, m0)
-        else:
-            best = nested_optimum(f.body, steps[m0], isinstance(f, Sup))
+        best = chain_optimum(chain, f, m0)
         del steps[m0:]
         env.clear()
         env.update(outer)
 
         if best is None:
             raise UrysohnError("empty admissibility polytope; inputs were inconsistent")
-        # The optimum over the polytope lies within coeff * h of the grid's,
-        # on the far side: best +. [0, err] for sup, best -. [0, err] for inf.
         # Widening commutes with the endpoint-wise merge of the level above,
         # so the levels widen from the innermost outward; the first abstract
         # point is unconstrained (one exact branch) and is not widened.
         for i in reversed(range(len(chain))):
             if m0 + i:
-                err = Enclosure(ZERO, min(ONE, info(chain[i])[0] * h))
-                best = (enc_dot_add if isinstance(chain[i], Sup) else enc_dot_sub)(best, err)
+                best = (enc_dot_add if isinstance(chain[i], Sup) else enc_dot_sub)(
+                    best, Enclosure(ZERO, err(chain[i])))
         return best
 
-    def info(f) -> Tuple[Fraction, bool]:
-        # (lipschitz in f.var, the body below the directly nested
-        # quantifiers is quantifier free), once per node
-        known = nodes.get(id(f))
-        if known is None:
-            inner = f.body
-            while isinstance(inner, (Sup, Inf)):
-                inner = inner.body
-            known = nodes[id(f)] = (lipschitz(f.body, sig, only_var=f.var),
-                                    is_quantifier_free(inner))
-        return known
+    def err(f) -> Fraction:
+        # The optimum over the polytope lies within coeff * h of the grid's,
+        # on the far side: best +. [0, err] for sup, best -. [0, err] for
+        # inf.  The coefficient is found once per node.
+        coeff = nodes.get(id(f))
+        if coeff is None:
+            coeff = nodes[id(f)] = lipschitz(f.body, sig, only_var=f.var)
+        return min(ONE, coeff * h)
 
-    def chain_optimum(chain, m0: int) -> Optional[Enclosure]:
+    def chain_optimum(chain, body: Formula, m0: int) -> Optional[Enclosure]:
         # The grid minimax over the chain's points m0 ... last, in integers
         # over N: alpha-beta over the levels.  The box [L, H] holds every
         # coordinate of the chain's rows; the top level searches it best
         # first by bisection, the levels below in step order.
         last = m0 + len(chain) - 1
-        body = chain[-1].body
         key = (id(body), m0, last, tuple(sorted(env.items())))
         if key not in compiled:
-            compiled[key] = _compile(body, point_of, last, steps, n, m0)
-        g, b, N = compiled[key]
-        s = steps[last]
+            compiled[key] = (is_quantifier_free(body),
+                             _compile(body, point_of, last, steps, n, m0, value, err))
+        exact, (g, b, N) = compiled[key]
         size = sum(range(m0, last + 1))
         L, H = [0] * size, [n] * size      # every coordinate unset
+        if not chain:                       # the point box with no coordinates
+            lo, hi = b(L, L)
+            return Enclosure(Fraction(lo, N), Fraction(hi, N))
+        s = steps[last]
+        at_point = g                        # the searched value at a full vector
 
         def search(t: int, alpha: int, beta: int) -> int:
             # Level t's value if it lies in (alpha, beta); otherwise a value
@@ -300,7 +280,7 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
             m = m0 + t
             row = steps[m]
             if not row:
-                return g(s) if m == last else search(t + 1, alpha, beta)
+                return at_point(s) if m == last else search(t + 1, alpha, beta)
             is_sup = isinstance(chain[t], Sup)
             base = sum(range(m0, m))    # row m's place in the chain's rows
             k_last = m - 1
@@ -317,7 +297,7 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                     top = best
                     for x in range(lo, hi + 1):
                         s[k] = x
-                        v = g(s)
+                        v = at_point(s)
                         if v > top if is_sup else v < top:
                             top = v
                             if v >= limit if is_sup else v <= limit:
@@ -377,28 +357,31 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
             (fill if t else split)(0, 0, n)
             return best
 
-        v = search(0, -1, N + 1)        # values lie in [0, N]: an open window
-        return Enclosure.exact(Fraction(v, N)) if 0 <= v <= N else None
+        # values lie in [0, N]: an open window
+        if exact:
+            lo = hi = search(0, -1, N + 1)
+        else:
+            # The body's enclosure at a full vector, once per vector: every
+            # coordinate but the last is fixed in L, the last one is s's.
+            # Each endpoint is searched apart; b bounds both.
+            points: Dict[tuple, Tuple[int, int]] = {}
 
-    def nested_optimum(body: Formula, row: List[int],
-                       is_sup: bool) -> Optional[Enclosure]:
-        # Full vectors only, each through the enclosure of the quantified body.
-        if not row:
-            return go(body)
-        best = None
-        merge = enc_max if is_sup else enc_min
+            def enclosure(s) -> Tuple[int, int]:
+                p = L[:-1] + s[-1:]
+                e = points.get(tuple(p))
+                if e is None:
+                    e = points[tuple(p)] = b(p, p)
+                return e
 
-        def leaf(lo: int, hi: int) -> None:
-            nonlocal best
-            for s in range(lo, hi + 1):
-                row[-1] = s
-                e = go(body)
-                best = e if best is None else merge(best, e)
+            at_point = lambda s: enclosure(s)[0]
+            lo = search(0, -1, N + 1)
+            at_point = lambda s: enclosure(s)[1]
+            hi = search(0, -1, N + 1)
+        if not 0 <= lo <= hi <= N:
+            return None
+        return Enclosure(Fraction(lo, N), Fraction(hi, N))
 
-        walk(row, 0, leaf)
-        return best
-
-    return go(phi)
+    return value(phi)
 
 
 def _span(steps: List[List[int]], n: int, k: int, L, H) -> Tuple[int, int]:
@@ -416,35 +399,53 @@ def _span(steps: List[List[int]], n: int, k: int, L, H) -> Tuple[int, int]:
 
 
 def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
-             first: Optional[int] = None):
-    """Compile a quantifier-free body at new point m into integer closures.
+             first: Optional[int] = None, value=None, err=None):
+    """Compile a body at new point m into integer closures.
 
-    Points first ... m are the chain being searched (first defaults to m);
-    their rows, laid end to end, hold the coordinates the bound reads.  A
-    distance atom between the new point and known point j is coordinate j
-    of the new point's step vector s; one between points i > j is
-    steps[i][j], read when a closure runs, so the closures serve every
-    placement of the known points.  Returns (g, b, N), where N clears every
-    intermediate value and bound: n for distances, the constants'
-    denominators, times 2 under each half and times the denominator of each
-    scale factor.
+    Points first ... m are the chain being searched (first defaults to m;
+    first = m + 1 is no chain, every point known); their rows, laid end to
+    end, hold the coordinates the bound reads.  A distance atom between the
+    new point and known point j is coordinate j of the new point's step
+    vector s; one between points i > j is steps[i][j], read when a closure
+    runs, so the closures serve every placement of the known points.  A
+    quantifier in the body is a leaf: value(f) is its widened enclosure at
+    the current partial space, err(f) the widening of its level.  Returns
+    (g, b, N), where N clears every intermediate value and bound: n for
+    distances, the constants' denominators, times 2 under each half and
+    times the denominator of each scale factor, and for a leaf its body's
+    N and the denominator of each of its levels' err.
 
-    * g(s) / N is the exact value of the body at a full vector s.
+    * g(s) / N is the exact value of a quantifier-free body at a full
+      vector s; g is None for a body with leaves.
     * b(L, H) = (lo, hi) bounds N times the value over the box
       L[c] <= s_c <= H[c], c indexing the coordinates of the chain's rows
       laid end to end (for first = m, the coordinates of s): the interval
       extension, connective by connective as in `intervals` (Moore, Kearfott
       & Cloud 2009, ch. 11), so lo / N and hi / N are exactly the endpoints
-      that enclosure arithmetic gives over [L[c] / n, H[c] / n].  On a point
-      box, L = H = s, it is (g(s), g(s)).
+      that enclosure arithmetic gives over [L[c] / n, H[c] / n].  A leaf is
+      [0, N] over any box but the point box b(p, p), one list for both ends,
+      with steps holding p; there it is its enclosure, so b(p, p) is the
+      body's enclosure at p, and for a quantifier-free body (g(s), g(s)).
 
     Both compute with Python ints only; caps and truncations become
     comparisons with N and 0.
     """
     first = m if first is None else first
-    N = fold(body, {**_DENOMINATOR,
-                    AtomD: lambda f: 1 if point_of(f.left) == point_of(f.right) else n})
+    N = fold(body, {**_DENOMINATOR, AtomD: lambda f: n},
+             lambda f, sub: lcm(sub(), err(f).denominator))
     unit = N // n                       # N over n: one mesh step
+    leaves = []
+
+    def leaf(f, _):
+        leaves.append(f)
+
+        def b(L, H):
+            if L is not H:
+                return 0, N
+            e = value(f)
+            return (e.lo.numerator * (N // e.lo.denominator),
+                    e.hi.numerator * (N // e.hi.denominator))
+        return None, b
 
     def constant(c: int):
         pair = (c, c)
@@ -567,35 +568,14 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
     g, b = fold(body, {Const: lambda f: constant(int(Fraction(f.value) * N)),
                        AtomD: atom, Half: half, Neg: neg, DotScale: scale,
                        Min: min_, Max: max_, AbsDiff: absdiff,
-                       DotMinus: dot_minus, DotPlus: dot_plus})
-    return g, b, N
+                       DotMinus: dot_minus, DotPlus: dot_plus}, leaf)
+    return (None if leaves else g), b, N
 
 
-# The common denominator of a compiled body; distance atoms add n per call.
+# The common denominator of a compiled body; distance atoms add n.
 _DENOMINATOR = {Const: lambda f: Fraction(f.value).denominator, Neg: keep,
                 Half: lambda d: 2 * d, DotScale: lambda q, d: Fraction(q).denominator * d,
                 **by_shape(binary=lcm)}
-
-
-# Enclosure arithmetic: each connective's rule is its interval extension.
-_ENCLOSE = {Const: lambda f: Enclosure.exact(f.value), Half: enc_half, Neg: enc_neg,
-            DotScale: enc_scale, Min: enc_min, Max: enc_max, AbsDiff: enc_absdiff,
-            DotMinus: enc_dot_sub, DotPlus: enc_dot_add}
-
-
-def _enc_eval(f: Formula, dist, point_of, quantify) -> Enclosure:
-    """Enclosure arithmetic over the current partial space.
-
-    dist(i, j) is the distance between points i and j of the partial space,
-    a rational or an enclosure; quantify handles the sup/inf nodes, as in
-    `fold`, and is None in quantifier-free contexts.
-    """
-    return fold(f, {**_ENCLOSE, AtomD: lambda a: as_enclosure(
-        dist(point_of(a.left), point_of(a.right)))}, quantify or _quantifier_free)
-
-
-def _quantifier_free(f, body):
-    raise UrysohnError("quantifier in a quantifier-free context")
 
 
 def qf_decide(phi: Formula, fragment: RationalMetricSpace) -> Fraction:

@@ -312,3 +312,16 @@ def grid_enclosure(phi, space, env, sig, h, known=None):
         return max(Fraction(0), lo - err), hi
     kids = [phi.body] if hasattr(phi, "body") else [phi.left, phi.right]
     return _endpoints(phi, [grid_enclosure(k, space, env, sig, h, known) for k in kids])
+
+
+def interval_value(phi, dist):
+    """Interval arithmetic over a quantifier-free formula: dist(p, q) is the
+    (lo, hi) of the distance atom between the terms named p and q, a
+    constant is exact and a connective combines its children's endpoints."""
+    if isinstance(phi, Const):
+        v = Fraction(phi.value)
+        return v, v
+    if isinstance(phi, AtomD):
+        return dist(phi.left.name, phi.right.name)
+    kids = [phi.body] if hasattr(phi, "body") else [phi.left, phi.right]
+    return _endpoints(phi, [interval_value(k, dist) for k in kids])

@@ -1,10 +1,12 @@
 """Nested sentences as one integer minimax, against a plain-loop oracle.
 
-A prenex chain Q1 x1 ... Qk xk over a quantifier-free body is searched as
+Every sentence is searched as its prenex run (possibly empty) over a body,
 one alpha-beta minimax with the compiled bound at every level; a quantifier
-under a connective is still walked through enclosures.  Both must return
-exactly what `helpers.grid_enclosure` gets by visiting every admissible grid
-vector at every level, and the chain search must visit far fewer leaves.
+under a connective is a leaf of that body, exact at a full vector.  Chains,
+quantifiers under connectives and sentences whose top is no quantifier must
+all return exactly what `helpers.grid_enclosure` gets by visiting every
+admissible grid vector at every level, and the chain search must visit far
+fewer leaves.
 """
 
 from fractions import Fraction as F
@@ -129,6 +131,70 @@ def connective_bodies(draw):
           {}, F(1, 2), 0))
 @settings(max_examples=60, deadline=None)
 def test_quantifier_under_a_connective_equals_plain_loops(instance):
+    check(*instance)
+
+
+@st.composite
+def top_connectives(draw):
+    """A sentence whose top is no quantifier, with u a free variable sent to
+    an anchor: a connective over two quantified sides, neg or half of one,
+    or no quantifier at all."""
+    k = draw(st.integers(1, 2))
+    names, dist = anchor_spaces(draw, k)
+    params = {"u": draw(st.sampled_from(names))}
+    terms = names + ("u",)
+
+    def quantified(v):
+        body = draw(bodies(terms + (v,), max_leaves=4))
+        return f"({draw(st.sampled_from(['sup', 'inf']))} {v} {body})"
+
+    shape = draw(st.sampled_from(["binary", "unary", "none"]))
+    if shape == "binary":
+        op = draw(st.sampled_from(["min", "max", "absdiff", "dotminus", "dotplus"]))
+        text = f"({op} {quantified('x')} {quantified('y')})"
+    elif shape == "unary":
+        text = f"({draw(st.sampled_from(['neg', 'half']))} {quantified('x')})"
+    else:
+        text = draw(bodies(terms, max_leaves=6))
+    mesh, rounds = draw(st.sampled_from(MESHES)), draw(st.integers(0, 1))
+    assume(oracle_cost(dist, mesh, rounds, k) <= ORACLE_LEAVES)
+    return names, dist, text, params, mesh, rounds
+
+
+@given(top_connectives())
+@example((("a", "b"), {("a", "b"): F(1, 2)},
+          "(max (sup x (d a x)) (inf y (absdiff (d a y) (d b y))))", {"u": "a"}, F(1, 4), 1))
+@example((("a",), {}, "(neg (sup x (dotminus (d u x) (half (d a x)))))", {"u": "a"},
+          F(1, 4), 0))
+@example((("a", "b"), {("a", "b"): F(3, 4)}, "(dotminus (d u b) (d a u))", {"u": "b"},
+          F(1, 2), 0))
+@settings(max_examples=60, deadline=None)
+def test_top_level_connective_equals_plain_loops(instance):
+    check(*instance)
+
+
+@st.composite
+def connectives_below_a_chain(draw):
+    """Q x Q' y (op T (Q'' z ...)), W3's shape: a quantifier under a
+    connective below a chain of two, over no anchor or one."""
+    k = draw(st.integers(0, 1))
+    names, dist = anchor_spaces(draw, k)
+    quantifier = st.sampled_from(["sup", "inf"])
+    inner = f"({draw(quantifier)} z {draw(bodies(names + ('x', 'y', 'z'), max_leaves=4))})"
+    side = draw(bodies(names + ("x", "y"), max_leaves=3))
+    op = draw(st.sampled_from(["min", "max", "absdiff", "dotminus", "dotplus"]))
+    pair = (side, inner) if draw(st.booleans()) else (inner, side)
+    text = f"({draw(quantifier)} x ({draw(quantifier)} y ({op} {pair[0]} {pair[1]})))"
+    mesh, rounds = draw(st.sampled_from(MESHES)), draw(st.integers(0, 1))
+    assume(oracle_cost(dist, mesh, rounds, 3 * k + 3) <= ORACLE_LEAVES)
+    return names, dist, text, {}, mesh, rounds
+
+
+@given(connectives_below_a_chain())
+@example((("a",), {}, "(sup x (inf y (max (d a y) (sup z (dotminus (d x z) (d y z))))))",
+          {}, F(1, 2), 0))
+@settings(max_examples=40, deadline=None)
+def test_quantifier_under_a_connective_below_a_chain_equals_plain_loops(instance):
     check(*instance)
 
 

@@ -13,16 +13,16 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from metriclogic.formula import Signature
-from metriclogic.intervals import (Enclosure, enc_absdiff, enc_dot_add,
-                                   enc_dot_sub, enc_max, enc_min, enc_neg,
-                                   enc_scale, sqrt_enclosure)
+from metriclogic import urysohn
+from metriclogic.formula import Signature, is_quantifier_free
+from metriclogic.intervals import Enclosure, enc_dot_add, enc_dot_sub, sqrt_enclosure
 from metriclogic.metric import RationalMetricSpace
-from metriclogic.rational import dot_add, dot_scale, dot_sub
+from metriclogic.rational import dot_add, dot_sub
+from metriclogic.structures import FiniteStructure, evaluate
 from metriclogic.syntax import parse
 from metriclogic.urysohn import AnchoredStructure, QuantifierBudget, eval_urysohn
 
-from helpers import random_far_space
+from helpers import admissible_steps, random_far_space, random_formula
 
 
 def admissible_samples(rng, space, count, den=64):
@@ -58,23 +58,14 @@ def test_sup_certified_bound_dominates_samples():
         for text in texts:
             phi = parse(text, sig)
             enc = eval_urysohn(phi, anchored, {}, QuantifierBudget(F(1, 8), 1))
-            body = phi.body
-            from metriclogic.urysohn import _enc_eval
 
             def value_at(sample):
-                def dist(i, j):
-                    if i == j:
-                        return F(0)
-                    names = space.points
-                    if i == len(names):
-                        return sample[names[j]]
-                    if j == len(names):
-                        return sample[names[i]]
-                    return space.d(names[i], names[j])
-
-                index = {p: k for k, p in enumerate(space.points)}
-                index[phi.var] = len(space.points)
-                return _enc_eval(body, dist, lambda t: index[t.name], None).lo
+                # the sample's point, or the anchor at distance 0 from it
+                on = [p for p in space.points if sample[p] == 0]
+                ext, x = (space, on[0]) if on else (space.with_point(phi.var, sample),
+                                                    phi.var)
+                M = FiniteStructure(ext, sig, {}, {p: p for p in space.points})
+                return evaluate(phi.body, M, {phi.var: x})
 
             samples = admissible_samples(rng, space, 40)
             values = [value_at(s) for s in samples]
@@ -102,11 +93,34 @@ def test_interval_ops_contain_pointwise_ops(pairs):
     (ea, a), (eb, b) = pairs
     assert enc_dot_add(ea, eb).contains(dot_add(a, b))
     assert enc_dot_sub(ea, eb).contains(dot_sub(a, b))
-    assert enc_min(ea, eb).contains(min(a, b))
-    assert enc_max(ea, eb).contains(max(a, b))
-    assert enc_absdiff(ea, eb).contains(abs(a - b))
-    assert enc_neg(ea).contains(1 - a)
-    assert enc_scale(F(3, 2), ea).contains(dot_scale(F(3, 2), a))
+
+
+def test_compiled_bound_contains_its_box():
+    """Over random boxes of step ranges, the compiled body's value at every
+    admissible grid vector in the box lies within the compiled bound."""
+    rng = random.Random(23)
+    for _ in range(80):
+        names = ("a", "b", "c")[:rng.randint(1, 3)]
+        dist = {(p, q): F(rng.randint(2, 4), 4) for i, p in enumerate(names)
+                for q in names[i + 1:]}
+        sig = Signature((), names)
+        body = random_formula(rng, sig, ["x"], rng.randint(1, 4))
+        if not is_quantifier_free(body):
+            continue
+        n = rng.choice((4, 8))
+        steps = [[int(dist.get((p, q), dist.get((q, p), 0)) * n) for q in names]
+                 for p in names]
+        index = {p: i for i, p in enumerate(names + ("x",))}
+        g, bound, _ = urysohn._compile(body, lambda t: index[t.name], len(names), steps, n)
+        L, H = [], []
+        for _ in names:
+            lo, hi = sorted((rng.randint(0, n), rng.randint(0, n)))
+            L.append(lo)
+            H.append(hi)
+        lo, hi = bound(L, H)
+        for s in admissible_steps(steps, n):
+            if all(L[c] <= s[c] <= H[c] for c in range(len(names))):
+                assert lo <= g(s) <= hi, (body, L, H, s)
 
 
 @given(st.integers(0, 2 ** 20), st.integers(1, 2 ** 10))
