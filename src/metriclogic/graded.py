@@ -20,8 +20,8 @@ from .intervals import (Enclosure, sqrt_enclosure, sqrt_leq_sum,
                         truncated_weighted_sum)
 from .metric import RationalMetricSpace
 from .rational import ONE, ZERO, dot_scale
-from .structures import (FiniteStructure, automorphisms, delta_exact,
-                         delta_seq, evaluate, space_isometries, canonical_enumeration)
+from .structures import (FiniteStructure, automorphisms, delta_exact, evaluate,
+                         space_isometries, canonical_enumeration)
 from .formula import Formula, lipschitz
 
 
@@ -152,14 +152,13 @@ def graded_radicand(D: GradedDescriptor, g: PartialIsometry) -> Fraction:
     return best
 
 
-def graded_eval(D: GradedDescriptor, g: PartialIsometry,
-                prec_bits: int = 64) -> Union[Fraction, Enclosure]:
+def graded_eval(D: GradedDescriptor, g: PartialIsometry) -> Union[Fraction, Enclosure]:
     """Exact value for all-linear descriptors, an enclosure otherwise."""
     rad = graded_radicand(D, g)
     if all(leaf.kind == "linear" for leaf in D.leaves()):
         # radicands of linear leaves are perfect squares by construction
         return _exact_sqrt(rad)
-    return sqrt_enclosure(rad, prec_bits)
+    return sqrt_enclosure(rad)
 
 
 def _exact_sqrt(rad: Fraction) -> Fraction:
@@ -332,21 +331,18 @@ class ApproxFailure:
 
 
 def approx_search(M: FiniteStructure, N: FiniteStructure, H: GradedDescriptor,
-                  eps: Fraction, budget: int,
-                  enumeration=None, truncation: Optional[int] = None):
+                  eps: Fraction, budget: int):
     """Search the fragment's isometries for g with H(g) < eps moving N
     within eps of M in the structure metric.
 
     Isometries are enumerated in lexicographic order, so the witness is
-    deterministic.  Closeness uses the full weighted sum over the given (or
-    canonical) enumeration unless a truncation is supplied, in which case
-    the truncated partial sum is compared against eps.
+    deterministic.  Closeness uses the full weighted sum over the canonical
+    enumeration.
     """
     if M.space.points != N.space.points or M.sig != N.sig:
         raise GradedError("structures must share their fragment and signature")
     eps = Fraction(eps)
-    if enumeration is None:
-        enumeration = canonical_enumeration(M.sig, M.space)
+    enumeration = canonical_enumeration(M.sig, M.space)
     examined = 0
     for iso in space_isometries(M.space):
         if examined >= budget:
@@ -357,10 +353,7 @@ def approx_search(M: FiniteStructure, N: FiniteStructure, H: GradedDescriptor,
             continue
         rad = graded_radicand(H, g)
         moved = N.transport(iso)
-        if truncation is None:
-            dist = delta_exact(M, moved, enumeration)
-        else:
-            dist = delta_seq(M, moved, enumeration, truncation).lo
+        dist = delta_exact(M, moved, enumeration)
         if dist < eps:
             return ApproxWitness(g, rad, dist)
     return ApproxFailure(examined)

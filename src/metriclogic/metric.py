@@ -253,12 +253,12 @@ def one_point_extend(space: RationalMetricSpace, f: KatetovFunction,
     return space.with_point(name, f.values)
 
 
-def fresh_point_name(taken: Sequence[str], stem: str = "p") -> str:
+def fresh_point_name(taken: Sequence[str]) -> str:
     used = set(taken)
     k = len(used)
-    while f"{stem}{k}" in used:
+    while f"p{k}" in used:
         k += 1
-    return f"{stem}{k}"
+    return f"p{k}"
 
 
 @dataclass(frozen=True)

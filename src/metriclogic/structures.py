@@ -154,6 +154,10 @@ def delta_seq(M: FiniteStructure, N: FiniteStructure,
         raise StructureError("truncation must be >= 0")
     if k > len(enumeration):
         raise StructureError(f"truncation {k} exceeds the enumeration length")
+    for name, tup in enumeration[:k]:
+        if tup not in M.tables.get(name, ()):
+            raise StructureError(f"enumeration entry {name}({', '.join(tup)}) "
+                                 "is not a tuple of a relation of the signature")
     return truncated_weighted_sum(abs(M.rel_value(name, tup) - N.rel_value(name, tup))
                                   for name, tup in enumeration[:k])
 

@@ -53,7 +53,7 @@ def random_gspace(rng: random.Random, max_points: int = 12,
         if perms is None:
             continue
         named = {f"g{i}": dict(zip(points, perm)) for i, perm in enumerate(perms)}
-        return FiniteGSpace.from_permutations(points, named)
+        return FiniteGSpace(points, named)
 
 
 def random_table(rng: random.Random, keys: Sequence[str],

@@ -269,14 +269,15 @@ def parse_gspace(text: str):
             if len(parts) != 2 + len(points):
                 raise FormatError(f"perm line needs {len(points)} images: {line!r}")
             perms[parts[1]] = dict(zip(points, parts[2:]))
-        elif parts[0] == "graded-space":
-            raw_space.append((parts[1], parts[2:]))
-        elif parts[0] == "graded-group":
-            raw_group.append((parts[1], parts[2:]))
+        elif parts[0] in ("graded-space", "graded-group"):
+            if len(parts) < 2:
+                raise FormatError(f"{parts[0]} line needs a name")
+            (raw_space if parts[0] == "graded-space" else raw_group).append(
+                (parts[1], parts[2:]))
         else:
             raise FormatError(f"unrecognized line: {line!r}")
     try:
-        X = FiniteGSpace.from_permutations(points, perms)
+        X = FiniteGSpace(points, perms)
     except GSpaceError as exc:
         raise FormatError(str(exc)) from None
     space_tables = {}
@@ -326,17 +327,23 @@ def parse_instance(text: str) -> ReductionInstance:
         if parts[0] in ("yspace", "xspace"):
             mode = parts[0]
         elif parts[0] == "element":
+            if len(parts) != 2:
+                raise FormatError(f"bad element line: {line!r}")
             elements.append((parts[1], {}, {}))
             mode = "element"
-        elif parts[0] == "ymap":
-            elements[-1][1][parts[1]] = parts[2]
-        elif parts[0] == "xmap":
-            elements[-1][2][parts[1]] = parts[2]
+        elif parts[0] in ("ymap", "xmap"):
+            if not elements:
+                raise FormatError(f"{parts[0]} line before any element line")
+            if len(parts) != 3:
+                raise FormatError(f"bad {parts[0]} line: {line!r}")
+            elements[-1][1 if parts[0] == "ymap" else 2][parts[1]] = parts[2]
         elif parts[0] == "basis":
             basis.append(tuple(parts[1:]))
         elif parts[0] == "senum":
             senum = tuple(parts[1:])
         elif parts[0] == "kmax":
+            if len(parts) != 2:
+                raise FormatError(f"bad kmax line: {line!r}")
             kmax = int(parts[1])
         elif mode in ("yspace", "xspace"):
             sections[mode].append(line)

@@ -14,7 +14,7 @@ module is claimed for non-discrete groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
@@ -30,84 +30,55 @@ GradedTable = Mapping[str, Fraction]   # total map, values in [0,1]
 
 @dataclass(frozen=True)
 class FiniteGSpace:
-    """A finite group acting on a finite point set.
+    """A finite group acting on a finite point set, given by its named
+    permutations.
 
-    elements: group element names; mult/inv/identity give the abstract
-    group; action sends each element to a permutation of the points.  All
-    axioms are verified on construction.
+    action sends each element name to a permutation of the points.  The
+    constructor checks that the maps are distinct permutations, that the
+    identity is among them and that the set is closed under composition,
+    which makes it a group: a finite set of permutations closed under
+    composition holds every inverse.  elements, mult, inv and identity are
+    derived from the maps, so the group axioms and the homomorphism law
+    hold by construction.
     """
     points: Tuple[str, ...]
-    elements: Tuple[str, ...]
-    mult: Mapping[Tuple[str, str], str]
-    inv: Mapping[str, str]
-    identity: str
     action: Mapping[str, Mapping[str, str]]
+    elements: Tuple[str, ...] = field(init=False)
+    mult: Mapping[Tuple[str, str], str] = field(init=False)
+    inv: Mapping[str, str] = field(init=False)
+    identity: str = field(init=False)
 
     def __post_init__(self):
-        els = self.elements
-        if self.identity not in els:
-            raise GSpaceError("identity not among the elements")
-        for g in els:
-            for h in els:
-                if self.mult.get((g, h)) not in els:
-                    raise GSpaceError(f"multiplication not closed at ({g},{h})")
-        for g in els:
-            if self.mult[(self.identity, g)] != g or self.mult[(g, self.identity)] != g:
-                raise GSpaceError(f"identity law fails at {g}")
-            gi = self.inv.get(g)
-            if gi not in els or self.mult[(g, gi)] != self.identity \
-                    or self.mult[(gi, g)] != self.identity:
-                raise GSpaceError(f"inverse law fails at {g}")
-        for a in els:
-            for b in els:
-                for c in els:
-                    if self.mult[(self.mult[(a, b)], c)] != self.mult[(a, self.mult[(b, c)])]:
-                        raise GSpaceError(f"associativity fails at ({a},{b},{c})")
-        for g in els:
-            perm = self.action.get(g)
-            if perm is None or sorted(perm) != sorted(self.points) \
-                    or sorted(perm.values()) != sorted(self.points):
+        points = tuple(self.points)
+        names = tuple(self.action)
+        want = sorted(points)
+        for g in names:
+            perm = self.action[g]
+            if sorted(perm) != want or sorted(perm.values()) != want:
                 raise GSpaceError(f"action of {g} is not a permutation")
-        for g in els:
-            for h in els:
-                gh = self.mult[(g, h)]
-                for x in self.points:
-                    if self.action[g][self.action[h][x]] != self.action[gh][x]:
-                        raise GSpaceError(f"action is not a homomorphism at ({g},{h})")
-
-    def act(self, g: str, x: str) -> str:
-        return self.action[g][x]
-
-    @staticmethod
-    def from_permutations(points: Sequence[str],
-                          perms: Mapping[str, Mapping[str, str]]) -> "FiniteGSpace":
-        """Build the abstract tables from named permutations (must be closed)."""
-        points = tuple(points)
-        names = tuple(perms)
-        key = {name: tuple(perms[name][p] for p in points) for name in names}
-        lookup = {v: k for k, v in key.items()}
+        key = {g: tuple(self.action[g][p] for p in points) for g in names}
+        lookup = {v: g for g, v in key.items()}
         if len(lookup) != len(names):
             raise GSpaceError("duplicate permutations")
-        ident_tuple = points
-        if ident_tuple not in lookup:
+        if points not in lookup:
             raise GSpaceError("identity permutation missing")
+        compose = compose_permutations(points)
         mult = {}
         for a in names:
             for b in names:
-                composed = tuple(perms[a][perms[b][p]] for p in points)
-                c = lookup.get(composed)
+                c = lookup.get(compose(key[a], key[b]))
                 if c is None:
                     raise GSpaceError(f"set of permutations not closed at ({a},{b})")
                 mult[(a, b)] = c
-        inv = {}
-        for a in names:
-            inv_map = {perms[a][p]: p for p in points}
-            c = lookup.get(tuple(inv_map[p] for p in points))
-            if c is None:
-                raise GSpaceError(f"inverse of {a} missing")
-            inv[a] = c
-        return FiniteGSpace(points, names, mult, inv, lookup[ident_tuple],
-                            {n: dict(perms[n]) for n in names})
+        identity = lookup[points]
+        inv = {a: b for (a, b), c in mult.items() if c == identity}
+        for name, value in (("points", points), ("elements", names),
+                            ("mult", mult), ("inv", inv), ("identity", identity),
+                            ("action", {g: dict(self.action[g]) for g in names})):
+            object.__setattr__(self, name, value)
+
+    def act(self, g: str, x: str) -> str:
+        return self.action[g][x]
 
 
 def group_closure(identity, generators, compose, cap=None):

@@ -17,8 +17,8 @@ from metriclogic.graded import (GradedAtomDescriptor, GradedMaxDescriptor,
                                 check_graded_axioms, rho_s)
 from metriclogic.metric import RationalMetricSpace
 from metriclogic.quenum import qu_enumerate
-from metriclogic.reduction import _transports, check_g_invariance, encode, random_instance
-from metriclogic.structures import FiniteStructure, evaluate, space_isometries
+from metriclogic.reduction import check_g_invariance, encode, random_instance
+from metriclogic.structures import FiniteStructure, carries_tables, evaluate, space_isometries
 from metriclogic.suite import run_suite, random_gspace, random_table
 from metriclogic.syntax import parse
 from metriclogic.urysohn import (AnchoredStructure, QuantifierBudget,
@@ -198,7 +198,7 @@ def test_criterion_8_reduction_soundness():
         isos = space_isometries(inst.y_space)
         for x, xp in product(inst.x_space.points, repeat=2):
             same = any(g.x_map[x] == xp for g in inst.elements)
-            iso = any(_transports(encodings[x], encodings[xp], i) for i in isos)
+            iso = any(carries_tables(encodings[x], encodings[xp], i) for i in isos)
             pairs += 1
             if same != iso:
                 discrepancies += 1

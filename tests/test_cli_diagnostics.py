@@ -60,3 +60,36 @@ def test_graded_axioms_wants_a_pair_of_isometries():
     code, err = call("graded-axioms", DATA / "stab.graded", "--space", DATA / "eq3.space",
                      "--pair", isom)
     assert (code, err) == (1, f"error: --pair wants ISOFILE,ISOFILE, got {str(isom)!r}\n")
+
+
+SWAPX = (DATA / "swapx.inst").read_text()
+ORBIT = ["orbit-equiv", "{}", "--x", "x0", "--xp", "x1"]
+SETS = ["vaught-sets", "{}", "--set", "x", "--u", "e"]
+DELTA = ["delta-seq", DATA / "twopoint.struct", DATA / "twopoint.struct",
+         "--enumeration", "{}", "--k", "1"]
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (SWAPX.replace("element e\n", "", 1), ORBIT, "ymap line before any element line"),
+    (SWAPX.replace("element e\n", "element\n", 1), ORBIT, "bad element line: 'element'"),
+    ("points x y\nperm e x y\ngraded-space\n", SETS, "graded-space line needs a name"),
+    ("points x y\nperm e x y\ngraded-group\n", SETS, "graded-group line needs a name"),
+    ("x\n", DELTA, "bad enumeration line: 'x'"),
+    ("t R p\n", DELTA, "enumeration entry R(p) is not a tuple"),
+    ("t P z\n", DELTA, "enumeration entry P(z) is not a tuple")],
+    ids=["ymap-first", "nameless-element", "nameless-graded-space",
+         "nameless-graded-group", "enumeration-line", "unknown-relation", "unknown-tuple"])
+def test_malformed_text_gets_a_one_line_diagnostic(tmp_path, text, argv, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, err = call(*(path if a == "{}" else a for a in argv))
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("images", ["a a", "a z"])
+def test_gspace_perm_line_must_be_a_permutation(tmp_path, images):
+    path = tmp_path / "bad.gspace"
+    path.write_text(f"points a b\nperm e a b\nperm c {images}\n")
+    code, err = call("vaught-sets", path, "--set", "a", "--u", "e")
+    assert (code, err) == (1, "error: action of c is not a permutation\n")

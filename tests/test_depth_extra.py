@@ -55,7 +55,7 @@ def closure_oracle(X, family, cosets, scales):
 
 
 def test_nice_closure_matches_oracle_at_fixed_point():
-    X = FiniteGSpace.from_permutations(
+    X = FiniteGSpace(
         ("x", "y"), {"e": {"x": "x", "y": "y"}, "s": {"x": "y", "y": "x"}})
     family = [characteristic(X.points, ["x"]), {"x": F(1, 2), "y": F(1, 2)}]
     cosets = [{"e": F(0), "s": F(1, 2)}]
@@ -118,7 +118,7 @@ def test_catalog_byte_exact_for_every_kind(tmp_path):
         GradedAtomDescriptor("linear", F(2), (M.space.points[1],),
                              (M.space.points[1],))))
     gspace_text = textio.serialize_gspace(
-        FiniteGSpace.from_permutations(
+        FiniteGSpace(
             ("x", "y"), {"e": {"x": "x", "y": "y"}, "s": {"x": "y", "y": "x"}}),
         {"phi": {"x": F(0), "y": F(1, 2)}}, {"j": {"e": F(0), "s": F(1)}})
 

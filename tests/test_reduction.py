@@ -102,6 +102,41 @@ def test_instance_validation():
         ReductionInstance(y, x, (bad,), (("x0",),), ("s0", "s1"), 1)
 
 
+def _pair_instance(maps):
+    """Instance on a 2-point Y and X; maps holds (name, y images, x images),
+    the images listed in point order."""
+    y = RationalMetricSpace.build(("s0", "s1"), {("s0", "s1"): F(1, 2)})
+    x = RationalMetricSpace.build(("x0", "x1"), {("x0", "x1"): F(1, 4)})
+    elements = tuple(GroupElement(name, dict(zip(y.points, ys.split())),
+                                  dict(zip(x.points, xs.split())))
+                     for name, ys, xs in maps)
+    return ReductionInstance(y, x, elements, (("x0",), ("x1",)), ("s0", "s1"), 2)
+
+
+@pytest.mark.parametrize("maps, message", [
+    # not faithful on Y: two elements share the identity y-map
+    ([("e", "s0 s1", "x0 x1"), ("t", "s0 s1", "x1 x0")], "Y-group: duplicate permutations"),
+    # the x-action of e is not the identity, so e.e = e is not kept
+    ([("e", "s0 s1", "x1 x0"), ("s", "s1 s0", "x0 x1")], "x-action is not a homomorphism"),
+    ([("e", "s0 s1", "x0 x1"), ("c", "s0 s0", "x0 x1")],
+     "Y-group: action of c is not a permutation"),
+    ([("e", "s0 s1", "x0 x0")], "e: x-part is not a permutation of X")])
+def test_instance_refuses_a_bad_group(maps, message):
+    with pytest.raises(ReductionError, match=message):
+        _pair_instance(maps)
+
+
+def test_instance_refuses_y_maps_not_closed_under_composition():
+    y = RationalMetricSpace.build(
+        ("a", "b", "c"),
+        {("a", "b"): F(1, 2), ("a", "c"): F(1, 2), ("b", "c"): F(1, 2)})
+    x = RationalMetricSpace.build(("x0",), {})
+    ident = GroupElement("e", {"a": "a", "b": "b", "c": "c"}, {"x0": "x0"})
+    rotate = GroupElement("r", {"a": "b", "b": "c", "c": "a"}, {"x0": "x0"})
+    with pytest.raises(ReductionError, match="not closed"):
+        ReductionInstance(y, x, (ident, rotate), (("x0",),), ("a", "b", "c"), 2)
+
+
 def test_separating_prefix():
     y = RationalMetricSpace.build(
         ("a", "b", "c"),

@@ -16,20 +16,20 @@ from metriclogic.vaught import (FiniteGSpace, GSpaceError, characteristic,
 
 
 def swap_space():
-    return FiniteGSpace.from_permutations(
+    return FiniteGSpace(
         ("x", "y"), {"e": {"x": "x", "y": "y"}, "s": {"x": "y", "y": "x"}})
 
 
 def trivial_space():
-    return FiniteGSpace.from_permutations(("x", "y"), {"e": {"x": "x", "y": "y"}})
+    return FiniteGSpace(("x", "y"), {"e": {"x": "x", "y": "y"}})
 
 
 def test_gspace_validation():
     with pytest.raises(GSpaceError):
-        FiniteGSpace.from_permutations(("x", "y"), {"s": {"x": "y", "y": "x"}})
+        FiniteGSpace(("x", "y"), {"s": {"x": "y", "y": "x"}})
     with pytest.raises(GSpaceError):
         # not closed: a 3-cycle without its square
-        FiniteGSpace.from_permutations(
+        FiniteGSpace(
             ("a", "b", "c"),
             {"e": {"a": "a", "b": "b", "c": "c"},
              "r": {"a": "b", "b": "c", "c": "a"}})
