@@ -547,7 +547,8 @@ COMMANDS = {
     "nice-closure": (cmd_nice_closure, arg("gspace"),
                      arg("--family", action="append", required=True),
                      arg("--cosets", action="append", default=[]),
-                     arg("--budget", type=int, required=True), arg("--scales", default="")),
+                     arg("--budget", type=_int_at_least(0), required=True),
+                     arg("--scales", default="")),
     "encode": (cmd_encode, arg("instance"), arg("--x", required=True)),
     "orbit-equiv": (cmd_orbit_equiv, arg("instance"), arg("--x", required=True),
                     arg("--xp", required=True)),

@@ -260,6 +260,9 @@ def parse_gspace(text: str):
     if not lines or not lines[0].startswith("points"):
         raise FormatError("group space must start with a `points` line")
     points = tuple(lines[0].split()[1:])
+    for i, p in enumerate(points):
+        if p in points[:i]:     # a perm line's map would lose its images
+            raise FormatError(f"duplicate point {p}")
     perms: Dict[str, Dict[str, str]] = {}
     raw_space: List[Tuple[str, List[str]]] = []
     raw_group: List[Tuple[str, List[str]]] = []

@@ -42,8 +42,13 @@ window down the levels.  The top level, with no window from above, bisects
 each coordinate but the last and descends into the half with the better
 bound first, so the optimum turns up early and the bound skips the rest
 (interval branch and bound, Moore, Kearfott & Cloud 2009, ch. 11); the
-levels below walk their rows in step order.  Values lie in [0, N], so a
-level stops once its optimum reaches the window's edge or that range's end.
+levels below walk their rows in step order.  The last coordinate of the
+last row is scanned when its range is short; a longer one is a box with a
+bound on the body's step along it as well (the monotonicity test, Hansen &
+Walster 2004): skipped when it cannot beat the optimum, evaluated at the
+one end that holds the optimum when the body is monotone on it, else
+bisected.  Values lie in [0, N], so a level stops once its optimum reaches
+the window's edge or that range's end.
 A level's widening is the same for all its vectors and monotone, so the
 exact minimax widened level by level is the endpoint-wise merge of the
 widened inner enclosures.  An empty run is its body at the point box with
@@ -265,7 +270,7 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
         if key not in compiled:
             compiled[key] = (is_quantifier_free(body),
                              _compile(body, point_of, last, steps, n, m0, value, err))
-        exact, (g, b, N) = compiled[key]
+        exact, (g, b, d, N) = compiled[key]
         size = sum(range(m0, last + 1))
         L, H = [0] * size, [n] * size      # every coordinate unset
         if not chain:                       # the point box with no coordinates
@@ -294,6 +299,23 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                 # after it unset
                 nonlocal best
                 if k == k_last and m == last:     # each value fills s
+                    if d is not None and hi - lo > _CUT_OVER:
+                        # the row as one box: [lo, hi] is its exact range,
+                        # so an end can stand for it; the levels above read
+                        # the coordinate as unset again
+                        L[-1], H[-1] = lo, hi
+                        bl, bh, dl, dh = d(L, H)
+                        L[-1], H[-1] = 0, n
+                        if bh <= best if is_sup else bl >= best:
+                            return          # the row cannot move the optimum
+                        if dl < 0 < dh:     # no monotone run: bisect
+                            mid = (lo + hi) // 2
+                            fill(k, lo, mid)
+                            if best < limit if is_sup else best > limit:
+                                fill(k, mid + 1, hi)
+                            return
+                        # monotone: the optimum lies at one end
+                        lo = hi = hi if (dl >= 0) == is_sup else lo
                     top = best
                     for x in range(lo, hi + 1):
                         s[k] = x
@@ -384,6 +406,11 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
     return value(phi)
 
 
+# A row of the last coordinate longer than this many steps is bounded with
+# the slope bound and bisected; a shorter one is scanned.
+_CUT_OVER = 16
+
+
 def _span(steps: List[List[int]], n: int, k: int, L, H) -> Tuple[int, int]:
     """Steps admissible for coordinate k of a new point's step vector when
     each earlier coordinate j lies in [L[j], H[j]]: the hull of
@@ -410,7 +437,7 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
     runs, so the closures serve every placement of the known points.  A
     quantifier in the body is a leaf: value(f) is its widened enclosure at
     the current partial space, err(f) the widening of its level.  Returns
-    (g, b, N), where N clears every intermediate value and bound: n for
+    (g, b, d, N), where N clears every intermediate value and bound: n for
     distances, the constants' denominators, times 2 under each half and
     times the denominator of each scale factor, and for a leaf its body's
     N and the denominator of each of its levels' err.
@@ -426,6 +453,14 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
       [0, N] over any box but the point box b(p, p), one list for both ends,
       with steps holding p; there it is its enclosure, so b(p, p) is the
       body's enclosure at p, and for a quantifier-free body (g(s), g(s)).
+    * d(L, H) = (lo, hi, dl, dh): (lo, hi) is b(L, H), and [dl, dh] bounds
+      N times the change of the value from s to s + e over the box, e one
+      step of the box's last coordinate (the new point's distance to point
+      m - 1): one unit for that coordinate, none for the others.  min and
+      max take the child that wins over the whole box, absdiff the step
+      of x - y where its sign is fixed; a cap or truncation makes the step
+      0 where the box lies wholly past it and hulls it with 0 where the box
+      straddles it.  d is None for a body with leaves.
 
     Both compute with Python ints only; caps and truncations become
     comparisons with N and 0.
@@ -445,11 +480,11 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
             e = value(f)
             return (e.lo.numerator * (N // e.lo.denominator),
                     e.hi.numerator * (N // e.hi.denominator))
-        return None, b
+        return None, b, None
 
     def constant(c: int):
-        pair = (c, c)
-        return (lambda s: c), (lambda L, H: pair)
+        pair, flat = (c, c), (c, c, 0, 0)
+        return (lambda s: c), (lambda L, H: pair), (lambda L, H: flat)
 
     def atom(f: AtomD):
         i, j = point_of(f.left), point_of(f.right)
@@ -460,32 +495,52 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
             def b(L, H):
                 v = steps[i][j] * unit
                 return v, v
-            return (lambda s: steps[i][j] * unit), b
+            return (lambda s: steps[i][j] * unit), b, (lambda L, H: (*b(L, H), 0, 0))
         at = sum(range(first, i)) + j   # the coordinate's place in the box
         b = ((lambda L, H: (L[at], H[at])) if unit == 1
              else (lambda L, H: (L[at] * unit, H[at] * unit)))
+        step = unit if (i, j) == (m, m - 1) else 0  # the box's last coordinate
+        d = lambda L, H: (L[at] * unit, H[at] * unit, step, step)
         if i < m:
-            return (lambda s: steps[i][j] * unit), b
-        return (itemgetter(j) if unit == 1 else (lambda s: s[j] * unit)), b
+            return (lambda s: steps[i][j] * unit), b, d
+        return (itemgetter(j) if unit == 1 else (lambda s: s[j] * unit)), b, d
 
     def half(x):
-        a, ab = x
+        a, ab, ad = x
 
         def b(L, H):
             lo, hi = ab(L, H)
             return lo // 2, hi // 2
-        return (lambda s: a(s) // 2), b
+
+        def d(L, H):
+            lo, hi, dl, dh = ad(L, H)
+            return lo // 2, hi // 2, dl // 2, dh // 2
+        return (lambda s: a(s) // 2), b, d
 
     def neg(x):
-        a, ab = x
+        a, ab, ad = x
 
         def b(L, H):
             lo, hi = ab(L, H)
             return N - hi, N - lo
-        return (lambda s: N - a(s)), b
+
+        def d(L, H):
+            lo, hi, dl, dh = ad(L, H)
+            return N - hi, N - lo, -dh, -dl
+        return (lambda s: N - a(s)), b, d
+
+    def cut(lo, hi, dl, dh):
+        # u over the box in [lo, hi], N times its step in [dl, dh]: the
+        # same for u cut to [0, N], flat where u lies wholly past a cap and
+        # hulled with 0 where it straddles one
+        if hi <= 0 or lo >= N:
+            dl = dh = 0
+        elif lo < 0 or hi > N:
+            dl, dh = min(dl, 0), max(dh, 0)
+        return min(max(lo, 0), N), min(max(hi, 0), N), dl, dh
 
     def scale(factor, x):
-        a, ab = x
+        a, ab, ad = x
         q = Fraction(factor)
         num, dnm = q.numerator, q.denominator
 
@@ -497,10 +552,10 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
             lo, hi = ab(L, H)
             lo, hi = lo * num // dnm, hi * num // dnm
             return (lo if lo < N else N), (hi if hi < N else N)
-        return g, b
+        return g, b, lambda L, H: cut(*(v * num // dnm for v in ad(L, H)))
 
     def min_(x, y):
-        (a, ab), (c, cb) = x, y
+        (a, ab, ad), (c, cb, cd) = x, y
 
         def g(s):
             x, y = a(s), c(s)
@@ -509,10 +564,16 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
         def b(L, H):
             (xl, xh), (yl, yh) = ab(L, H), cb(L, H)
             return (xl if xl < yl else yl), (xh if xh < yh else yh)
-        return g, b
+
+        def d(L, H):
+            # the child lower over the whole box, else the hull of both
+            (xl, xh, p, q), (yl, yh, r, t) = ad(L, H), cd(L, H)
+            p, q = (p, q) if xh <= yl else (r, t) if yh <= xl else (min(p, r), max(q, t))
+            return min(xl, yl), min(xh, yh), p, q
+        return g, b, d
 
     def max_(x, y):
-        (a, ab), (c, cb) = x, y
+        (a, ab, ad), (c, cb, cd) = x, y
 
         def g(s):
             x, y = a(s), c(s)
@@ -521,10 +582,15 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
         def b(L, H):
             (xl, xh), (yl, yh) = ab(L, H), cb(L, H)
             return (xl if xl > yl else yl), (xh if xh > yh else yh)
-        return g, b
+
+        def d(L, H):
+            (xl, xh, p, q), (yl, yh, r, t) = ad(L, H), cd(L, H)
+            p, q = (p, q) if xl >= yh else (r, t) if yl >= xh else (min(p, r), max(q, t))
+            return max(xl, yl), max(xh, yh), p, q
+        return g, b, d
 
     def absdiff(x, y):
-        (a, ab), (c, cb) = x, y
+        (a, ab, ad), (c, cb, cd) = x, y
 
         def g(s):
             return abs(a(s) - c(s))
@@ -537,10 +603,22 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
             if yh < xl:
                 return xl - yh, hi
             return 0, hi
-        return g, b
+
+        def d(L, H):
+            # u = x - y: its step where its sign is fixed over the box, else
+            # at most the largest size of that step either way
+            (xl, xh, p, q), (yl, yh, r, t) = ad(L, H), cd(L, H)
+            lo, hi, dl, dh = xl - yh, xh - yl, p - t, q - r
+            if lo >= 0:
+                return lo, hi, dl, dh
+            if hi <= 0:
+                return -hi, -lo, -dh, -dl
+            w = max(-dl, dh)
+            return 0, max(hi, -lo), -w, w
+        return g, b, d
 
     def dot_minus(x, y):
-        (a, ab), (c, cb) = x, y
+        (a, ab, ad), (c, cb, cd) = x, y
 
         def g(s):
             v = a(s) - c(s)
@@ -550,10 +628,14 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
             (xl, xh), (yl, yh) = ab(L, H), cb(L, H)
             lo, hi = xl - yh, xh - yl
             return (lo if lo > 0 else 0), (hi if hi > 0 else 0)
-        return g, b
+
+        def d(L, H):
+            (xl, xh, p, q), (yl, yh, r, t) = ad(L, H), cd(L, H)
+            return cut(xl - yh, xh - yl, p - t, q - r)
+        return g, b, d
 
     def dot_plus(x, y):
-        (a, ab), (c, cb) = x, y
+        (a, ab, ad), (c, cb, cd) = x, y
 
         def g(s):
             v = a(s) + c(s)
@@ -563,13 +645,17 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
             (xl, xh), (yl, yh) = ab(L, H), cb(L, H)
             lo, hi = xl + yl, xh + yh
             return (lo if lo < N else N), (hi if hi < N else N)
-        return g, b
 
-    g, b = fold(body, {Const: lambda f: constant(int(Fraction(f.value) * N)),
-                       AtomD: atom, Half: half, Neg: neg, DotScale: scale,
-                       Min: min_, Max: max_, AbsDiff: absdiff,
-                       DotMinus: dot_minus, DotPlus: dot_plus}, leaf)
-    return (None if leaves else g), b, N
+        def d(L, H):
+            (xl, xh, p, q), (yl, yh, r, t) = ad(L, H), cd(L, H)
+            return cut(xl + yl, xh + yh, p + r, q + t)
+        return g, b, d
+
+    g, b, d = fold(body, {Const: lambda f: constant(int(Fraction(f.value) * N)),
+                          AtomD: atom, Half: half, Neg: neg, DotScale: scale,
+                          Min: min_, Max: max_, AbsDiff: absdiff,
+                          DotMinus: dot_minus, DotPlus: dot_plus}, leaf)
+    return (None, b, None, N) if leaves else (g, b, d, N)
 
 
 # The common denominator of a compiled body; distance atoms add n.

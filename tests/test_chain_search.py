@@ -204,12 +204,12 @@ def counted_leaves(monkeypatch):
     real = urysohn._compile
 
     def counted(*args):
-        g, bound, N = real(*args)
+        g, bound, slope, N = real(*args)
 
         def g_counted(s):
             calls[0] += 1
             return g(s)
-        return g_counted, bound, N
+        return g_counted, bound, slope, N
 
     monkeypatch.setattr(urysohn, "_compile", counted)
     return calls
@@ -242,5 +242,8 @@ def test_a_level_below_the_top_resets_its_row():
     """(inf x (sup y (inf z (d x y)))) over one anchor: once the middle
     level returns, its last coordinate d(x, y) must read as unset again in
     the box.  Left at its last fixed value, it made the top level's bound
-    skip the optimum ([0, 1/2] instead of [1/2, 1])."""
+    skip the optimum ([0, 1/2] instead of [1/2, 1]).  The same holds for a
+    last level's row of more than 16 steps, which the search bounds as one
+    box at mesh 1/20."""
     check(("a",), {}, "(inf x (sup y (inf z (d x y))))", {}, F(1, 2), 0)
+    check(("a",), {}, "(inf x (sup y (d x y)))", {}, F(1, 20), 0)

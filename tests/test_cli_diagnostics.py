@@ -34,7 +34,8 @@ def test_oligo_probe_refuses_degenerate_parameters(n, eps, message):
 @pytest.mark.parametrize("argv", [
     ["sc-probe", DATA / "twopoint.struct", "--n", "1", "--eps", "1/2", "--depth", "-1"],
     ["approx-search", DATA / "twopoint.struct", DATA / "twopoint.struct",
-     DATA / "stab.graded", "--eps", "1/4", "--budget", "-1"]])
+     DATA / "stab.graded", "--eps", "1/4", "--budget", "-1"],
+    ["nice-closure", DATA / "swap.gspace", "--family", "mark", "--budget", "-1"]])
 def test_negative_depth_and_budget_are_usage_errors(argv):
     code, err = call(*argv)
     assert code == 2 and "must be >= 0, got -1" in err
@@ -76,9 +77,11 @@ DELTA = ["delta-seq", DATA / "twopoint.struct", DATA / "twopoint.struct",
     ("points x y\nperm e x y\ngraded-group\n", SETS, "graded-group line needs a name"),
     ("x\n", DELTA, "bad enumeration line: 'x'"),
     ("t R p\n", DELTA, "enumeration entry R(p) is not a tuple"),
-    ("t P z\n", DELTA, "enumeration entry P(z) is not a tuple")],
+    ("t P z\n", DELTA, "enumeration entry P(z) is not a tuple"),
+    ("points a a\nperm e a a\n", SETS, "duplicate point a")],
     ids=["ymap-first", "nameless-element", "nameless-graded-space",
-         "nameless-graded-group", "enumeration-line", "unknown-relation", "unknown-tuple"])
+         "nameless-graded-group", "enumeration-line", "unknown-relation", "unknown-tuple",
+         "duplicate-gspace-point"])
 def test_malformed_text_gets_a_one_line_diagnostic(tmp_path, text, argv, message):
     path = tmp_path / "input"
     path.write_text(text)

@@ -5,8 +5,9 @@ and evaluates the body exactly on the anchors plus that point with
 `structures.evaluate`; the search must return exactly that optimum, widened
 by lipschitz * h on the far side, however it prunes.  Nested sentences get
 the same oracle at each level, the compiled pruning bound is pinned to
-interval arithmetic over the box (`helpers.interval_value`), and the
-triangle hull that boxes the top level's later coordinates to every
+interval arithmetic over the box (`helpers.interval_value`), the slope
+bound to the exact change of the body per step of the last coordinate, and
+the triangle hull that boxes the top level's later coordinates to every
 admissible vector it must hold.
 """
 
@@ -28,7 +29,7 @@ from metriclogic.urysohn import AnchoredStructure, QuantifierBudget, eval_urysoh
 ANCHORS = ("a", "b", "c")
 # All distances lie in [1/2, 1], so every triangle holds.
 DISTANCES = (F(1, 2), F(2, 3), F(3, 4), F(1))
-MESHES = (F(1, 4), F(1, 5), F(1, 8), F(1, 10), F(1, 16))
+MESHES = (F(1, 4), F(1, 5), F(1, 8), F(1, 10), F(1, 16), F(1, 32), F(1, 40))
 
 
 def bodies(atoms, max_leaves=8):
@@ -66,25 +67,29 @@ def snapped(dist, mesh):
     return h
 
 
+def value_at(names, dist, body, sig, f):
+    """The exact value of body with x at distance f[p] from each anchor p."""
+    on_anchor = [p for p in names if f[p] == 0]
+    if on_anchor:                # x is that anchor
+        M = FiniteStructure(RationalMetricSpace.build(names, dist), sig, {},
+                            {p: p for p in names})
+        return evaluate(body, M, {"x": on_anchor[0]})
+    ext = dict(dist)
+    ext.update({(p, "x"): f[p] for p in names})
+    M = FiniteStructure(RationalMetricSpace.build(names + ("x",), ext), sig, {},
+                        {p: p for p in names})
+    return evaluate(body, M, {"x": "x"})
+
+
 def brute_force(names, dist, body, sig, h, is_sup):
     """Exact optimum of body over the admissible grid vectors of x."""
-    space = RationalMetricSpace.build(names, dist)
     n = int(1 / h)
     values = []
     for s in product(range(n + 1), repeat=len(names)):
         f = dict(zip(names, (k * h for k in s)))
         if any(abs(f[p] - f[q]) > d or d > f[p] + f[q] for (p, q), d in dist.items()):
             continue
-        on_anchor = [p for p in names if f[p] == 0]
-        if on_anchor:            # x is that anchor
-            M = FiniteStructure(space, sig, {}, {p: p for p in names})
-            values.append(evaluate(body, M, {"x": on_anchor[0]}))
-            continue
-        ext = dict(dist)
-        ext.update({(p, "x"): f[p] for p in names})
-        M = FiniteStructure(RationalMetricSpace.build(names + ("x",), ext), sig, {},
-                            {p: p for p in names})
-        values.append(evaluate(body, M, {"x": "x"}))
+        values.append(value_at(names, dist, body, sig, f))
     return max(values) if is_sup else min(values)
 
 
@@ -145,10 +150,59 @@ def test_integer_bound_is_the_enclosure_bound(instance, data):
             return F(steps[i][j], n), F(steps[i][j], n)
         return F(L[j], n), F(H[j], n)
 
-    g, bound, N = urysohn._compile(body, point_of, m, steps, n)
+    g, bound, _, N = urysohn._compile(body, point_of, m, steps, n)
     lo, hi = interval_value(body, dist_at)
     assert bound(L, H) == (N * lo, N * hi)
     assert bound(row, row) == (g(row), g(row))
+
+
+@st.composite
+def sloped_boxes(draw):
+    """An instance and a box of its step ranges whose last coordinate is a
+    range of more than one step."""
+    names, dist, text, mesh = draw(instances())
+    n = snapped(dist, mesh).denominator
+    box = draw(boxes(n, len(names) - 1)) + [draw(st.one_of(st.just((0, n)), st.integers(
+        0, n - 1).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, n)))))]
+    return names, dist, text, mesh, [lo for lo, _ in box], [hi for _, hi in box]
+
+
+AB = ("a", "b"), {("a", "b"): F(1, 2)}
+
+
+@given(sloped_boxes())
+@example((*AB, "(sup x (half (absdiff (d b x) (d b x))))", F(1, 32), [8, 0], [8, 32]))
+@example((*AB, "(sup x (absdiff (min (d b x) (d b x)) (max 1/8 (d b x))))", F(1, 32),
+          [16, 0], [16, 32]))
+@example((*AB, "(sup x (dotplus (d a x) (d b x)))", F(1, 32), [16, 0], [16, 32]))
+@example((*AB, "(sup x (dotplus (d a x) (d b x)))", F(1, 32), [24, 8], [24, 32]))
+@settings(max_examples=100, deadline=None)
+def test_slope_bound_holds_every_step_of_the_last_coordinate(instance):
+    """Over a box whose last coordinate is a range, the compiled slope bound
+    gives the compiled bound's (lo, hi) and bounds N times the change of the
+    body's exact value (`structures.evaluate`) between every two admissible
+    grid vectors in the box one step apart in the last coordinate.  The
+    examples: a body the interval bound cannot see is constant, a kink at
+    1/8, a dotplus that straddles its cap and one wholly past it."""
+    names, dist, text, mesh, L, H = instance
+    n = snapped(dist, mesh).denominator
+    m = len(names)
+    assume((n + 1) ** m <= 3000)
+    sig = Signature((), names)
+    body = parse(text, sig).body
+    steps = step_table(names, dist, n)
+    index = {p: i for i, p in enumerate(names + ("x",))}
+    _, bound, slope, N = urysohn._compile(body, lambda t: index[t.name], m, steps, n)
+    lo, hi, dl, dh = slope(L, H)
+    assert (lo, hi) == bound(L, H)
+    inside = [s for s in admissible_steps(steps, n)
+              if all(L[c] <= s[c] <= H[c] for c in range(m))]
+    value = {s: value_at(names, dist, body, sig, {p: F(k, n) for p, k in zip(names, s)})
+             for s in inside}
+    for s in inside:
+        after = s[:-1] + (s[-1] + 1,)
+        if after in value:
+            assert dl <= N * (value[after] - value[s]) <= dh, s
 
 
 @given(instances(), st.data())
@@ -277,12 +331,12 @@ def test_interval_bound_only_at_partial_vectors(monkeypatch):
     bound_calls = [0]
 
     def count_bound(compiled):
-        g, bound, N = compiled
+        g, bound, slope, N = compiled
 
         def counted(L, H):
             bound_calls[0] += 1
             return bound(L, H)
-        return g, counted, N
+        return g, counted, slope, N
 
     counting(monkeypatch, "_compile", count_bound)
     space = RationalMetricSpace.build(("a", "b"), {("a", "b"): F(3, 5)})
@@ -329,7 +383,7 @@ def counting_work(monkeypatch):
     evals, bounds = [0], [0]
 
     def wrap(compiled):
-        g, bound, N = compiled
+        g, bound, slope, N = compiled
 
         def g_counted(s):
             evals[0] += 1
@@ -338,7 +392,7 @@ def counting_work(monkeypatch):
         def bound_counted(L, H):
             bounds[0] += 1
             return bound(L, H)
-        return g_counted, bound_counted, N
+        return g_counted, bound_counted, slope, N
 
     counting(monkeypatch, "_compile", wrap)
     return evals, bounds
@@ -350,14 +404,29 @@ PAIR = RationalMetricSpace.build(("a", "b"), {("a", "b"): F(3, 5)})
 def test_w1_at_fine_mesh_scans_one_row(monkeypatch):
     """W1 over a, b at 3/5, mesh 1/5120: the step-order walk evaluated the
     body 2362369 times and bounded 5121 partial vectors.  Best-first
-    bisection reaches d(a, x) = 1536 first, scans its 3073 values of
-    d(b, x), and every other box's bound then falls short."""
+    bisection reaches d(a, x) = 1536 first; scanning its 3073 values of
+    d(b, x) took 3073 evaluations, but the slope bound finds the body
+    nondecreasing along that row and evaluates its low end alone.  Every
+    other box's bound then falls short."""
     evals, bounds = counting_work(monkeypatch)
     phi = parse("(inf x (max (d a x) (d b x)))", Signature((), ("a", "b")))
     e = eval_urysohn(phi, AnchoredStructure(PAIR), {}, QuantifierBudget(F(1, 5120), 0))
     assert e == Enclosure(F(307, 1024), F(3, 10))
-    assert evals[0] <= 10000
+    assert evals[0] <= 10
     assert bounds[0] <= 100
+
+
+def test_a_flat_row_is_evaluated_once(monkeypatch):
+    """sup x half(|d(b, x) - d(b, x)|) over a, b at 13/20, mesh 1/160: the
+    interval bound cannot see that the body is 0, so scanning every row
+    evaluated it 17268 times.  The slope bound finds each row flat, and one
+    end stands for it."""
+    evals, _ = counting_work(monkeypatch)
+    space = RationalMetricSpace.build(("a", "b"), {("a", "b"): F(13, 20)})
+    phi = parse("(sup x (half (absdiff (d b x) (d b x))))", Signature((), ("a", "b")))
+    e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(F(1, 160), 0))
+    assert e == Enclosure(F(0), F(1, 160))
+    assert evals[0] <= 500
 
 
 def test_search_stops_at_the_range_end(monkeypatch):

@@ -111,7 +111,7 @@ def test_compiled_bound_contains_its_box():
         steps = [[int(dist.get((p, q), dist.get((q, p), 0)) * n) for q in names]
                  for p in names]
         index = {p: i for i, p in enumerate(names + ("x",))}
-        g, bound, _ = urysohn._compile(body, lambda t: index[t.name], len(names), steps, n)
+        g, bound, _, _ = urysohn._compile(body, lambda t: index[t.name], len(names), steps, n)
         L, H = [], []
         for _ in names:
             lo, hi = sorted((rng.randint(0, n), rng.randint(0, n)))
