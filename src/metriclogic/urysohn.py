@@ -14,6 +14,19 @@ anchor distance denominators.  With every known distance on that grid,
 rounding an admissible real vector up coordinatewise stays admissible, which
 is what makes the lipschitz * mesh error bound sound.
 
+Each search runs over the known points its formula reads: the anchors its
+atoms name and the outer points its free variables stand for.  A body that
+never names a point p cannot tell the new points apart by their distances
+to p, and every admissible grid vector over the named points extends to p
+by the Katetov extension min(n, min_q s_q + d(q, p)) (Katetov 1988;
+Uspenskij 1990), on the grid since n clears every distance, and by the
+constant n over no named point.  So the grid minimax over the named points
+is the one over all of them, at every level.  The mesh is still snapped
+over every anchor, and the first new point is left unwidened only when the
+whole partial space, the points left out included, is empty.  A
+quantifier under a connective depends only on that cut-down table, so its
+widened enclosure is searched once per distinct table and kept.
+
 The grid search runs over integer step vectors s (the new point lies s[j] * h
 from known point j).  Every formula it meets is its prenex run Q1 x1 ... Qk
 xk (k = 0 when its top is no quantifier) over a body.  The body is compiled
@@ -64,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .formula import (CONNECTIVES, AbsDiff, AtomD, AtomR, Const, ConstName,
@@ -118,6 +131,11 @@ class AnchoredStructure:
 # Rebuilding a formula: each connective's rule is its class constructor.
 _REBUILD = {Const: keep, **{cls: cls for cls in CONNECTIVES.values()}}
 
+# The terms a formula reads: its free variables and the anchors it names
+# (a quantifier's rule drops its variable).
+_READS = {**by_shape(unary=keep, scale=keep, binary=or_),
+          Const: lambda f: frozenset(), AtomD: lambda f: frozenset((f.left, f.right))}
+
 
 def expand_predicates(phi: Formula, anchored: AnchoredStructure) -> Formula:
     """Inline every relation atom through its definition; phi itself when it
@@ -160,10 +178,10 @@ def snap_mesh(requested: Fraction, space: RationalMetricSpace) -> Fraction:
             for i, p in enumerate(space.points)
             for q in space.points[i + 1:]]
     d = lcm(*dens) if dens else 1
-    h = Fraction(1, d)
-    while h > requested:
-        h /= 2
-    return h
+    num, den = requested.numerator, requested.denominator
+    while d * num < den:                # 1/d > num/den
+        d *= 2
+    return Fraction(1, d)
 
 
 def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
@@ -182,7 +200,15 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
     params = dict(params or {})
     body = expand_predicates(phi, anchored)
     sig = anchored.signature
-    missing = free_variables(body) - set(params)
+    # per formula the search may meet, by identity: the terms it reads
+    reads: Dict[int, frozenset] = {}
+
+    def bind(f, inner):
+        r = reads[id(f)] = inner() - {Var(f.var)}
+        return r
+
+    top = reads[id(body)] = fold(body, _READS, bind)
+    missing = {t.name for t in top if isinstance(t, Var)} - set(params)
     if missing:
         raise UrysohnError(f"unbound variables after substitution: {sorted(missing)}")
     for v, p in params.items():
@@ -194,14 +220,14 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
     nodes: Dict[int, Fraction] = {}
     result = None
     for r in range(budget.rounds + 1):
-        e = _eval_at_mesh(body, anchored.anchors, sig, params, h0 / (2 ** r), nodes)
+        e = _eval_at_mesh(body, anchored.anchors, sig, params, h0 / (2 ** r), nodes, reads)
         result = e if result is None else result.intersect(e)
     return result
 
 
 def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                   params: Mapping[str, str], h: Fraction,
-                  nodes: Dict[int, Fraction]) -> Enclosure:
+                  nodes: Dict[int, Fraction], reads: Dict[int, frozenset]) -> Enclosure:
     names = anchors.points
     index = {p: i for i, p in enumerate(names)}
     n = h.denominator               # snap_mesh makes h = 1/n
@@ -210,10 +236,15 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
     steps: List[List[int]] = [[int(anchors.d(p, q) * n) for q in names] for p in names]
 
     env: Dict[str, int] = {v: index[p] for v, p in params.items()}
-    # per body: (quantifier free, _compile's closures), keyed by everything
-    # its atoms resolve through: the node, the chain's points and the
-    # environment.
+    dropped = 0                     # known points the enclosing searches left out
+    # per searched formula: (quantifier free, _compile's closures for its
+    # body), keyed by everything the body's atoms resolve through: the node,
+    # the size of the (cut-down) partial space, env and index.
     compiled: Dict[tuple, tuple] = {}
+    # per searched formula: its widened enclosure, keyed by all it depends
+    # on: that key, whether its first point is widened and the cut-down
+    # table, so a quantifier under a connective is searched once per table.
+    found: Dict[tuple, Enclosure] = {}
 
     def point_of(term) -> int:
         if isinstance(term, ConstName):
@@ -225,30 +256,50 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
 
     def value(f: Formula) -> Enclosure:
         # f's prenex run Q1 x1 ... Qk xk (k = 0 when f is no quantifier) and
-        # the body below it: one search at the current partial space.
-        chain = []
-        while isinstance(f, (Sup, Inf)):
-            chain.append(f)
-            f = f.body
+        # the body below it: one search at the current partial space cut
+        # down to the known points f reads, which has the same grid minimax
+        # (the Katetov extension, see the module docstring).
+        nonlocal env, index, dropped
         m0 = len(steps)
-        outer = dict(env)
-        for i, q in enumerate(chain):   # a later binding shadows an earlier one
-            env[q.var] = m0 + i
-            steps.append([0] * (m0 + i))
-        best = chain_optimum(chain, f, m0)
-        del steps[m0:]
-        env.clear()
-        env.update(outer)
-
+        full = m0 + dropped             # the unrestricted partial space
+        outer, rows = (env, index, dropped), steps[:]
+        at = {t: point_of(t) for t in reads[id(f)]}
+        kept = sorted(set(at.values()))
+        if len(kept) < m0:              # renumber the table, env and index
+            place = {i: k for k, i in enumerate(kept)}
+            steps[:] = [[rows[i][j] for j in kept[:k]] for k, i in enumerate(kept)]
+            env, index = {}, {}
+            for t, i in at.items():
+                (env if isinstance(t, Var) else index)[t.name] = place[i]
+            dropped += m0 - len(kept)
+            m0 = len(kept)
+        key = (id(f), m0, tuple(sorted(env.items())), tuple(sorted(index.items())))
+        table = (key, full > 0, tuple(map(tuple, steps)))
+        best = found.get(table)
         if best is None:
-            raise UrysohnError("empty admissibility polytope; inputs were inconsistent")
-        # Widening commutes with the endpoint-wise merge of the level above,
-        # so the levels widen from the innermost outward; the first abstract
-        # point is unconstrained (one exact branch) and is not widened.
-        for i in reversed(range(len(chain))):
-            if m0 + i:
-                best = (enc_dot_add if isinstance(chain[i], Sup) else enc_dot_sub)(
-                    best, Enclosure(ZERO, err(chain[i])))
+            chain = []
+            while isinstance(f, (Sup, Inf)):
+                chain.append(f)
+                f = f.body
+            env = dict(env)
+            for i, q in enumerate(chain):   # a later binding shadows an earlier one
+                env[q.var] = m0 + i
+                steps.append([0] * (m0 + i))
+            best = chain_optimum(chain, f, m0, key)
+            if best is None:
+                raise UrysohnError("empty admissibility polytope; inputs were inconsistent")
+            # Widening commutes with the endpoint-wise merge of the level
+            # above, so the levels widen from the innermost outward; the
+            # first point of an empty partial space (counting the points
+            # left out) is unconstrained (one exact branch) and is not
+            # widened.
+            for i in reversed(range(len(chain))):
+                if full + i:
+                    best = (enc_dot_add if isinstance(chain[i], Sup) else enc_dot_sub)(
+                        best, Enclosure(ZERO, err(chain[i])))
+            found[table] = best
+        steps[:] = rows
+        env, index, dropped = outer
         return best
 
     def err(f) -> Fraction:
@@ -260,13 +311,12 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
             coeff = nodes[id(f)] = lipschitz(f.body, sig, only_var=f.var)
         return min(ONE, coeff * h)
 
-    def chain_optimum(chain, body: Formula, m0: int) -> Optional[Enclosure]:
+    def chain_optimum(chain, body: Formula, m0: int, key: tuple) -> Optional[Enclosure]:
         # The grid minimax over the chain's points m0 ... last, in integers
         # over N: alpha-beta over the levels.  The box [L, H] holds every
         # coordinate of the chain's rows; the top level searches it best
         # first by bisection, the levels below in step order.
         last = m0 + len(chain) - 1
-        key = (id(body), m0, last, tuple(sorted(env.items())))
         if key not in compiled:
             compiled[key] = (is_quantifier_free(body),
                              _compile(body, point_of, last, steps, n, m0, value, err))

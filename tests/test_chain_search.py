@@ -6,17 +6,20 @@ under a connective is a leaf of that body, exact at a full vector.  Chains,
 quantifiers under connectives and sentences whose top is no quantifier must
 all return exactly what `helpers.grid_enclosure` gets by visiting every
 admissible grid vector at every level, and the chain search must visit far
-fewer leaves.
+fewer leaves.  Each search runs over the known points its formula reads, so
+an anchor that nothing names changes no enclosure, while the oracle keeps
+searching every anchor.
 """
 
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import grid_enclosure, snapped_mesh
 from metriclogic import textio, urysohn
-from metriclogic.formula import Signature
+from metriclogic.formula import Inf, Signature, Sup
 from metriclogic.intervals import Enclosure
 from metriclogic.metric import RationalMetricSpace
 from metriclogic.syntax import parse
@@ -26,6 +29,8 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 ANCHORS = ("a", "b", "c")
 MESHES = (F(1, 2), F(1, 3), F(1, 4))
 W2 = "(sup x (inf y (sup z (dotminus (d x z) (d y z)))))"
+W3 = "(sup x (inf y (max (d a y) (sup z (dotminus (d x z) (d y z))))))"
+W5 = "(sup x (inf y (sup z (min (dotminus (d x z) (d y z)) (max (d a x) (d b y))))))"
 # Leaves the oracle visits at most, summed over the rounds: it builds and
 # evaluates a finite structure per leaf.
 ORACLE_LEAVES = 6000
@@ -62,7 +67,9 @@ def oracle_cost(dist, mesh, rounds, rows):
     return sum((h.denominator * 2 ** r + 1) ** rows for r in range(rounds + 1))
 
 
-def check(names, dist, text, params, mesh, rounds):
+def check(names, dist, text, params, mesh, rounds, expected=None):
+    """The search's enclosure is the plain loops' (and expected, when
+    given)."""
     sig = Signature((), names)
     phi = parse(text, sig)
     anchors = RationalMetricSpace.build(names, dist)
@@ -73,6 +80,7 @@ def check(names, dist, text, params, mesh, rounds):
         lo, hi = max(lo, e[0]), min(hi, e[1])
     got = eval_urysohn(phi, AnchoredStructure(anchors), params, QuantifierBudget(mesh, rounds))
     assert got == Enclosure(lo, hi)
+    assert expected is None or got == expected
 
 
 @st.composite
@@ -198,6 +206,44 @@ def test_quantifier_under_a_connective_below_a_chain_equals_plain_loops(instance
     check(*instance)
 
 
+def oracle_vectors(f, known, n):
+    """Grid vectors the oracle enumerates for f over known points at mesh
+    1/n, at most: (n + 1) per coordinate at each quantifier."""
+    if isinstance(f, (Sup, Inf)):
+        return (n + 1) ** known * (1 + oracle_vectors(f.body, known + 1, n))
+    kids = (f.body,) if hasattr(f, "body") else (f.left, f.right) if hasattr(f, "left") else ()
+    return sum(oracle_vectors(c, known, n) for c in kids)
+
+
+@given(st.one_of(prenex_chains(), connective_bodies(), top_connectives(),
+                 connectives_below_a_chain()).filter(lambda instance: instance[0]),
+       st.integers(0, 4))
+@example((("a",), {}, "(neg (sup x (d x x)))", {"u": "a"}, F(1, 2), 0), 0)
+@example((("a",), {}, "(sup x (inf y (max (d a y) (sup z (dotminus (d x z) (d y z))))))",
+          {}, F(1, 2), 0), 1)
+@settings(max_examples=60, deadline=None)
+def test_an_anchor_no_atom_names_changes_nothing(instance, far):
+    """A body cannot tell apart points that differ only in their distance
+    to a point it never names.  Add an anchor e that no atom and no param
+    names, at distances on the anchors' denominator (so the snapped mesh
+    stays), far picking them: every enclosure stays the same, and it is
+    still what the plain loops find over the larger space, every
+    coordinate included."""
+    names, dist, text, params, mesh, rounds = instance
+    den = lcm(*(q.denominator for q in dist.values()))
+    choices = [F(j, den) for j in range(-(-den // 2), den + 1)]
+    wider = {**dist, **{(p, "e"): choices[(far + i) % len(choices)]
+                        for i, p in enumerate(names)}}
+    phi = parse(text, Signature((), names + ("e",)))
+    h = snapped_mesh(dist.values(), mesh)
+    assume(sum(oracle_vectors(phi, len(names) + 1, h.denominator * 2 ** r)
+               for r in range(rounds + 1)) <= ORACLE_LEAVES)
+    anchors = RationalMetricSpace.build(names, dist)
+    got = eval_urysohn(parse(text, Signature((), names)), AnchoredStructure(anchors), params,
+                       QuantifierBudget(mesh, rounds))
+    check(names + ("e",), wider, text, params, mesh, rounds, expected=got)
+
+
 def counted_leaves(monkeypatch):
     """Count the compiled bodies' evaluations at full vectors."""
     calls = [0]
@@ -215,35 +261,76 @@ def counted_leaves(monkeypatch):
     return calls
 
 
+def pair_search(monkeypatch, text, mesh):
+    """(enclosure, compiled-body evaluations) of text over data/pair.space
+    at mesh with no refinement rounds."""
+    calls = counted_leaves(monkeypatch)
+    space = textio.parse_space((DATA / "pair.space").read_text())
+    phi = parse(text, Signature((), space.points))
+    e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(mesh, 0))
+    return e, calls[0]
+
+
 def test_w2_over_one_anchor_visits_few_leaves(monkeypatch):
-    """W2 at 1/8: the walk over every outer vector evaluated the compiled
-    body 44467 times; cutoffs and the bound at every level leave under 5559."""
+    """W2 at 1/8 names no anchor, so its search runs over its own three
+    points alone: 9 evaluations of the compiled body, where the search
+    with the anchor's coordinates made 3892."""
     calls = counted_leaves(monkeypatch)
     space = RationalMetricSpace.build(("s",), {})
     phi = parse(W2, Signature((), ("s",)))
     e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(F(1, 8), 0))
     assert e == Enclosure(F(0), F(3, 8))
-    assert calls[0] <= 5558
+    assert calls[0] <= 50
 
 
 def test_w2_over_pair_space(monkeypatch):
-    """W2 over two anchors at 1/4: 206564 evaluations without a bound; the
-    chain search makes 9754, and would make 32801 if a level cut off only
-    past its window rather than on reaching it."""
-    calls = counted_leaves(monkeypatch)
-    space = textio.parse_space((DATA / "pair.space").read_text())
-    phi = parse(W2, Signature((), space.points))
-    e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(F(1, 4), 0))
+    """W2 over two anchors it never names: 6 evaluations at 1/4 and 11 at
+    1/8, where the search over both anchors' coordinates made 9449 and
+    530687."""
+    for mesh, hi in ((F(1, 4), F(3, 5)), (F(1, 8), F(3, 10))):
+        e, calls = pair_search(monkeypatch, W2, mesh)
+        assert e == Enclosure(F(0), hi)
+        assert calls <= 50
+
+
+def test_w3_searches_its_leaf_once_per_distance(monkeypatch):
+    """W3 at 1/8: its leaf sup z reads d(x, y) alone, so it is searched once
+    per value of that distance (n + 1 searches at most) and not once per
+    outer vector: 79 evaluations where the search at every vector over both
+    anchors made 32703."""
+    e, calls = pair_search(monkeypatch, W3, F(1, 8))
+    assert e == Enclosure(F(2, 5), F(7, 10))
+    assert calls <= 500
+
+
+def test_an_anchor_the_inner_level_reads_alone(monkeypatch):
+    """(inf x (sup y (min (d a y) (d x y)))) at 1/64: b is dropped, so x
+    has one coordinate and y two; 18081 evaluations where the search over
+    both anchors made 6668521."""
+    e, calls = pair_search(monkeypatch, "(inf x (sup y (min (d a y) (d x y))))", F(1, 64))
+    assert e == Enclosure(F(79, 80), F(1))
+    assert calls <= 40000
+
+
+def test_w5_cuts_off_at_every_level(monkeypatch):
+    """W5 names both anchors, so its search keeps every coordinate: 9178
+    evaluations at 1/4 with cutoffs and the bound at every level.  A level
+    that cut off only past its window rather than on reaching it made
+    31367, and levels below the top that skipped no box by the bound made
+    12460."""
+    e, calls = pair_search(monkeypatch, W5, F(1, 4))
     assert e == Enclosure(F(0), F(3, 5))
-    assert calls[0] <= 12000
+    assert calls <= 9178
 
 
 def test_a_level_below_the_top_resets_its_row():
-    """(inf x (sup y (inf z (d x y)))) over one anchor: once the middle
-    level returns, its last coordinate d(x, y) must read as unset again in
-    the box.  Left at its last fixed value, it made the top level's bound
-    skip the optimum ([0, 1/2] instead of [1/2, 1]).  The same holds for a
-    last level's row of more than 16 steps, which the search bounds as one
-    box at mesh 1/20."""
-    check(("a",), {}, "(inf x (sup y (inf z (d x y))))", {}, F(1, 2), 0)
-    check(("a",), {}, "(inf x (sup y (d x y)))", {}, F(1, 20), 0)
+    """A three-level chain over one anchor that every level keeps (x reads
+    it): once the middle level returns, its last coordinate d(x, y) must
+    read as unset again in the box.  Left at its last fixed value, it made
+    the top level's bound skip the optimum.  The same holds for a last
+    level's row of more than 16 steps, which the search bounds as one box
+    at mesh 1/20."""
+    check(("a",), {}, "(inf x (sup y (inf z (max (d x y) (dotminus (d a x) (d a x))))))",
+          {}, F(1, 2), 0)
+    check(("a",), {}, "(inf x (sup y (max (d x y) (dotminus (d a x) (d a x)))))", {},
+          F(1, 20), 0)
