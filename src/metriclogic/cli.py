@@ -152,7 +152,9 @@ def cmd_extend(session, args):
         if "=" not in item:
             raise CliError(f"--value wants p=num/den, got {item!r}")
         p, v = item.split("=", 1)
-        values[p] = parse_rational(v)
+        if p in values:
+            raise CliError(f"--value: point {p!r} given twice")
+        values[_named("--value", space.points, p)] = parse_rational(v)
     f = KatetovFunction(space, values)
     out = one_point_extend(space, f, name=args.name or "")
     return {"space": textio.serialize_space(out)}
@@ -254,14 +256,18 @@ def _anchored(session, args) -> AnchoredStructure:
     from .syntax import parse as parse_formula_text
     from .urysohn import AnchoredStructure, PredicateDef
     anchors = session.space(args.anchors, "anchors")
+    sig = Signature((), anchors.points)
     defs = {}
     for i, d in enumerate(args.define or []):
         head, _, body = d.partition("=")
         name, _, params = head.strip().partition("(")
-        params = tuple(params.rstrip(")").split())
-        sig = Signature((), anchors.points)
-        defs[name.strip()] = PredicateDef(
-            params, parse_formula_text(body.strip(), sig))
+        name = name.strip()
+        if not params.endswith(")"):
+            raise CliError(f"--define wants R(x)=FORMULA, got {d!r}")
+        if name in defs:
+            raise CliError(f"--define: {name} defined twice")
+        params = tuple(params.rstrip(")").replace(",", " ").split())
+        defs[name] = PredicateDef(params, parse_formula_text(body.strip(), sig))
         session.inputs[f"def{i}"] = d
     return AnchoredStructure(anchors, defs)
 

@@ -418,15 +418,14 @@ def oligo_probe(M: FiniteStructure, n: int, eps: Fraction,
     for size in range(1, len(orbits) + 1):
         for combo in combinations(range(len(orbits)), size):
             if frozenset().union(*(coverage[i] for i in combo)) == universe:
-                family = tuple(min(sorted(orbits[i])) for i in combo)
+                family = tuple(min(orbits[i]) for i in combo)
                 cert: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], Fraction]] = {}
                 for t in tuples:
                     best = None
-                    for i in combo:
-                        for u in sorted(orbits[i]):
-                            dd = tuple_dist(t, u)
-                            if dd <= eps and (best is None or dd < best[1]):
-                                best = (min(sorted(orbits[i])), dd)
+                    for rep, i in zip(family, combo):
+                        dd = min(tuple_dist(t, u) for u in orbits[i])
+                        if dd <= eps and (best is None or dd < best[1]):
+                            best = (rep, dd)
                     cert[t] = best
                 return OligoResult(family, cert, len(orbits), len(autos))
     raise GradedError("internal: no family covered the tuple space")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
 from .metric import MetricError, RationalMetricSpace, katetov_spread
@@ -71,7 +71,7 @@ def qu_enumerate(seed: RationalMetricSpace, denominator_bound: int,
             realizers = {}
             for p in space.points:
                 realizers.setdefault(tuple([space.d(p, a) for a in subset]), p)
-            for vec in _lex_vectors(values, size):
+            for vec in product(values, repeat=size):
                 if not admissible_on_subset(seed, subset, vec):
                     continue
                 existing = realizers.get(vec)
@@ -89,12 +89,3 @@ def qu_enumerate(seed: RationalMetricSpace, denominator_bound: int,
                 tasks.append(ExtensionTask(subset, vec, name, True))
     cert = EnumeratorCertificate(denominator_bound, budget, tuple(tasks))
     return space, cert
-
-
-def _lex_vectors(values: Sequence[Fraction], size: int):
-    if size == 0:
-        yield ()
-        return
-    for head in values:
-        for tail in _lex_vectors(values, size - 1):
-            yield (head,) + tail

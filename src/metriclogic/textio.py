@@ -73,6 +73,8 @@ def parse_space_raw(text: str):
         _, p, q, value = parts
         if p not in points or q not in points:
             raise FormatError(f"unknown point in line: {line!r}")
+        if (p, q) in given:
+            raise FormatError(f"duplicate pair ({p},{q}): {line!r}")
         given[(p, q)] = parse_rational(value)
     table = dict(given)
     for (p, q), v in given.items():
@@ -154,6 +156,8 @@ def parse_structure(text: str) -> FiniteStructure:
             for p in pts:
                 if p not in space.points:
                     raise FormatError(f"unknown point {p!r} in value line")
+            if tuple(pts) in tables[current]:
+                raise FormatError(f"duplicate tuple in rel {current!r}: {line!r}")
             tables[current][tuple(pts)] = parse_rational(value)
         elif parts[0] == "const":
             if len(parts) != 3:
@@ -263,33 +267,36 @@ def parse_gspace(text: str):
     for i, p in enumerate(points):
         if p in points[:i]:     # a perm line's map would lose its images
             raise FormatError(f"duplicate point {p}")
-    perms: Dict[str, Dict[str, str]] = {}
-    raw_space: List[Tuple[str, List[str]]] = []
-    raw_group: List[Tuple[str, List[str]]] = []
+    perms: Dict[str, List[str]] = {}
+    raw_space: Dict[str, List[str]] = {}
+    raw_group: Dict[str, List[str]] = {}
     for line in lines[1:]:
         parts = line.split()
         if parts[0] == "perm":
             if len(parts) != 2 + len(points):
                 raise FormatError(f"perm line needs {len(points)} images: {line!r}")
-            perms[parts[1]] = dict(zip(points, parts[2:]))
+            named = perms
         elif parts[0] in ("graded-space", "graded-group"):
             if len(parts) < 2:
                 raise FormatError(f"{parts[0]} line needs a name")
-            (raw_space if parts[0] == "graded-space" else raw_group).append(
-                (parts[1], parts[2:]))
+            named = raw_space if parts[0] == "graded-space" else raw_group
         else:
             raise FormatError(f"unrecognized line: {line!r}")
+        if parts[1] in named:
+            raise FormatError(f"duplicate {parts[0]} {parts[1]}: {line!r}")
+        named[parts[1]] = parts[2:]
     try:
-        X = FiniteGSpace(points, perms)
+        X = FiniteGSpace(points, {g: dict(zip(points, images))
+                                  for g, images in perms.items()})
     except GSpaceError as exc:
         raise FormatError(str(exc)) from None
     space_tables = {}
-    for name, vals in raw_space:
+    for name, vals in raw_space.items():
         if len(vals) != len(points):
             raise FormatError(f"graded-space {name} needs {len(points)} values")
         space_tables[name] = dict(zip(points, map(parse_rational, vals)))
     group_tables = {}
-    for name, vals in raw_group:
+    for name, vals in raw_group.items():
         if len(vals) != len(X.elements):
             raise FormatError(f"graded-group {name} needs {len(X.elements)} values")
         group_tables[name] = dict(zip(X.elements, map(parse_rational, vals)))
@@ -339,7 +346,10 @@ def parse_instance(text: str) -> ReductionInstance:
                 raise FormatError(f"{parts[0]} line before any element line")
             if len(parts) != 3:
                 raise FormatError(f"bad {parts[0]} line: {line!r}")
-            elements[-1][1 if parts[0] == "ymap" else 2][parts[1]] = parts[2]
+            name, maps = elements[-1][0], elements[-1][1 if parts[0] == "ymap" else 2]
+            if parts[1] in maps:
+                raise FormatError(f"duplicate {parts[0]} {parts[1]} in element {name}: {line!r}")
+            maps[parts[1]] = parts[2]
         elif parts[0] == "basis":
             basis.append(tuple(parts[1:]))
         elif parts[0] == "senum":

@@ -119,9 +119,13 @@ class AnchoredStructure:
                 if isinstance(atom, AtomR):
                     raise UrysohnError(
                         f"definition of {name} uses relation symbol {atom.name}")
+            clash = set(d.params) & set(self.anchors.points)
+            if clash:
+                raise UrysohnError(f"parameter {min(clash)} of {name} names an anchor")
             loose = free_variables(d.body) - set(d.params)
             if loose:
-                raise UrysohnError(f"definition of {name} has stray variables {loose}")
+                raise UrysohnError(
+                    f"definition of {name} has stray variables {', '.join(sorted(loose))}")
 
     @property
     def signature(self) -> Signature:
@@ -174,10 +178,7 @@ class QuantifierBudget:
 
 def snap_mesh(requested: Fraction, space: RationalMetricSpace) -> Fraction:
     """Largest 1/(D*2^t) <= requested, D clearing the anchor denominators."""
-    dens = [space.dist[(p, q)].denominator
-            for i, p in enumerate(space.points)
-            for q in space.points[i + 1:]]
-    d = lcm(*dens) if dens else 1
+    d = space.int_rows[0]
     num, den = requested.numerator, requested.denominator
     while d * num < den:                # 1/d > num/den
         d *= 2
@@ -760,11 +761,10 @@ def theta_demo(q: Fraction, tol: Fraction) -> Enclosure:
         rt = Enclosure(sqrt_enclosure(e1, prec).lo, sqrt_enclosure(e2, prec).hi)
         return enc_dot_add(lin, rt)
 
-    cells = [(ZERO, q)]
     enclosures = {(ZERO, q): cell_enclosure(ZERO, q)}
     while True:
-        global_hi = min(enclosures[c].hi for c in cells)
-        live = [c for c in cells if enclosures[c].lo < global_hi]
+        global_hi = min(e.hi for e in enclosures.values())
+        live = [c for c, e in enclosures.items() if e.lo < global_hi]
         global_lo = min((enclosures[c].lo for c in live), default=global_hi)
         if global_hi - global_lo <= tol:
             return Enclosure(global_lo, global_hi)
@@ -772,8 +772,6 @@ def theta_demo(q: Fraction, tol: Fraction) -> Enclosure:
         target = min(live, key=lambda c: (enclosures[c].lo, c))
         e1, e2 = target
         mid = (e1 + e2) / 2
-        cells.remove(target)
         del enclosures[target]
         for cell in ((e1, mid), (mid, e2)):
-            cells.append(cell)
             enclosures[cell] = cell_enclosure(*cell)

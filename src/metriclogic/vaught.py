@@ -136,13 +136,24 @@ def _value_grid(phi: GradedTable, J: GradedTable) -> List[Fraction]:
 
 def vaught_delta(X: FiniteGSpace, phi: GradedTable, J: GradedTable) -> Dict[str, Fraction]:
     """Graded delta-transform; closed form checked against the threshold scan."""
+    return _transform(X, phi, J, min, dot_add, _delta_scan)
+
+
+def vaught_star(X: FiniteGSpace, phi: GradedTable, J: GradedTable) -> Dict[str, Fraction]:
+    """Graded star-transform; closed form checked against the threshold scan."""
+    return _transform(X, phi, J, max, dot_sub, _star_scan)
+
+
+def _transform(X, phi, J, pick, op, scan) -> Dict[str, Fraction]:
+    """x -> pick over h of op(phi(h.x), J(h)), each value checked against
+    scan, the transform's definition."""
     check_table(X, phi, on_group=False)
     check_table(X, J, on_group=True)
     grid = _value_grid(phi, J)
     out = {}
     for x in X.points:
-        closed = min(dot_add(phi[X.act(h, x)], J[h]) for h in X.elements)
-        scanned = _delta_scan(X, phi, J, x, grid)
+        closed = pick(op(phi[X.act(h, x)], J[h]) for h in X.elements)
+        scanned = scan(X, phi, J, x, grid)
         if closed != scanned:
             raise GSpaceError(
                 f"definition scan {scanned} disagrees with closed form {closed} at {x}")
@@ -170,22 +181,6 @@ def _delta_scan(X, phi, J, x, grid) -> Fraction:
     if best is None:
         raise GSpaceError("empty group")
     return best
-
-
-def vaught_star(X: FiniteGSpace, phi: GradedTable, J: GradedTable) -> Dict[str, Fraction]:
-    """Graded star-transform; closed form checked against the threshold scan."""
-    check_table(X, phi, on_group=False)
-    check_table(X, J, on_group=True)
-    grid = _value_grid(phi, J)
-    out = {}
-    for x in X.points:
-        closed = max(dot_sub(phi[X.act(h, x)], J[h]) for h in X.elements)
-        scanned = _star_scan(X, phi, J, x, grid)
-        if closed != scanned:
-            raise GSpaceError(
-                f"definition scan {scanned} disagrees with closed form {closed} at {x}")
-        out[x] = closed
-    return out
 
 
 def _star_scan(X, phi, J, x, grid) -> Fraction:

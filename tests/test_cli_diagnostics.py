@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from metriclogic.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+PAIR = DATA / "pair.space"
 
 
 def call(*argv):
@@ -78,10 +80,25 @@ DELTA = ["delta-seq", DATA / "twopoint.struct", DATA / "twopoint.struct",
     ("x\n", DELTA, "bad enumeration line: 'x'"),
     ("t R p\n", DELTA, "enumeration entry R(p) is not a tuple"),
     ("t P z\n", DELTA, "enumeration entry P(z) is not a tuple"),
-    ("points a a\nperm e a a\n", SETS, "duplicate point a")],
+    ("points a a\nperm e a a\n", SETS, "duplicate point a"),
+    ("points: a b\nd a b 1/2\nd a b 3/4\n", ["validate", "{}"],
+     "duplicate pair (a,b): 'd a b 3/4'"),
+    ("points: p q\nd p q 1/2\nrel P\nv p 0\nv p 1/2\n", ["eval", "{}", "(d p q)"],
+     "duplicate tuple in rel 'P': 'v p 1/2'"),
+    ("points x y\nperm e x y\nperm e x y\n", SETS, "duplicate perm e: 'perm e x y'"),
+    ("points x y\nperm e x y\ngraded-space m 0 1\ngraded-space m 1 0\n", SETS,
+     "duplicate graded-space m: 'graded-space m 1 0'"),
+    ("points x y\nperm e x y\ngraded-group h 0\ngraded-group h 0\n", SETS,
+     "duplicate graded-group h: 'graded-group h 0'"),
+    (SWAPX.replace("ymap s0 s0\n", "ymap s0 s0\nymap s0 s1\n", 1), ORBIT,
+     "duplicate ymap s0 in element e: 'ymap s0 s1'"),
+    (SWAPX.replace("xmap x0 x0\n", "xmap x0 x0\nxmap x0 x1\n", 1), ORBIT,
+     "duplicate xmap x0 in element e: 'xmap x0 x1'")],
     ids=["ymap-first", "nameless-element", "nameless-graded-space",
          "nameless-graded-group", "enumeration-line", "unknown-relation", "unknown-tuple",
-         "duplicate-gspace-point"])
+         "duplicate-gspace-point", "duplicate-pair", "duplicate-rel-tuple", "duplicate-perm",
+         "duplicate-graded-space", "duplicate-graded-group", "duplicate-ymap",
+         "duplicate-xmap"])
 def test_malformed_text_gets_a_one_line_diagnostic(tmp_path, text, argv, message):
     path = tmp_path / "input"
     path.write_text(text)
@@ -90,9 +107,47 @@ def test_malformed_text_gets_a_one_line_diagnostic(tmp_path, text, argv, message
     assert message in err and "Traceback" not in err
 
 
+def test_a_pair_may_be_given_in_both_directions(tmp_path):
+    path = tmp_path / "both.space"
+    path.write_text("points: a b\nd a b 1/2\nd b a 1/2\n")
+    assert call("validate", path) == (0, "")
+
+
 @pytest.mark.parametrize("images", ["a a", "a z"])
 def test_gspace_perm_line_must_be_a_permutation(tmp_path, images):
     path = tmp_path / "bad.gspace"
     path.write_text(f"points a b\nperm e a b\nperm c {images}\n")
     code, err = call("vaught-sets", path, "--set", "a", "--u", "e")
     assert (code, err) == (1, "error: action of c is not a permutation\n")
+
+
+@pytest.mark.parametrize("formula, defines, message", [
+    ("(R b)", ["R(y)=(d y a)", "R(y)=(d y b)"], "--define: R defined twice"),
+    ("(sup x (R x))", ["R(a)=(d a b)"], "parameter a of R names an anchor"),
+    ("(sup x (R x))", ["R(y=(d y a)"], "--define wants R(x)=FORMULA, got 'R(y=(d y a)'"),
+    ("(sup x (R x))", ["R(x)=(d z y)"], "definition of R has stray variables y, z")],
+    ids=["defined-twice", "anchor-parameter", "unclosed-head", "stray-variables"])
+def test_eval_urysohn_refuses_a_bad_definition(formula, defines, message):
+    argv = ["eval-urysohn", formula, "--anchors", PAIR, "--mesh", "1/8", "--rounds", "0"]
+    for d in defines:
+        argv += ["--define", d]
+    assert call(*argv) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("define", ["R(y,z)=(d y z)", "R(y, z) = (d y z)", "R(y z)=(d y z)"])
+def test_definition_parameters_split_on_commas_and_spaces(capsys, define):
+    argv = ["--format", "json", "eval-urysohn", "(sup x (R x a))", "--anchors", str(PAIR),
+            "--mesh", "1/8", "--rounds", "0", "--define", define]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"lo": "1", "hi": "1"}
+
+
+@pytest.mark.parametrize("values, message", [
+    (["a=1/2", "b=1/2", "z=1/4"], "--value: unknown name 'z' (known: a, b)"),
+    (["a=1/2", "b=1/2", "a=1/4"], "--value: point 'a' given twice")],
+    ids=["unknown-point", "repeated-point"])
+def test_extend_refuses_a_stray_or_repeated_value(values, message):
+    argv = ["extend", PAIR]
+    for v in values:
+        argv += ["--value", v]
+    assert call(*argv) == (1, f"error: {message}\n")
