@@ -110,6 +110,8 @@ def _assignment(spec: Optional[str]) -> Dict[str, str]:
         if "=" not in piece:
             raise CliError(f"bad assignment piece {piece!r}, want var=point")
         var, point = piece.split("=", 1)
+        if var in out:
+            raise CliError(f"variable {var!r} assigned twice")
         out[var] = point
     return out
 

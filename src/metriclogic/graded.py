@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .intervals import (Enclosure, sqrt_enclosure, sqrt_leq_sum,
@@ -378,8 +378,6 @@ def oligo_probe(M: FiniteStructure, n: int, eps: Fraction,
     Computed by set cover over orbit eps-neighbourhoods; minimality comes
     from exhausting families by size, so the guard caps the combinatorics.
     """
-    from itertools import product as iproduct
-
     if n < 1:
         raise GradedError("n must be >= 1")
     eps = Fraction(eps)
@@ -392,7 +390,7 @@ def oligo_probe(M: FiniteStructure, n: int, eps: Fraction,
     if len(autos) > max_group:
         raise SizeGuardError(f"automorphism group of size {len(autos)} exceeds the guard")
 
-    tuples = list(iproduct(pts, repeat=n))
+    tuples = list(product(pts, repeat=n))
 
     def orbit(t):
         return frozenset(tuple(a[p] for p in t) for a in autos)
@@ -406,13 +404,10 @@ def oligo_probe(M: FiniteStructure, n: int, eps: Fraction,
         seen |= o
         orbits.append(o)
 
-    def tuple_dist(a, b):
-        return max(M.space.d(x, y) for x, y in zip(a, b))
-
-    coverage = []
-    for o in orbits:
-        coverage.append(frozenset(t for t in tuples
-                                  if any(tuple_dist(t, u) <= eps for u in o)))
+    # dist[i][t]: the sup distance from tuple t to the nearest tuple of orbit i
+    dist = [{t: min(max(M.space.d(x, y) for x, y in zip(t, u)) for u in o) for t in tuples}
+            for o in orbits]
+    coverage = [frozenset(t for t in tuples if di[t] <= eps) for di in dist]
 
     universe = frozenset(tuples)
     for size in range(1, len(orbits) + 1):
@@ -423,7 +418,7 @@ def oligo_probe(M: FiniteStructure, n: int, eps: Fraction,
                 for t in tuples:
                     best = None
                     for rep, i in zip(family, combo):
-                        dd = min(tuple_dist(t, u) for u in orbits[i])
+                        dd = dist[i][t]
                         if dd <= eps and (best is None or dd < best[1]):
                             best = (rep, dd)
                     cert[t] = best

@@ -170,6 +170,16 @@ def separating_prefix_length(y_space: RationalMetricSpace,
     return len(enumeration)
 
 
+def _build_or_flatten(pts: Tuple[str, ...], dist: Dict[Tuple[str, str], Fraction],
+                      flat: Fraction) -> RationalMetricSpace:
+    """The space of dist, or, when dist breaks the triangle inequality, the
+    space with every pair at flat (equal distances always close it)."""
+    try:
+        return RationalMetricSpace.build(pts, dist)
+    except MetricError:
+        return RationalMetricSpace.build(pts, dict.fromkeys(dist, flat))
+
+
 def random_instance(rng: random.Random, max_y: int = 4, max_x: int = 6,
                     extra_basis: int = 2, max_group: int = 24) -> ReductionInstance:
     """A random instance with a non-trivial Y-symmetry group when possible.
@@ -190,14 +200,7 @@ def random_instance(rng: random.Random, max_y: int = 4, max_x: int = 6,
     dist = {}
     for p, q in combinations(ypts, 2):
         dist[(p, q)] = d1 if rng.random() < 2 / 3 else d2
-    while True:
-        try:
-            y_space = RationalMetricSpace.build(ypts, dist)
-            break
-        except MetricError:
-            # flatten to the larger value until the triangle closes
-            for pq in dist:
-                dist[pq] = max(d1, d2)
+    y_space = _build_or_flatten(ypts, dist, max(d1, d2))
 
     y_isos = [tuple(g[p] for p in ypts) for g in space_isometries(y_space)]
     group = None
@@ -215,13 +218,7 @@ def random_instance(rng: random.Random, max_y: int = 4, max_x: int = 6,
     xdist = {}
     for p, q in combinations(xpts, 2):
         xdist[(p, q)] = Fraction(rng.randint(1, 4), 4)
-    while True:
-        try:
-            x_space = RationalMetricSpace.build(xpts, xdist)
-            break
-        except MetricError:
-            for pq in xdist:
-                xdist[pq] = Fraction(1, 2)
+    x_space = _build_or_flatten(xpts, xdist, Fraction(1, 2))
 
     elements = tuple(GroupElement(f"g{i}", g, x_maps[i])
                      for i, g in enumerate(group))

@@ -68,62 +68,52 @@ def sc_probe(M: FiniteStructure, n: int, eps: Fraction, formula_pool: Sequence[F
     tuples = list(product(points, repeat=n))
     ext_tuples = list(product(points, repeat=n + 1))
 
-    values = {}
-    for f in pool_n:
-        for tup in tuples:
-            values[(id(f), tup)] = evaluate(f, M, dict(zip(xs, tup)))
-    candidates: List[Condition] = []
-    for f in pool_n:
-        for delta in sorted({values[(id(f), tup)] for tup in tuples}):
-            candidates.append(Condition(f, delta))
+    memo = {}
+
+    def value(f: Formula, tup: Tuple[str, ...]) -> Fraction:
+        """f at an n- or (n+1)-tuple, evaluated once per probe."""
+        key = (id(f), tup)
+        if key not in memo:
+            memo[key] = evaluate(f, M, dict(zip(ys, tup)))
+        return memo[key]
+
+    candidates = [Condition(f, delta) for f in pool_n
+                  for delta in sorted({value(f, tup) for tup in tuples})]
     if not candidates:
         return ProbeReport("counterexample", failing_tuple=tuples[0] if tuples else ())
 
-    covers = {}
-    for c in candidates:
-        covers[c] = frozenset(t for t in tuples
-                              if values[(id(c.formula), t)] <= c.threshold)
+    covers = {c: frozenset(t for t in tuples if value(c.formula, t) <= c.threshold)
+              for c in candidates}
 
     deltas: List[tuple] = [()]
     for size in range(1, min(depth, len(pool_ext)) + 1):
         deltas.extend(combinations(pool_ext, size))
-
-    ext_cache = {}
-
-    def ext_value(f: Formula, tup: Tuple[str, ...]) -> Fraction:
-        key = (id(f), tup)
-        if key not in ext_cache:
-            ext_cache[key] = evaluate(f, M, dict(zip(ys, tup)))
-        return ext_cache[key]
 
     @cache
     def extension_holds(cond: Condition):
         """None when the clause holds, else the failing (tuple, Delta).
 
         A pure function of the condition, so each is decided once per probe
-        however many families contain it.
+        however many families contain it.  The holders are walked in point
+        order, so the failing tuple reported is the first one.
         """
         holders = covers[cond]
-        for a in holders:
+        for a in tuples:
+            if a not in holders:
+                continue
             for delta_formulas in deltas:
                 for c in ext_tuples:
-                    if values[(id(cond.formula), c[:n])] > cond.threshold:
+                    if c[:n] not in holders:
                         continue
-                    bounds = [ext_value(f, c) for f in delta_formulas]
-                    ok = False
-                    for b in ext_tuples:
-                        if values[(id(cond.formula), b[:n])] > cond.threshold:
-                            continue
-                        if any(ext_value(f, b) > bd for f, bd in zip(delta_formulas, bounds)):
-                            continue
-                        if max((M.space.d(x, y) for x, y in zip(a, b[:n])),
-                               default=Fraction(0)) < eps:
-                            ok = True
-                            break
-                    if not ok:
+                    bounds = [value(f, c) for f in delta_formulas]
+                    if not any(b[:n] in holders
+                               and all(value(f, b) <= bd for f, bd in zip(delta_formulas, bounds))
+                               and max((M.space.d(x, y) for x, y in zip(a, b[:n])),
+                                       default=Fraction(0)) < eps
+                               for b in ext_tuples):
                         anchored = tuple(Condition(f, bd)
                                          for f, bd in zip(delta_formulas, bounds))
-                        return a, (Condition(cond.formula, cond.threshold),) + anchored
+                        return a, (cond,) + anchored
         return None
 
     examined = 0

@@ -25,7 +25,7 @@ from typing import List, Tuple
 from .formula import (BINARY, CONNECTIVES, QUANTIFIER, SCALE, AtomD, AtomR,
                       Const, ConstName, DotScale, Formula, FormulaError,
                       MAX_DEPTH, PURE_METRIC, Signature, Var, fold)
-from .rational import format_rational
+from .rational import format_rational, parse_rational
 
 KEYWORDS = {AtomD.keyword, *CONNECTIVES}
 
@@ -67,16 +67,9 @@ def _is_rational(tok: str) -> bool:
 
 def _rational(tok: _Token) -> Fraction:
     try:
-        if "/" in tok.text:
-            num, den = tok.text.split("/")
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(tok.text))
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(tok.text)
+    except ValueError:
         raise ParseError(f"bad rational {tok.text!r}", tok.pos) from None
-    if not 0 <= value <= 1:
-        raise ParseError(f"rational {tok.text} outside [0,1]", tok.pos)
-    return value
 
 
 def parse(text: str, sig: Signature = PURE_METRIC, loose: bool = False) -> Formula:
@@ -118,7 +111,10 @@ def _parse_formula(tokens: List[_Token], k: int, sig: Signature,
         raise ParseError("unexpected ')'", tok.pos)
     if tok.text != "(":
         if _is_rational(tok.text):
-            return Const(_rational(tok)), k + 1
+            value = _rational(tok)
+            if not 0 <= value <= 1:
+                raise ParseError(f"rational {tok.text} outside [0,1]", tok.pos)
+            return Const(value), k + 1
         raise ParseError(f"expected a formula, got {tok.text!r}", tok.pos)
 
     head = _expect(tokens, k + 1, "an operator or relation name")
@@ -148,10 +144,7 @@ def _parse_formula(tokens: List[_Token], k: int, sig: Signature,
             qtok = _expect(tokens, k, "a rational")
             if not _is_rational(qtok.text):
                 raise ParseError(f"expected a rational scale factor, got {qtok.text!r}", qtok.pos)
-            try:
-                lead = (Fraction(qtok.text),)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad rational {qtok.text!r}", qtok.pos) from None
+            lead = (_rational(qtok),)
             if lead[0] <= 0:
                 raise ParseError("scale factor must be positive", qtok.pos)
             k += 1

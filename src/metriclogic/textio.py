@@ -51,6 +51,14 @@ def serialize_space(space: RationalMetricSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _refuse_repeats(points: Tuple[str, ...]) -> None:
+    """A header's points are distinct: a repeat would silently merge two
+    points' distance lines or a perm line's images."""
+    for i, p in enumerate(points):
+        if p in points[:i]:
+            raise FormatError(f"duplicate point {p}")
+
+
 def parse_space_raw(text: str):
     """Parse a candidate table without validating it.
 
@@ -65,6 +73,7 @@ def parse_space_raw(text: str):
     points = tuple(lines[0].split(":", 1)[1].split())
     if not points:
         raise FormatError("empty point list")
+    _refuse_repeats(points)
     given: Dict[Tuple[str, str], Fraction] = {}
     for line in lines[1:]:
         parts = line.split()
@@ -264,9 +273,7 @@ def parse_gspace(text: str):
     if not lines or not lines[0].startswith("points"):
         raise FormatError("group space must start with a `points` line")
     points = tuple(lines[0].split()[1:])
-    for i, p in enumerate(points):
-        if p in points[:i]:     # a perm line's map would lose its images
-            raise FormatError(f"duplicate point {p}")
+    _refuse_repeats(points)
     perms: Dict[str, List[str]] = {}
     raw_space: Dict[str, List[str]] = {}
     raw_group: Dict[str, List[str]] = {}

@@ -726,16 +726,6 @@ def qf_decide(phi: Formula, fragment: RationalMetricSpace) -> Fraction:
     return evaluate(phi, M, {})
 
 
-def qf_threshold(phi: Formula, fragment: RationalMetricSpace,
-                 eps: Fraction, cmp: str) -> bool:
-    value = qf_decide(phi, fragment)
-    if cmp == "<":
-        return value < eps
-    if cmp == ">":
-        return value > eps
-    raise UrysohnError(f"comparison must be '<' or '>', got {cmp!r}")
-
-
 def theta_demo(q: Fraction, tol: Fraction) -> Enclosure:
     """Enclose inf over e in [0,q] of (10 *. (q - e)) +. sqrt(e).
 

@@ -282,37 +282,30 @@ def nice_closure(X: FiniteGSpace, family: Sequence[GradedTable],
     applications = 0
     fixed_point = not known
 
-    def unary_ops(v):
-        yield tuple(ONE - a for a in v)
-        for q in scales:
-            yield tuple(dot_scale(Fraction(q), a) for a in v)
-        for rho in cosets:
-            yield vec(vaught_delta(X, tab(v), rho))
-            yield vec(vaught_star(X, tab(v), rho))
-
-    def binary_ops(v, w):
-        yield tuple(min(a, b) for a, b in zip(v, w))
-        yield tuple(max(a, b) for a, b in zip(v, w))
-        yield tuple(abs(a - b) for a, b in zip(v, w))
-        yield tuple(dot_sub(a, b) for a, b in zip(v, w))
-        yield tuple(dot_add(a, b) for a, b in zip(v, w))
+    def sweep(snapshot):
+        """Every unary output over the snapshot, then every binary one."""
+        for v in snapshot:
+            yield tuple(ONE - a for a in v)
+            for q in scales:
+                yield tuple(dot_scale(Fraction(q), a) for a in v)
+            for rho in cosets:
+                yield vec(vaught_delta(X, tab(v), rho))
+                yield vec(vaught_star(X, tab(v), rho))
+        for v in snapshot:
+            for w in snapshot:
+                yield tuple(min(a, b) for a, b in zip(v, w))
+                yield tuple(max(a, b) for a, b in zip(v, w))
+                yield tuple(abs(a - b) for a, b in zip(v, w))
+                yield tuple(dot_sub(a, b) for a, b in zip(v, w))
+                yield tuple(dot_add(a, b) for a, b in zip(v, w))
 
     while known:
         added = False
-        snapshot = list(known)
-        for v in snapshot:
-            for out in unary_ops(v):
-                applications += 1
-                if applications > budget:
-                    return ClosureResult(tuple(known), False, applications - 1)
-                added |= learn(out)
-        for v in snapshot:
-            for w in snapshot:
-                for out in binary_ops(v, w):
-                    applications += 1
-                    if applications > budget:
-                        return ClosureResult(tuple(known), False, applications - 1)
-                    added |= learn(out)
+        for out in sweep(list(known)):
+            applications += 1
+            if applications > budget:
+                return ClosureResult(tuple(known), False, applications - 1)
+            added |= learn(out)
         if not added:
             fixed_point = True
             break

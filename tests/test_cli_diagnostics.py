@@ -81,6 +81,7 @@ DELTA = ["delta-seq", DATA / "twopoint.struct", DATA / "twopoint.struct",
     ("t R p\n", DELTA, "enumeration entry R(p) is not a tuple"),
     ("t P z\n", DELTA, "enumeration entry P(z) is not a tuple"),
     ("points a a\nperm e a a\n", SETS, "duplicate point a"),
+    ("points: a a\nd a a 1/2\n", ["validate", "{}"], "duplicate point a"),
     ("points: a b\nd a b 1/2\nd a b 3/4\n", ["validate", "{}"],
      "duplicate pair (a,b): 'd a b 3/4'"),
     ("points: p q\nd p q 1/2\nrel P\nv p 0\nv p 1/2\n", ["eval", "{}", "(d p q)"],
@@ -96,7 +97,7 @@ DELTA = ["delta-seq", DATA / "twopoint.struct", DATA / "twopoint.struct",
      "duplicate xmap x0 in element e: 'xmap x0 x1'")],
     ids=["ymap-first", "nameless-element", "nameless-graded-space",
          "nameless-graded-group", "enumeration-line", "unknown-relation", "unknown-tuple",
-         "duplicate-gspace-point", "duplicate-pair", "duplicate-rel-tuple", "duplicate-perm",
+         "duplicate-gspace-point", "duplicate-space-point", "duplicate-pair", "duplicate-rel-tuple", "duplicate-perm",
          "duplicate-graded-space", "duplicate-graded-group", "duplicate-ymap",
          "duplicate-xmap"])
 def test_malformed_text_gets_a_one_line_diagnostic(tmp_path, text, argv, message):
@@ -151,3 +152,11 @@ def test_extend_refuses_a_stray_or_repeated_value(values, message):
     for v in values:
         argv += ["--value", v]
     assert call(*argv) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-urysohn", "(d x a)", "--anchors", PAIR, "--params", "x=a,x=b"],
+    ["eval", DATA / "twopoint.struct", "(d x c)", "--assign", "x=p x=q"]],
+    ids=["params", "assign"])
+def test_a_variable_assigned_twice_is_refused(argv):
+    assert call(*argv) == (1, "error: variable 'x' assigned twice\n")

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,37 @@ def test_probe_inconclusive_at_budget():
     rep2 = sc_probe(M, 1, F(1, 2), [Const(F(1, 2)), Const(F(1))], depth=0,
                     max_families=0)
     assert rep2.status == "inconclusive"
+
+
+PROBE_REPRO = """
+from fractions import Fraction as F
+from itertools import combinations
+from metriclogic.formula import Relation, Signature
+from metriclogic.metric import RationalMetricSpace
+from metriclogic.scprobe import sc_probe
+from metriclogic.structures import FiniteStructure
+from metriclogic.syntax import parse
+pts = ("a", "b", "c", "e")
+space = RationalMetricSpace.build(pts, {pq: F(1, 2) for pq in combinations(pts, 2)})
+sig = Signature((Relation("P", 1),), ())
+P = {("a",): F(0), ("b",): F(0), ("c",): F(1, 2), ("e",): F(1, 2)}
+M = FiniteStructure(space, sig, {"P": P}, {})
+pool = [parse(f, sig) for f in ("(P x1)", "(d x1 x2)", "(P x2)")]
+rep = sc_probe(M, 1, F(1, 4), pool, depth=1)
+print(rep.status, rep.failing_tuple)
+"""
+
+
+def test_probe_counterexample_does_not_depend_on_the_hash_seed():
+    """The failing tuple is the first in point order, under every hash seed
+    (string hashing orders the sets of point-name tuples differently)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", PROBE_REPRO], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "counterexample ('c',)\n", (seed, proc.stdout)
 
 
 def naive_eval(phi, M, env):

@@ -44,6 +44,25 @@ def test_parse_errors_carry_position():
         parse("3/2")                      # out of [0,1]
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("(min 1/0 (d x y))", "bad rational '1/0'", 5),
+    ("(min 3/2 (d x y))", "rational 3/2 outside [0,1]", 5),
+    ("(scale 3/0 (d x y))", "bad rational '3/0'", 7),
+    ("(scale 0 (d x y))", "scale factor must be positive", 7),
+    ("(scale -1/2 (d x y))", "scale factor must be positive", 7)],
+    ids=["bad-constant", "constant-outside-unit", "bad-scale", "zero-scale", "negative-scale"])
+def test_rational_diagnostics_name_the_token_and_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_scale_factors_and_constants_read_rationals_alike():
+    assert print_formula(parse("(min -1/-2 (d x y))")) == "(min 1/2 (d x y))"
+    assert print_formula(parse("(scale -3/-2 (d x y))")) == "(scale 3/2 (d x y))"
+
+
 def test_unknown_symbol_vs_loose():
     with pytest.raises(ParseError):
         parse("(S x y)")

@@ -11,7 +11,7 @@ from metriclogic.structures import FiniteStructure, evaluate
 from metriclogic.syntax import parse
 from metriclogic.urysohn import (AnchoredStructure, PredicateDef,
                                  QuantifierBudget, UrysohnError, eval_urysohn,
-                                 qf_decide, qf_threshold, snap_mesh, theta_demo)
+                                 qf_decide, snap_mesh, theta_demo)
 
 from helpers import random_far_space
 
@@ -121,7 +121,6 @@ def test_qf_decide_examples():
     assert qf_decide(parse("(d s s)", sig), frag) == 0
     assert qf_decide(parse("(neg (d s t))", sig), frag) == F(3, 5)
     assert qf_decide(parse("(dotminus (d s u) (d t u))", sig), frag) == 0
-    assert qf_threshold(parse("(d s t)", sig), frag, F(1, 2), "<")
 
 
 def test_qf_decide_rejects_quantifiers_and_unknowns():
