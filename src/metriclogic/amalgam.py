@@ -42,6 +42,14 @@ class AmalgamResult:
     b_names: Tuple[str, ...]           # output names of b_1..b_n in order
 
 
+def _distances(host: RationalMetricSpace, a_points: Sequence[str],
+               b_space: RationalMetricSpace):
+    """(da, db): d(a_i, a_j) in the host and d(b_i, b_j) in B, by index."""
+    bs = b_space.points
+    return (lambda i, j: host.d(a_points[i], a_points[j]),
+            lambda i, j: b_space.d(bs[i], bs[j]))
+
+
 def check_hypotheses(host: RationalMetricSpace, a_points: Sequence[str],
                      b_space: RationalMetricSpace, q: int,
                      eps: Fraction) -> List[Violation]:
@@ -72,13 +80,7 @@ def check_hypotheses(host: RationalMetricSpace, a_points: Sequence[str],
         out.append(Violation("range", (), f"displacement {disp} exceeds the diameter bound"))
 
     bs = b_space.points
-
-    def da(i, j):
-        return host.d(a_points[i], a_points[j])
-
-    def db(i, j):
-        return b_space.d(bs[i], bs[j])
-
+    da, db = _distances(host, a_points, b_space)
     for i, j in combinations(range(n), 2):
         if disp >= da(i, j):
             out.append(Violation("range", (a_points[i], a_points[j]),
@@ -86,27 +88,27 @@ def check_hypotheses(host: RationalMetricSpace, a_points: Sequence[str],
         if abs(db(i, j) - da(i, j)) > eps:
             out.append(Violation("range", (bs[i], bs[j]),
                                  f"|d_B - d_A| = {abs(db(i, j) - da(i, j))} > eps"))
+    # Exactly-geodesic triples (margin 0) are refused whenever two or more
+    # of their points are displaced.  For such a triple the long side equals
+    # the sum of the short ones, while both assigned cross distances under it
+    # are strictly below the corresponding short sides, so the displaced copy
+    # cannot close the triangle; geodesics with at least two fixed points
+    # never meet an assigned cross pair and are harmless.  They are reported
+    # after every margin failure.
+    geodesic: List[Violation] = []
     for i, j, k in combinations(range(n), 3):
+        displaced = sum(1 for t in (i, j, k) if t >= q) >= 2
         for c, u, v in ((i, j, k), (j, i, k), (k, i, j)):
             margin = da(c, u) + da(c, v) - da(u, v)
             if margin != 0 and margin <= disp:
                 out.append(Violation(
                     "triangle", (a_points[c], a_points[u], a_points[v]),
                     f"non-geodesic margin {margin} not > {disp}"))
-    # Exactly-geodesic triples are refused whenever two or more of their
-    # points are displaced.  For such a triple the long side equals the sum
-    # of the short ones, while both assigned cross distances under it are
-    # strictly below the corresponding short sides, so the displaced copy
-    # cannot close the triangle; geodesics with at least two fixed points
-    # never meet an assigned cross pair and are harmless.
-    for i, j, k in combinations(range(n), 3):
-        if sum(1 for t in (i, j, k) if t >= q) < 2:
-            continue
-        for c, u, v in ((i, j, k), (j, i, k), (k, i, j)):
-            if da(c, u) + da(c, v) == da(u, v):
-                out.append(Violation(
+            elif margin == 0 and displaced:
+                geodesic.append(Violation(
                     "triangle", (a_points[i], a_points[j], a_points[k]),
                     "geodesic triple with two displaced points"))
+    out.extend(geodesic)
     for i, j in combinations(range(q), 2):
         if db(i, j) != da(i, j):
             out.append(Violation("symmetry", (bs[i], bs[j]),
@@ -147,33 +149,25 @@ def amalgamate(host: RationalMetricSpace, a_points: Sequence[str],
         dist[(x, y)] = d
         dist[(y, x)] = d
 
+    da, db = _distances(host, a_points, b_space)
     for p in points:
         dist[(p, p)] = Fraction(0)
     for i, j in combinations(range(n), 2):
-        put(a_points[i], a_points[j], host.d(a_points[i], a_points[j]))
+        put(a_points[i], a_points[j], da(i, j))
         if i >= q or j >= q:
-            put(b_names[i], b_names[j], b_space.d(b_space.points[i], b_space.points[j]))
+            put(b_names[i], b_names[j], db(i, j))
     for i in range(q, n):
         put(a_points[i], b_names[i], disp)
 
-    def da(i, j):
-        return host.d(a_points[i], a_points[j])
-
-    def db(i, j):
-        return b_space.d(b_space.points[i], b_space.points[j])
-
-    def defined(x, y):
-        return (x, y) in dist
-
-    def breaks_triangle(x, y, v):
-        # Would setting d(x,y) = v violate a triangle with any third point
-        # whose distances to both x and y are already in the table?
-        for z in points:
-            if z == x or z == y or not (defined(x, z) and defined(y, z)):
-                continue
-            xz, yz = dist[(x, z)], dist[(y, z)]
-            if v > xz + yz or abs(xz - yz) > v:
-                return True
+    def breaks_triangle(i, j, v):
+        # Would setting d(a_i, b_j) = d(b_i, a_j) = v violate a triangle with
+        # any third point whose distances to both ends are already in the
+        # table?  Neither pair is yet, so an end is never that third point.
+        for x, y in ((a_points[i], b_names[j]), (b_names[i], a_points[j])):
+            for z in points:
+                xz, yz = dist.get((x, z)), dist.get((y, z))
+                if xz is not None and yz is not None and (v > xz + yz or abs(xz - yz) > v):
+                    return True
         return False
 
     pairs = sorted(combinations(range(q, n), 2),
@@ -182,8 +176,7 @@ def amalgamate(host: RationalMetricSpace, a_points: Sequence[str],
     for m, (i, j) in enumerate(pairs, start=1):
         low = min(da(i, j), db(i, j))
         eps_m = eps / 2
-        if breaks_triangle(a_points[i], b_names[j], low - eps_m) or \
-           breaks_triangle(b_names[i], a_points[j], low - eps_m):
+        if breaks_triangle(i, j, low - eps_m):
             # Inherit the largest margin of an already-placed pair that forms
             # an exactly-geodesic a-triple with the current one.
             candidates = []
@@ -196,13 +189,12 @@ def amalgamate(host: RationalMetricSpace, a_points: Sequence[str],
                             candidates.append(eps_used[pk])
             if candidates:
                 eps_m = max(candidates)
-        if not (eps / 2 <= eps_m <= m * eps):
-            raise ConstructionError(f"margin {eps_m} escaped [eps/2, m*eps] at step {m}")
+            if not (eps / 2 <= eps_m <= m * eps):
+                raise ConstructionError(f"margin {eps_m} escaped [eps/2, m*eps] at step {m}")
+            if breaks_triangle(i, j, low - eps_m):
+                raise ConstructionError(
+                    f"triangle violation while placing pair ({a_points[i]},{b_names[j]})")
         v = low - eps_m
-        if breaks_triangle(a_points[i], b_names[j], v) or \
-           breaks_triangle(b_names[i], a_points[j], v):
-            raise ConstructionError(
-                f"triangle violation while placing pair ({a_points[i]},{b_names[j]})")
         put(a_points[i], b_names[j], v)
         put(b_names[i], a_points[j], v)
         eps_used[(i, j)] = eps_m

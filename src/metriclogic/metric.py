@@ -229,16 +229,22 @@ class KatetovFunction:
                 out.append(Violation("range", (p,), f"{v} outside [0,1]"))
         if out:
             return tuple(out)
-        for p, q in combinations(self.base.points, 2):
-            fp, fq, d = self.values[p], self.values[q], self.base.d(p, q)
-            if abs(fp - fq) > d or d > fp + fq:
-                out.append(Violation("triangle", (p, q),
-                                     f"|{fp}-{fq}| <= {d} <= {fp}+{fq} fails"))
-        return tuple(out)
+        f = {p: self.values[p] for p in self.base.points}
+        return tuple(Violation("triangle", (p, q), f"|{fp}-{fq}| <= {d} <= {fp}+{fq} fails")
+                     for p, q, fp, fq, d in katetov_breaks(self.base, f))
 
     @property
     def admissible(self) -> bool:
         return not self.admissibility_violations()
+
+
+def katetov_breaks(space: RationalMetricSpace, f: Mapping[str, Fraction]):
+    """The pairs (p, q, f(p), f(q), d(p, q)), in f's order, at which f
+    fails the Katetov condition |f(p) - f(q)| <= d(p, q) <= f(p) + f(q)."""
+    for (p, fp), (q, fq) in combinations(f.items(), 2):
+        d = space.d(p, q)
+        if abs(fp - fq) > d or d > fp + fq:
+            yield p, q, fp, fq, d
 
 
 def one_point_extend(space: RationalMetricSpace, f: KatetovFunction,

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from .metric import MetricError, RationalMetricSpace, katetov_spread
+from .metric import MetricError, RationalMetricSpace, katetov_breaks, katetov_spread
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,6 @@ def farey_values(denominator_bound: int) -> List[Fraction]:
     return sorted(vals)
 
 
-def admissible_on_subset(space: RationalMetricSpace, subset: Sequence[str],
-                         values: Sequence[Fraction]) -> bool:
-    v = dict(zip(subset, values))
-    for p, q in combinations(subset, 2):
-        d = space.d(p, q)
-        if abs(v[p] - v[q]) > d or d > v[p] + v[q]:
-            return False
-    return True
-
-
 def qu_enumerate(seed: RationalMetricSpace, denominator_bound: int,
                  budget: int) -> Tuple[RationalMetricSpace, EnumeratorCertificate]:
     if budget < 0:
@@ -72,7 +62,7 @@ def qu_enumerate(seed: RationalMetricSpace, denominator_bound: int,
             for p in space.points:
                 realizers.setdefault(tuple([space.d(p, a) for a in subset]), p)
             for vec in product(values, repeat=size):
-                if not admissible_on_subset(seed, subset, vec):
+                if any(katetov_breaks(seed, dict(zip(subset, vec)))):
                     continue
                 existing = realizers.get(vec)
                 if existing is not None:

@@ -25,7 +25,7 @@ from itertools import combinations, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .formula import Relation, Signature
-from .metric import MetricError, RationalMetricSpace
+from .metric import EmbeddingWitness, MetricError, RationalMetricSpace
 from .structures import FiniteStructure, carries_tables, space_isometries
 from .vaught import FiniteGSpace, GSpaceError, compose_permutations, group_closure
 
@@ -67,9 +67,8 @@ class ReductionInstance:
         for g in self.elements:
             if sorted(g.x_map) != sorted(xpts) or sorted(g.x_map.values()) != sorted(xpts):
                 raise ReductionError(f"{g.name}: x-part is not a permutation of X")
-            for p, q in combinations(ypts, 2):
-                if self.y_space.d(p, q) != self.y_space.d(g.y_map[p], g.y_map[q]):
-                    raise ReductionError(f"{g.name} does not act by isometries on Y")
+            if not EmbeddingWitness(self.y_space, self.y_space, g.y_map).check().ok:
+                raise ReductionError(f"{g.name} does not act by isometries on Y")
         for (g, h), gh in G.mult.items():
             if any(x_map[g][x_map[h][x]] != x_map[gh][x] for x in xpts):
                 raise ReductionError(f"x-action is not a homomorphism at ({g},{h})")
@@ -203,24 +202,24 @@ def random_instance(rng: random.Random, max_y: int = 4, max_x: int = 6,
     y_space = _build_or_flatten(ypts, dist, max(d1, d2))
 
     y_isos = [tuple(g[p] for p in ypts) for g in space_isometries(y_space)]
+    compose = compose_permutations(ypts)
     group = None
     for n_seeds in (rng.randint(1, 2), 1, 0):
         seeds = rng.sample(y_isos, min(len(y_isos), n_seeds))
-        group = group_closure(ypts, seeds, compose_permutations(ypts), max_group)
+        group = group_closure(ypts, seeds, compose, max_group)
         if group is not None:
             break
-    group = [dict(zip(ypts, g)) for g in group]
 
     nx = rng.randint(2, max_x)
     xpts = tuple(f"x{i}" for i in range(nx))
-    x_maps = _random_x_action(rng, group, ypts, xpts)
+    x_maps = _random_x_action(rng, group, compose, xpts)
 
     xdist = {}
     for p, q in combinations(xpts, 2):
         xdist[(p, q)] = Fraction(rng.randint(1, 4), 4)
     x_space = _build_or_flatten(xpts, xdist, Fraction(1, 2))
 
-    elements = tuple(GroupElement(f"g{i}", g, x_maps[i])
+    elements = tuple(GroupElement(f"g{i}", dict(zip(ypts, g)), x_maps[i])
                      for i, g in enumerate(group))
     basis: List[Tuple[str, ...]] = [(x,) for x in xpts]
     for _ in range(rng.randint(0, extra_basis)):
@@ -232,9 +231,10 @@ def random_instance(rng: random.Random, max_y: int = 4, max_x: int = 6,
                              enumeration, kmax)
 
 
-def _random_x_action(rng: random.Random, group: List[Mapping[str, str]],
-                     ypts: Tuple[str, ...], xpts: Tuple[str, ...]):
-    """Permutations of X indexed like group, forming a homomorphism.
+def _random_x_action(rng: random.Random, group: List[Tuple[str, ...]], compose,
+                     xpts: Tuple[str, ...]):
+    """Permutations of X indexed like group (compose(a, b) = a after b),
+    forming a homomorphism.
 
     Acts on the left cosets of a random subgroup K, which is a homomorphism
     for any K; K grows until the coset space fits inside X, and the action
@@ -242,12 +242,10 @@ def _random_x_action(rng: random.Random, group: List[Mapping[str, str]],
     as the worst case.
     """
     n = len(group)
-    keys = [tuple(g[p] for p in ypts) for g in group]
-    index = {k: i for i, k in enumerate(keys)}
+    index = {g: i for i, g in enumerate(group)}
 
     def compose_idx(i: int, j: int) -> int:
-        gi, gj = group[i], group[j]
-        return index[tuple(gi[gj[p]] for p in ypts)]
+        return index[compose(group[i], group[j])]
 
     m = len(xpts)
     gen_idxs = [rng.randrange(n)]

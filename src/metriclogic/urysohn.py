@@ -154,11 +154,7 @@ def expand_predicates(phi: Formula, anchored: AnchoredStructure) -> Formula:
         if len(f.args) != len(d.params):
             raise UrysohnError(f"arity mismatch for {f.name}")
         env = dict(zip(d.params, f.args))
-
-        def nested(g: AtomR):
-            raise UrysohnError(f"nested relation symbol {g.name}")
-
-        return fold(d.body, {**_REBUILD, AtomR: nested, AtomD: lambda a: AtomD(
+        return fold(d.body, {**_REBUILD, AtomD: lambda a: AtomD(
             *(env.get(t.name, t) if isinstance(t, Var) else t for t in (a.left, a.right)))})
 
     return fold(phi, {**_REBUILD, AtomD: keep, AtomR: inline})
@@ -200,6 +196,18 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
         raise UrysohnError(f"formula nested deeper than {MAX_DEPTH} levels")
     params = dict(params or {})
     body = expand_predicates(phi, anchored)
+
+    # An atom between two anchors is a constant of the search; as an atom it
+    # would make both anchors coordinates of every search it sits in.
+    def constant(a: AtomD) -> Formula:
+        if isinstance(a.left, ConstName) and isinstance(a.right, ConstName):
+            d = anchored.anchors.dist.get((a.left.name, a.right.name))
+            if d is not None:
+                return Const(d)
+        return a
+
+    if any(constant(a) is not a for a in atoms(body)):
+        body = fold(body, {**_REBUILD, AtomD: constant})
     sig = anchored.signature
     # per formula the search may meet, by identity: the terms it reads
     reads: Dict[int, frozenset] = {}
@@ -229,12 +237,12 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
 def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                   params: Mapping[str, str], h: Fraction,
                   nodes: Dict[int, Fraction], reads: Dict[int, frozenset]) -> Enclosure:
-    names = anchors.points
-    index = {p: i for i, p in enumerate(names)}
-    n = h.denominator               # snap_mesh makes h = 1/n
-    # Distances of the partial space in mesh steps (snap_mesh puts every
-    # anchor distance on the grid); abstract points append rows.
-    steps: List[List[int]] = [[int(anchors.d(p, q) * n) for q in names] for p in names]
+    index = anchors.point_index
+    n = h.denominator               # snap_mesh makes h = 1/n, n = D * 2^t
+    # Distances of the partial space in mesh steps, row i to the points
+    # before i (the anchors' int rows); abstract points append rows.
+    D, rows = anchors.int_rows
+    steps: List[List[int]] = [[x * (n // D) for x in row] for row in rows]
 
     env: Dict[str, int] = {v: index[p] for v, p in params.items()}
     dropped = 0                     # known points the enclosing searches left out

@@ -85,6 +85,23 @@ def test_geodesic_with_two_displaced_points_rejected():
         assert any("geodesic" in str(v) for v in bad)
 
 
+def test_hypothesis_report_lists_margins_before_geodesics():
+    """Every non-geodesic margin failure comes before every geodesic
+    refusal, whatever the order of their triples."""
+    pts = ("a0", "a1", "a2", "a3")
+    half = F(1, 2)
+    dists = {("a0", "a1"): half, ("a1", "a2"): half, ("a1", "a3"): half,
+             ("a2", "a3"): half, ("a0", "a2"): F(1), ("a0", "a3"): F(3, 5)}
+    host = RationalMetricSpace.build(pts, dists)
+    renamed = RationalMetricSpace.build(
+        ("b0", "b1", "b2", "b3"),
+        {(p.replace("a", "b"), q.replace("a", "b")): d for (p, q), d in dists.items()})
+    bad = check_hypotheses(host, pts, renamed, 0, F(1, 100))
+    assert [str(v) for v in bad] == [
+        "triangle a3 a0 a2: non-geodesic margin 1/10 not > 13/100",
+        "triangle a0 a1 a2: geodesic triple with two displaced points"]
+
+
 def test_witness_preserves_b_exactly():
     rng = random.Random(23)
     for _ in range(10):

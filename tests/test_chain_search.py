@@ -323,6 +323,16 @@ def test_w5_cuts_off_at_every_level(monkeypatch):
     assert calls <= 9178
 
 
+def test_an_atom_between_two_anchors_is_a_constant(monkeypatch):
+    """(d b a) is 3/5 at every vector, so the search runs over y and z
+    alone: as many evaluations at 1/6 as with 3/5 written out, where the
+    search that kept both anchors as coordinates made 521721."""
+    e, calls = pair_search(monkeypatch, "(inf y (inf z (sup z (dotminus (d b a) (d z y)))))",
+                           F(1, 6))
+    assert e == Enclosure(F(1, 2), F(7, 10))
+    assert calls <= 50
+
+
 def test_a_level_below_the_top_resets_its_row():
     """A three-level chain over one anchor that every level keeps (x reads
     it): once the middle level returns, its last coordinate d(x, y) must

@@ -98,6 +98,36 @@ def test_anchored_predicates_expand():
     assert e.contains(F(1))
 
 
+def test_definition_using_a_relation_symbol_refused():
+    """A definition's body is distance atoms only: one that reads a relation
+    symbol is refused when the structure is built."""
+    space = RationalMetricSpace.build(("u0",), {})
+    sig = Signature((Relation("S", 1),), ("u0",))
+    defs = {"R": PredicateDef(("z",), parse("(max (S z) (d z u0))", sig))}
+    with pytest.raises(UrysohnError, match="definition of R uses relation symbol S"):
+        AnchoredStructure(space, defs)
+
+
+def test_anchors_grown_point_by_point_give_the_same_enclosures():
+    """The search reads the anchors' int rows: a space grown by with_point,
+    whose rows are handed over and rescaled as it grows, gives the same
+    enclosures as the same table built in one go."""
+    pts = ("a", "b", "c")
+    dists = {("a", "b"): F(3, 5), ("a", "c"): F(1, 3), ("b", "c"): F(1, 2)}
+    built = RationalMetricSpace.build(pts, dists)
+    grown = RationalMetricSpace.build(("a",), {}).with_point(
+        "b", {"a": F(3, 5)}).with_point("c", {"a": F(1, 3), "b": F(1, 2)})
+    assert grown.int_rows == built.int_rows
+    for text in ("(sup x (min (d a x) (d c x)))",
+                 "(inf x (max (d a x) (max (d b x) (d c x))))",
+                 "(sup x (inf y (dotminus (d b y) (d x y))))",
+                 "(dotplus (d a c) (inf x (absdiff (d b x) (d c x))))"):
+        phi = parse(text, csig(*pts))
+        budget = QuantifierBudget(F(1, 8), 1)
+        assert (eval_urysohn(phi, AnchoredStructure(grown), {}, budget)
+                == eval_urysohn(phi, AnchoredStructure(built), {}, budget))
+
+
 def test_rejects_unbound_variables():
     a = anchors({}, pts=["s"])
     with pytest.raises(UrysohnError):
