@@ -201,7 +201,7 @@ def cmd_lipschitz(session, args):
 
 def cmd_borel_level(session, args):
     from .formula import borel_level
-    phi = session.formula(args.formula, _sig_for(session, args), loose=args.loose)
+    phi = session.formula(args.formula, _sig_for(session, args), loose=True)
     level = borel_level(phi, args.cmp)
     return {"class": level.class_kind, "index": level.index}
 
@@ -519,8 +519,7 @@ COMMANDS = {
     "parse": (cmd_parse, arg("formula"), *SIGNATURE, arg("--loose", action="store_true")),
     "lipschitz": (cmd_lipschitz, arg("formula"), *SIGNATURE),
     "borel-level": (cmd_borel_level, arg("formula"),
-                    arg("--cmp", choices=("<", ">"), default="<"), *SIGNATURE,
-                    arg("--loose", action="store_true", default=True)),
+                    arg("--cmp", choices=("<", ">"), default="<"), *SIGNATURE),
     "eval": (cmd_eval, arg("structure"), arg("formula"), ASSIGN),
     "delta-seq": (cmd_delta_seq, arg("structure"), arg("other"), arg("--enumeration"),
                   arg("--k", type=int, required=True)),
@@ -639,6 +638,9 @@ def _main(argv: Optional[List[str]]) -> int:
         result = args.fn(session, args)
     except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     elapsed_ms = int((time.monotonic() - start) * 1000)
     print(render(session.report(args.subcommand, result, elapsed_ms), args.format))

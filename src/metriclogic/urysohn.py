@@ -24,8 +24,9 @@ constant n over no named point.  So the grid minimax over the named points
 is the one over all of them, at every level.  The mesh is still snapped
 over every anchor, and the first new point is left unwidened only when the
 whole partial space, the points left out included, is empty.  A
-quantifier under a connective depends only on that cut-down table, so its
-widened enclosure is searched once per distinct table and kept.
+quantifier under a connective depends only on the distances among the
+points it reads, so the compiled body it sits in keeps its widened
+enclosure per those distances for the round.
 
 The grid search runs over integer step vectors s (the new point lies s[j] * h
 from known point j).  Every formula it meets is its prenex run Q1 x1 ... Qk
@@ -46,8 +47,8 @@ vector.  No Fraction or enclosure is built per grid point:
 * A quantifier under a connective is a leaf of the body: at a full vector
   its widened enclosure, found by the same search at that partial space
   (N clears its denominators too), and [0, N] over any wider box.  A body
-  with leaves has an enclosure at each full vector, kept once per vector,
-  and each endpoint is searched apart with the same bound.
+  with leaves has an enclosure at each full vector, and each endpoint is
+  searched apart with the same bound.
 
 The run is one integer minimax over its step vectors, a row per point, with
 one box over all the rows.  Alpha-beta search (Knuth & Moore 1975) passes a
@@ -248,12 +249,9 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
     dropped = 0                     # known points the enclosing searches left out
     # per searched formula: (quantifier free, _compile's closures for its
     # body), keyed by everything the body's atoms resolve through: the node,
-    # the size of the (cut-down) partial space, env and index.
+    # the size of the (cut-down) partial space, env and index.  Within one, a
+    # leaf's points and widening are fixed: its memo needs only their distances.
     compiled: Dict[tuple, tuple] = {}
-    # per searched formula: its widened enclosure, keyed by all it depends
-    # on: that key, whether its first point is widened and the cut-down
-    # table, so a quantifier under a connective is searched once per table.
-    found: Dict[tuple, Enclosure] = {}
 
     def point_of(term) -> int:
         if isinstance(term, ConstName):
@@ -283,30 +281,25 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
             dropped += m0 - len(kept)
             m0 = len(kept)
         key = (id(f), m0, tuple(sorted(env.items())), tuple(sorted(index.items())))
-        table = (key, full > 0, tuple(map(tuple, steps)))
-        best = found.get(table)
+        chain = []
+        while isinstance(f, (Sup, Inf)):
+            chain.append(f)
+            f = f.body
+        env = dict(env)
+        for i, q in enumerate(chain):   # a later binding shadows an earlier one
+            env[q.var] = m0 + i
+            steps.append([0] * (m0 + i))
+        best = chain_optimum(chain, f, m0, key)
         if best is None:
-            chain = []
-            while isinstance(f, (Sup, Inf)):
-                chain.append(f)
-                f = f.body
-            env = dict(env)
-            for i, q in enumerate(chain):   # a later binding shadows an earlier one
-                env[q.var] = m0 + i
-                steps.append([0] * (m0 + i))
-            best = chain_optimum(chain, f, m0, key)
-            if best is None:
-                raise UrysohnError("empty admissibility polytope; inputs were inconsistent")
-            # Widening commutes with the endpoint-wise merge of the level
-            # above, so the levels widen from the innermost outward; the
-            # first point of an empty partial space (counting the points
-            # left out) is unconstrained (one exact branch) and is not
-            # widened.
-            for i in reversed(range(len(chain))):
-                if full + i:
-                    best = (enc_dot_add if isinstance(chain[i], Sup) else enc_dot_sub)(
-                        best, Enclosure(ZERO, err(chain[i])))
-            found[table] = best
+            raise UrysohnError("empty admissibility polytope; inputs were inconsistent")
+        # Widening commutes with the endpoint-wise merge of the level above,
+        # so the levels widen from the innermost outward; the first point of
+        # an empty partial space (counting the points left out) is
+        # unconstrained (one exact branch) and is not widened.
+        for i in reversed(range(len(chain))):
+            if full + i:
+                best = (enc_dot_add if isinstance(chain[i], Sup) else enc_dot_sub)(
+                    best, Enclosure(ZERO, err(chain[i])))
         steps[:] = rows
         env, index, dropped = outer
         return best
@@ -328,7 +321,7 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
         last = m0 + len(chain) - 1
         if key not in compiled:
             compiled[key] = (is_quantifier_free(body),
-                             _compile(body, point_of, last, steps, n, m0, value, err))
+                             _compile(body, point_of, last, steps, n, m0, value, err, reads))
         exact, (g, b, d, N) = compiled[key]
         size = sum(range(m0, last + 1))
         L, H = [0] * size, [n] * size      # every coordinate unset
@@ -442,17 +435,12 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
         if exact:
             lo = hi = search(0, -1, N + 1)
         else:
-            # The body's enclosure at a full vector, once per vector: every
-            # coordinate but the last is fixed in L, the last one is s's.
-            # Each endpoint is searched apart; b bounds both.
-            points: Dict[tuple, Tuple[int, int]] = {}
-
+            # The body's enclosure at a full vector: every coordinate but the
+            # last is fixed in L, the last one is s's.  Each endpoint is
+            # searched apart; b bounds both, and the leaves keep theirs.
             def enclosure(s) -> Tuple[int, int]:
                 p = L[:-1] + s[-1:]
-                e = points.get(tuple(p))
-                if e is None:
-                    e = points[tuple(p)] = b(p, p)
-                return e
+                return b(p, p)
 
             at_point = lambda s: enclosure(s)[0]
             lo = search(0, -1, N + 1)
@@ -485,7 +473,7 @@ def _span(steps: List[List[int]], n: int, k: int, L, H) -> Tuple[int, int]:
 
 
 def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
-             first: Optional[int] = None, value=None, err=None):
+             first: Optional[int] = None, value=None, err=None, reads=None):
     """Compile a body at new point m into integer closures.
 
     Points first ... m are the chain being searched (first defaults to m;
@@ -495,7 +483,9 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
     vector s; one between points i > j is steps[i][j], read when a closure
     runs, so the closures serve every placement of the known points.  A
     quantifier in the body is a leaf: value(f) is its widened enclosure at
-    the current partial space, err(f) the widening of its level.  Returns
+    the current partial space, err(f) the widening of its level, and
+    reads[id(f)] the terms it reads; the leaf keeps its enclosure per the
+    distances among the points those terms stand for.  Returns
     (g, b, d, N), where N clears every intermediate value and bound: n for
     distances, the constants' denominators, times 2 under each half and
     times the denominator of each scale factor, and for a leaf its body's
@@ -532,13 +522,20 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
 
     def leaf(f, _):
         leaves.append(f)
+        at = sorted({point_of(t) for t in reads[id(f)]})
+        cells = [(i, j) for k, i in enumerate(at) for j in at[:k]]
+        memo: Dict[tuple, Tuple[int, int]] = {}
 
         def b(L, H):
             if L is not H:
                 return 0, N
-            e = value(f)
-            return (e.lo.numerator * (N // e.lo.denominator),
-                    e.hi.numerator * (N // e.hi.denominator))
+            key = tuple(steps[i][j] for i, j in cells)
+            e = memo.get(key)
+            if e is None:
+                e = value(f)
+                e = memo[key] = (e.lo.numerator * (N // e.lo.denominator),
+                                 e.hi.numerator * (N // e.hi.denominator))
+            return e
         return None, b, None
 
     def constant(c: int):

@@ -71,6 +71,13 @@ def test_borel_level(capsys):
     assert code == 0 and rep["result"] == {"class": "Sigma", "index": 2}
 
 
+def test_borel_level_reads_relation_symbols_loosely(capsys):
+    """borel-level always parses loosely: an undeclared relation symbol is
+    a relation, with no flag to ask for it."""
+    code, rep = run(capsys, "borel-level", "(S x y)", "--cmp", ">")
+    assert code == 0 and rep["result"] == {"class": "Sigma", "index": 2}
+
+
 def test_eval(capsys):
     code, rep = run(capsys, "eval", data("twopoint.struct"), "(sup x (P x))")
     assert code == 0 and rep["result"]["value"] == "1/2"

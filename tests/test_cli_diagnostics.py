@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from metriclogic import cli
 from metriclogic.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -160,3 +161,12 @@ def test_extend_refuses_a_stray_or_repeated_value(values, message):
     ids=["params", "assign"])
 def test_a_variable_assigned_twice_is_refused(argv):
     assert call(*argv) == (1, "error: variable 'x' assigned twice\n")
+
+
+def test_running_out_of_memory_is_one_line(monkeypatch):
+    """A MemoryError carries no message; the call still ends with one line."""
+    def raiser(session, args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", (raiser, cli.arg("space")))
+    assert call("validate", DATA / "eq3.space") == (1, "error: out of memory\n")
