@@ -52,17 +52,21 @@ vector.  No Fraction or enclosure is built per grid point:
 
 The run is one integer minimax over its step vectors, a row per point, with
 one box over all the rows.  Alpha-beta search (Knuth & Moore 1975) passes a
-window down the levels.  The top level, with no window from above, bisects
-each coordinate but the last and descends into the half with the better
-bound first, so the optimum turns up early and the bound skips the rest
-(interval branch and bound, Moore, Kearfott & Cloud 2009, ch. 11); the
-levels below walk their rows in step order.  The last coordinate of the
-last row is scanned when its range is short; a longer one is a box with a
-bound on the body's step along it as well (the monotonicity test, Hansen &
-Walster 2004): skipped when it cannot beat the optimum, evaluated at the
-one end that holds the optimum when the body is monotone on it, else
-bisected.  Values lie in [0, N], so a level stops once its optimum reaches
-the window's edge or that range's end.
+window down the levels.  Each level first tries its vertex rows: the new
+point on known point j (s_j = 0, s_i = d(i, j)), then far from every known
+point (all n).  Each is an admissible grid vector (the known table
+satisfies the triangle inequality, and no known distance exceeds n) that
+the scan visits again, so only the order changes.  Then the top level, with
+no window from above, bisects each coordinate but the last and descends
+into the half with the better bound first, so the optimum turns up early
+and the bound skips the rest (interval branch and bound, Moore, Kearfott &
+Cloud 2009, ch. 11); the levels below walk their rows in step order.  The
+last coordinate of the last row is scanned when its range is short; a
+longer one is a box with a bound on the body's step along it as well (the
+monotonicity test, Hansen & Walster 2004): skipped when it cannot beat the
+optimum, evaluated at the one end that holds the optimum when the body is
+monotone on it, else bisected.  Values lie in [0, N], so a level stops
+once its optimum reaches the window's edge or that range's end.
 A level's widening is the same for all its vectors and monotone, so the
 exact minimax widened level by level is the endpoint-wise merge of the
 widened inner enclosures.  An empty run is its body at the point box with
@@ -142,10 +146,11 @@ _READS = {**by_shape(unary=keep, scale=keep, binary=or_),
           Const: lambda f: frozenset(), AtomD: lambda f: frozenset((f.left, f.right))}
 
 
-def expand_predicates(phi: Formula, anchored: AnchoredStructure) -> Formula:
-    """Inline every relation atom through its definition; phi itself when it
-    has none."""
-    if AtomR not in map(type, atoms(phi)):
+def expand_predicates(phi: Formula, anchored: AnchoredStructure, atom=keep) -> Formula:
+    """Inline every relation atom through its definition, and rewrite every
+    distance atom, those of the definitions too, by atom; phi itself when
+    that changes nothing, which one walk over phi's atoms decides."""
+    if all(not isinstance(a, AtomR) and atom(a) is a for a in atoms(phi)):
         return phi
 
     def inline(f: AtomR) -> Formula:
@@ -155,10 +160,10 @@ def expand_predicates(phi: Formula, anchored: AnchoredStructure) -> Formula:
         if len(f.args) != len(d.params):
             raise UrysohnError(f"arity mismatch for {f.name}")
         env = dict(zip(d.params, f.args))
-        return fold(d.body, {**_REBUILD, AtomD: lambda a: AtomD(
-            *(env.get(t.name, t) if isinstance(t, Var) else t for t in (a.left, a.right)))})
+        return fold(d.body, {**_REBUILD, AtomD: lambda a: atom(AtomD(
+            *(env.get(t.name, t) if isinstance(t, Var) else t for t in (a.left, a.right))))})
 
-    return fold(phi, {**_REBUILD, AtomD: keep, AtomR: inline})
+    return fold(phi, {**_REBUILD, AtomD: atom, AtomR: inline})
 
 
 @dataclass(frozen=True)
@@ -196,7 +201,6 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
     if nesting_depth(phi) > MAX_DEPTH:
         raise UrysohnError(f"formula nested deeper than {MAX_DEPTH} levels")
     params = dict(params or {})
-    body = expand_predicates(phi, anchored)
 
     # An atom between two anchors is a constant of the search; as an atom it
     # would make both anchors coordinates of every search it sits in.
@@ -207,8 +211,7 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
                 return Const(d)
         return a
 
-    if any(constant(a) is not a for a in atoms(body)):
-        body = fold(body, {**_REBUILD, AtomD: constant})
+    body = expand_predicates(phi, anchored, constant)
     sig = anchored.signature
     # per formula the search may meet, by identity: the terms it reads
     reads: Dict[int, frozenset] = {}
@@ -316,8 +319,9 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
     def chain_optimum(chain, body: Formula, m0: int, key: tuple) -> Optional[Enclosure]:
         # The grid minimax over the chain's points m0 ... last, in integers
         # over N: alpha-beta over the levels.  The box [L, H] holds every
-        # coordinate of the chain's rows; the top level searches it best
-        # first by bisection, the levels below in step order.
+        # coordinate of the chain's rows; each level tries its vertex rows
+        # first, then the top level searches best first by bisection and the
+        # levels below in step order.
         last = m0 + len(chain) - 1
         if key not in compiled:
             compiled[key] = (is_quantifier_free(body),
@@ -427,8 +431,30 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                     if bh > best if is_sup else bl < best:
                         split(k, a, z)
 
-            # the top level best first, the levels below in step order
-            (fill if t else split)(0, 0, n)
+            # Vertex rows first: the new point on known point j (s_j = 0,
+            # s_i = d(i, j)), then far from every one (all n).  Each is an
+            # admissible grid vector, since the known table satisfies the
+            # triangle inequality and no known distance exceeds n, and the
+            # scan visits it again: only the order changes.
+            for j in range(m + 1):
+                v = (steps[j] + [0] + [steps[i][j] for i in range(j + 1, m)]
+                     if j < m else [n] * m)
+                row[:] = L[base:base + m] = H[base:base + m] = v
+                if m == last:
+                    x = at_point(s)
+                else:
+                    bl, bh = b(L, H)
+                    if bh <= best if is_sup else bl >= best:
+                        continue            # the row cannot move the optimum
+                    x = search(t + 1, best, beta) if is_sup else search(t + 1, alpha, best)
+                best = max(x, best) if is_sup else min(x, best)
+                if best >= limit if is_sup else best <= limit:
+                    break
+            # unset again: the scan's boxes and the levels above read them so
+            L[base:base + m], H[base:base + m] = [0] * m, [n] * m
+            # then the top level best first, the levels below in step order
+            if best < limit if is_sup else best > limit:
+                (fill if t else split)(0, 0, n)
             return best
 
         # values lie in [0, N]: an open window

@@ -109,6 +109,10 @@ def prenex_chains(draw):
 @example((("a", "b"), {("a", "b"): F(1, 2)}, "(sup x (inf x (d a x)))", {}, F(1, 4), 0))
 @example((("a", "b"), {("a", "b"): F(1, 2)}, "(inf x (sup y (neg (d b x))))", {}, F(1, 4), 0))
 @example((("a",), {}, "(inf u (sup x (dotminus (d u x) (d a x))))", {"u": "a"}, F(1, 2), 1))
+@example((("a", "b"), {("a", "b"): F(3, 5)},
+          "(inf x (sup y (min (max (d a y) (d b y)) (d x y))))", {}, F(1, 4), 0))
+@example((("a", "b"), {("a", "b"): F(3, 5)},
+          "(inf x (inf y (absdiff (d a x) (dotplus (d b y) (d x y)))))", {}, F(1, 4), 0))
 @settings(max_examples=80, deadline=None)
 def test_prenex_chain_equals_plain_loops(instance):
     check(*instance)
@@ -328,6 +332,34 @@ def test_w5_cuts_off_at_every_level(monkeypatch):
     e, calls = pair_search(monkeypatch, W5, F(1, 4))
     assert e == Enclosure(F(0), F(3, 5))
     assert calls <= 9178
+
+
+def test_w4_tries_vertex_rows_first(monkeypatch):
+    """W4 at 1/32: y far from a, b and x makes the body 1, the top of its
+    range, so y's level stops at its far row, tried before the step-order
+    scan: 4448 evaluations, where the scan alone made 864440."""
+    e, calls = pair_search(monkeypatch, "(inf x (sup y (min (max (d a y) (d b y)) (d x y))))",
+                           F(1, 32))
+    assert e == Enclosure(F(39, 40), F(1))
+    assert calls <= 10000
+
+
+def test_a_run_of_infs_tries_vertex_rows_first(monkeypatch):
+    """S at 1/64 is 0 at x far from both anchors and y on b, two vertex
+    rows: 2677 evaluations with vertex rows first, where the scan alone
+    made 3151267."""
+    e, calls = pair_search(monkeypatch,
+                           "(inf x (inf y (absdiff (d a x) (dotplus (d b y) (d x y)))))", F(1, 64))
+    assert e == Enclosure(F(0), F(0))
+    assert calls <= 10000
+
+
+def test_w5_tries_vertex_rows_first(monkeypatch):
+    """W5 at 1/8: 56199 evaluations with vertex rows first at every level,
+    where the scan alone made 525137."""
+    e, calls = pair_search(monkeypatch, W5, F(1, 8))
+    assert e == Enclosure(F(0), F(3, 10))
+    assert calls <= 100000
 
 
 def test_an_atom_between_two_anchors_is_a_constant(monkeypatch):
