@@ -86,10 +86,24 @@ class Catalog:
         self.dir = Path(directory)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.dir / "manifest.json"
-        if self.manifest_path.exists():
-            self.manifest = json.loads(self.manifest_path.read_text())
-        else:
+        if not self.manifest_path.exists():
             self.manifest = {"artifacts": {}, "delta_enumeration": None}
+            return
+        try:
+            self.manifest = json.loads(self.manifest_path.read_text())
+        except ValueError as exc:
+            raise CatalogError(f"{self.manifest_path} is not JSON: {exc}") from None
+        artifacts = self.manifest.get("artifacts") if isinstance(self.manifest, dict) else None
+        if not isinstance(artifacts, dict):
+            raise CatalogError(f"{self.manifest_path} is not an object holding an "
+                               "'artifacts' object")
+        # every entry names the file put writes for it, inside the directory
+        for name, entry in artifacts.items():
+            _check_name(name)
+            kind = entry.get("kind") if isinstance(entry, dict) else None
+            if kind not in EXTENSIONS or entry.get("file") != f"{name}.{EXTENSIONS[kind]}":
+                raise CatalogError(f"{self.manifest_path}: entry {name!r} does not name "
+                                   f"the file {name}.<extension> of its kind")
 
     def _save(self):
         _write_atomic(self.manifest_path,

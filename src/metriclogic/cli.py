@@ -632,9 +632,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _main(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    session = Session(args)
-    start = time.monotonic()
     try:
+        session = Session(args)
+        start = time.monotonic()
         result = args.fn(session, args)
     except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

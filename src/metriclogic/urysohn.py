@@ -26,28 +26,35 @@ over every anchor, and the first new point is left unwidened only when the
 whole partial space, the points left out included, is empty.  A
 quantifier under a connective depends only on the distances among the
 points it reads, so the compiled body it sits in keeps its widened
-enclosure per those distances for the round.
+enclosure per those distances for the round, and it has one value over
+any box that fixes them.
 
-The grid search runs over integer step vectors s (the new point lies s[j] * h
-from known point j).  Every formula it meets is its prenex run Q1 x1 ... Qk
-xk (k = 0 when its top is no quantifier) over a body.  The body is compiled
-once per node and mesh round into closures over Python ints scaled by one
-common denominator N (n for distances, the constants' denominators, doubled
-under each half, times the denominator of each scale factor).  Distances
-between known points (anchors and outer quantified points) are read from
-the step table when a closure runs, so one compilation serves every outer
-vector.  No Fraction or enclosure is built per grid point:
+The grid search runs over integer step counts: at mesh h every distance is
+s * h.  One flat lower triangle of them, cell (i, j), j < i, at
+i * (i - 1) // 2 + j, is both the partial space and the search box: the
+box is a pair of triangles L <= s <= H, a known distance (between anchors
+and outer quantified points) is the point range L[c] == H[c], and a
+distance to a point of the chain being searched is [0, n] until it is set.
+At a full vector L holds every distance.  Every formula the search meets
+is its prenex run Q1 x1 ... Qk xk (k = 0 when its top is no quantifier)
+over a body.  The body is compiled once per node and mesh round into
+closures over Python ints scaled by one common denominator N (n for
+distances, the constants' denominators, doubled under each half, times
+the denominator of each scale factor).  The closures read the triangle
+when they run, so one compilation serves every outer vector.  No Fraction
+or enclosure is built per grid point:
 
 * At a full vector the compiled body gives the exact value.
-* Over a box of step ranges, L[c] <= s_c <= H[c] for each coordinate c, its
-  compiled interval bound gives N times the endpoints enclosure arithmetic
-  would give, and the box is skipped when the bound cannot beat the running
-  optimum.  A set coordinate is a point range; an unset one is [0, n] or,
-  at the top level, the triangle hull of the ranges before it.
-* A quantifier under a connective is a leaf of the body: at a full vector
-  its widened enclosure, found by the same search at that partial space
-  (N clears its denominators too), and [0, N] over any wider box.  A body
-  with leaves has an enclosure at each full vector, and each endpoint is
+* Over a box its compiled interval bound gives N times the endpoints
+  enclosure arithmetic would give, and the box is skipped when the bound
+  cannot beat the running optimum.  An unset cell is [0, n] or, at the
+  top level, the triangle hull of the ranges before it.
+* A quantifier under a connective is a leaf of the body.  Over a box that
+  fixes every distance among the points it reads (a full vector, and any
+  box when it reads at most one point) it is its widened enclosure, found
+  by the same search at that partial space (N clears its denominators
+  too), and [0, N] over a box that leaves one of them open.  A body with
+  leaves has an enclosure at each full vector, and each endpoint is
   searched apart with the same bound.
 
 The run is one integer minimax over its step vectors, a row per point, with
@@ -243,56 +250,45 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                   nodes: Dict[int, Fraction], reads: Dict[int, frozenset]) -> Enclosure:
     index = anchors.point_index
     n = h.denominator               # snap_mesh makes h = 1/n, n = D * 2^t
-    # Distances of the partial space in mesh steps, row i to the points
-    # before i (the anchors' int rows); abstract points append rows.
+    # The anchors' distances in mesh steps as a flat lower triangle: cell
+    # (i, j), j < i, at i * (i - 1) // 2 + j (the int rows laid end to end).
     D, rows = anchors.int_rows
-    steps: List[List[int]] = [[x * (n // D) for x in row] for row in rows]
-
-    env: Dict[str, int] = {v: index[p] for v, p in params.items()}
-    dropped = 0                     # known points the enclosing searches left out
+    table = [x * (n // D) for row in rows for x in row]
     # per searched formula: (quantifier free, _compile's closures for its
-    # body), keyed by everything the body's atoms resolve through: the node,
-    # the size of the (cut-down) partial space, env and index.  Within one, a
-    # leaf's points and widening are fixed: its memo needs only their distances.
+    # body), keyed by everything the closures capture: the node, the size of
+    # the (cut-down) partial space, the points left out and the point each
+    # term the formula reads stands for.  Within one, a leaf's points and
+    # widening are fixed: its memo needs only their distances.
     compiled: Dict[tuple, tuple] = {}
 
-    def point_of(term) -> int:
-        if isinstance(term, ConstName):
-            return index[term.name]
-        i = env.get(term.name)
-        if i is None:
-            raise UrysohnError(f"unbound variable {term.name!r}")
-        return i
-
-    def value(f: Formula) -> Enclosure:
+    def value(f: Formula, T: List[int], m0: int, point_of: Dict, dropped: int) -> Enclosure:
         # f's prenex run Q1 x1 ... Qk xk (k = 0 when f is no quantifier) and
-        # the body below it: one search at the current partial space cut
-        # down to the known points f reads, which has the same grid minimax
-        # (the Katetov extension, see the module docstring).
-        nonlocal env, index, dropped
-        m0 = len(steps)
+        # the body below it: one search at the partial space T of m0 points
+        # (point_of sends each term to its point; the enclosing searches left
+        # `dropped` points out), cut down to the points f reads, which has
+        # the same grid minimax (the Katetov extension, see the module
+        # docstring).
         full = m0 + dropped             # the unrestricted partial space
-        outer, rows = (env, index, dropped), steps[:]
-        at = {t: point_of(t) for t in reads[id(f)]}
+        at = {t: point_of[t] for t in reads[id(f)]}
         kept = sorted(set(at.values()))
-        if len(kept) < m0:              # renumber the table, env and index
+        if len(kept) < m0:              # renumber the table and the terms
             place = {i: k for k, i in enumerate(kept)}
-            steps[:] = [[rows[i][j] for j in kept[:k]] for k, i in enumerate(kept)]
-            env, index = {}, {}
-            for t, i in at.items():
-                (env if isinstance(t, Var) else index)[t.name] = place[i]
+            T = [T[i * (i - 1) // 2 + j] for k, i in enumerate(kept) for j in kept[:k]]
+            at = {t: place[i] for t, i in at.items()}
             dropped += m0 - len(kept)
             m0 = len(kept)
-        key = (id(f), m0, tuple(sorted(env.items())), tuple(sorted(index.items())))
+        key = (id(f), m0, dropped, frozenset(at.items()))
         chain = []
         while isinstance(f, (Sup, Inf)):
+            at[Var(f.var)] = m0 + len(chain)   # a later binding shadows an earlier one
             chain.append(f)
             f = f.body
-        env = dict(env)
-        for i, q in enumerate(chain):   # a later binding shadows an earlier one
-            env[q.var] = m0 + i
-            steps.append([0] * (m0 + i))
-        best = chain_optimum(chain, f, m0, key)
+        last = m0 + len(chain) - 1
+        if key not in compiled:
+            compiled[key] = (is_quantifier_free(f), _compile(
+                f, at.__getitem__, last, n,
+                lambda q, T: value(q, T, last + 1, at, dropped), err, reads))
+        best = chain_optimum(chain, T, m0, *compiled[key])
         if best is None:
             raise UrysohnError("empty admissibility polytope; inputs were inconsistent")
         # Widening commutes with the endpoint-wise merge of the level above,
@@ -303,8 +299,6 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
             if full + i:
                 best = (enc_dot_add if isinstance(chain[i], Sup) else enc_dot_sub)(
                     best, Enclosure(ZERO, err(chain[i])))
-        steps[:] = rows
-        env, index, dropped = outer
         return best
 
     def err(f) -> Fraction:
@@ -316,34 +310,30 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
             coeff = nodes[id(f)] = lipschitz(f.body, sig, only_var=f.var)
         return min(ONE, coeff * h)
 
-    def chain_optimum(chain, body: Formula, m0: int, key: tuple) -> Optional[Enclosure]:
+    def chain_optimum(chain, T: List[int], m0: int, exact: bool, closures) -> Optional[Enclosure]:
         # The grid minimax over the chain's points m0 ... last, in integers
-        # over N: alpha-beta over the levels.  The box [L, H] holds every
-        # coordinate of the chain's rows; each level tries its vertex rows
-        # first, then the top level searches best first by bisection and the
-        # levels below in step order.
+        # over N: alpha-beta over the levels.  One triangle [L, H] over
+        # every point is both the partial space and the box: a known cell
+        # is the point range L[c] == H[c], a chain cell [0, n] until it is
+        # set.  Each level tries its vertex rows first, then the top level
+        # searches best first by bisection and the levels below in step order.
+        g, b, d, N = closures
         last = m0 + len(chain) - 1
-        if key not in compiled:
-            compiled[key] = (is_quantifier_free(body),
-                             _compile(body, point_of, last, steps, n, m0, value, err, reads))
-        exact, (g, b, d, N) = compiled[key]
         size = sum(range(m0, last + 1))
-        L, H = [0] * size, [n] * size      # every coordinate unset
+        L, H = T + [0] * size, T + [n] * size   # every chain cell unset
         if not chain:                       # the point box with no coordinates
             lo, hi = b(L, L)
             return Enclosure(Fraction(lo, N), Fraction(hi, N))
-        s = steps[last]
         at_point = g                        # the searched value at a full vector
 
         def search(t: int, alpha: int, beta: int) -> int:
             # Level t's value if it lies in (alpha, beta); otherwise a value
             # on the same side of the window.
             m = m0 + t
-            row = steps[m]
-            if not row:
-                return at_point(s) if m == last else search(t + 1, alpha, beta)
+            if not m:                   # the first point of an empty space
+                return at_point(L) if m == last else search(t + 1, alpha, beta)
             is_sup = isinstance(chain[t], Sup)
-            base = sum(range(m0, m))    # row m's place in the chain's rows
+            base = m * (m - 1) // 2     # row m's first cell
             k_last = m - 1
             best = alpha if is_sup else beta
             # values lie in [0, N]: the level is done once its optimum
@@ -354,14 +344,14 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                 # coordinate k over [lo, hi] in step order, the coordinates
                 # after it unset
                 nonlocal best
-                if k == k_last and m == last:     # each value fills s
+                c = base + k
+                if k == k_last and m == last:     # each value completes L
                     if d is not None and hi - lo > _CUT_OVER:
                         # the row as one box: [lo, hi] is its exact range,
-                        # so an end can stand for it; the levels above read
-                        # the coordinate as unset again
-                        L[-1], H[-1] = lo, hi
+                        # so an end can stand for it
+                        L[c], H[c] = lo, hi
                         bl, bh, dl, dh = d(L, H)
-                        L[-1], H[-1] = 0, n
+                        L[c], H[c] = 0, n
                         if bh <= best if is_sup else bl >= best:
                             return          # the row cannot move the optimum
                         if dl < 0 < dh:     # no monotone run: bisect
@@ -374,49 +364,50 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
                         lo = hi = hi if (dl >= 0) == is_sup else lo
                     top = best
                     for x in range(lo, hi + 1):
-                        s[k] = x
-                        v = at_point(s)
+                        L[c] = x
+                        v = at_point(L)
                         if v > top if is_sup else v < top:
                             top = v
                             if v >= limit if is_sup else v <= limit:
                                 break
+                    L[c] = 0                # unset again for the levels above
                     best = top
                     return
-                c = base + k
                 for x in range(lo, hi + 1):
                     if best >= limit if is_sup else best <= limit:
                         break
-                    row[k] = L[c] = H[c] = x
+                    L[c] = H[c] = x
                     bl, bh = b(L, H)
                     if bh <= best if is_sup else bl >= best:
                         continue            # the box cannot move the optimum
                     if k < k_last:
-                        fill(k + 1, *_span(steps, n, k + 1, row, row))
+                        fill(k + 1, *_span(n, m, k + 1, L, H))
                     else:
                         v = search(t + 1, best, beta) if is_sup else search(t + 1, alpha, best)
                         best = max(v, best) if is_sup else min(v, best)
                 L[c], H[c] = 0, n
 
             def split(k: int, lo: int, hi: int) -> None:
-                # the top level (base 0): coordinate k over [lo, hi], the
-                # earlier ones fixed, the box bounded by the caller (or the
-                # whole row); the better half of the box first
+                # the top level: coordinate k over [lo, hi], the earlier ones
+                # fixed, the box bounded by the caller (or the whole row);
+                # the better half of the box first
                 while lo == hi and k < k_last:
                     # fixed: the next coordinate's exact range is its hull,
                     # so the box is the one bounded
-                    row[k] = L[k] = H[k] = lo
+                    L[base + k] = H[base + k] = lo
                     k += 1
-                    lo, hi = _span(steps, n, k, L, H)
+                    lo, hi = _span(n, m, k, L, H)
                 if k == k_last:
                     fill(k, lo, hi)
                     return
                 mid = (lo + hi) // 2
                 halves = []
                 for a, z in ((lo, mid), (mid + 1, hi)):
-                    L[k], H[k] = a, z
+                    L[base + k], H[base + k] = a, z
                     # the triangle hull of the later coordinates over the box
-                    for c in range(k + 1, m):
-                        L[c], H[c] = _span(steps, n, c, L, H)
+                    for j in range(k + 1, m):
+                        c = base + j
+                        L[c], H[c] = _span(n, m, j, L, H)
                         if L[c] > H[c]:     # no admissible vector in the box
                             break
                     else:
@@ -437,11 +428,12 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
             # triangle inequality and no known distance exceeds n, and the
             # scan visits it again: only the order changes.
             for j in range(m + 1):
-                v = (steps[j] + [0] + [steps[i][j] for i in range(j + 1, m)]
+                r = j * (j - 1) // 2
+                v = (L[r:r + j] + [0] + [L[i * (i - 1) // 2 + j] for i in range(j + 1, m)]
                      if j < m else [n] * m)
-                row[:] = L[base:base + m] = H[base:base + m] = v
+                L[base:base + m] = H[base:base + m] = v
                 if m == last:
-                    x = at_point(s)
+                    x = at_point(L)
                 else:
                     bl, bh = b(L, H)
                     if bh <= best if is_sup else bl >= best:
@@ -461,22 +453,20 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
         if exact:
             lo = hi = search(0, -1, N + 1)
         else:
-            # The body's enclosure at a full vector: every coordinate but the
-            # last is fixed in L, the last one is s's.  Each endpoint is
-            # searched apart; b bounds both, and the leaves keep theirs.
-            def enclosure(s) -> Tuple[int, int]:
-                p = L[:-1] + s[-1:]
-                return b(p, p)
-
-            at_point = lambda s: enclosure(s)[0]
+            # The body's enclosure at a full vector L is b(L, L).  Each
+            # endpoint is searched apart; b bounds both, and the leaves keep
+            # theirs.
+            at_point = lambda L: b(L, L)[0]
             lo = search(0, -1, N + 1)
-            at_point = lambda s: enclosure(s)[1]
+            at_point = lambda L: b(L, L)[1]
             hi = search(0, -1, N + 1)
         if not 0 <= lo <= hi <= N:
             return None
         return Enclosure(Fraction(lo, N), Fraction(hi, N))
 
-    return value(phi)
+    terms = {**{ConstName(p): i for p, i in index.items()},
+             **{Var(v): index[p] for v, p in params.items()}}
+    return value(phi, table, len(index), terms, 0)
 
 
 # A row of the last coordinate longer than this many steps is bounded with
@@ -484,54 +474,52 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
 _CUT_OVER = 16
 
 
-def _span(steps: List[List[int]], n: int, k: int, L, H) -> Tuple[int, int]:
-    """Steps admissible for coordinate k of a new point's step vector when
-    each earlier coordinate j lies in [L[j], H[j]]: the hull of
-    |d_kj - s_j| <= s_k <= min(n, s_j + d_kj) over that box, d_kj = steps[k][j].
-    With L = H = the vector itself it is the exact range."""
+def _span(n: int, m: int, k: int, L, H) -> Tuple[int, int]:
+    """Steps admissible for cell (m, k) of the triangle, the new point m's
+    distance to point k, when each cell (m, j), j < k, lies in [L, H] and
+    point k's cells (k, j) are set: the hull of |d_kj - s_j| <= s_k <=
+    min(n, s_j + d_kj) over that box.  With row m's earlier cells set it
+    is the exact range."""
     lo, hi = 0, n
-    known = steps[k]
+    row, known = m * (m - 1) // 2, k * (k - 1) // 2
     for j in range(k):
-        d = known[j]
-        lo = max(lo, d - H[j], L[j] - d)
-        hi = min(hi, H[j] + d)
+        d = L[known + j]
+        lo = max(lo, d - H[row + j], L[row + j] - d)
+        hi = min(hi, H[row + j] + d)
     return lo, hi
 
 
-def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
-             first: Optional[int] = None, value=None, err=None, reads=None):
+def _compile(body: Formula, point_of, m: int, n: int, value=None, err=None, reads=None):
     """Compile a body at new point m into integer closures.
 
-    Points first ... m are the chain being searched (first defaults to m;
-    first = m + 1 is no chain, every point known); their rows, laid end to
-    end, hold the coordinates the bound reads.  A distance atom between the
-    new point and known point j is coordinate j of the new point's step
-    vector s; one between points i > j is steps[i][j], read when a closure
-    runs, so the closures serve every placement of the known points.  A
-    quantifier in the body is a leaf: value(f) is its widened enclosure at
-    the current partial space, err(f) the widening of its level, and
-    reads[id(f)] the terms it reads; the leaf keeps its enclosure per the
-    distances among the points those terms stand for.  Returns
-    (g, b, d, N), where N clears every intermediate value and bound: n for
-    distances, the constants' denominators, times 2 under each half and
-    times the denominator of each scale factor, and for a leaf its body's
-    N and the denominator of each of its levels' err.
+    The closures read one flat lower triangle over points 0 ... m: the
+    distance between points i > j, in mesh steps, is cell (i, j) at
+    i * (i - 1) // 2 + j, and point_of sends a term to its point.  A box
+    [L, H] is two such triangles, L[c] <= s_c <= H[c] for each cell c; a
+    known distance is the point range L[c] == H[c].  A quantifier in the
+    body is a leaf: value(f, L) is its widened enclosure at the partial
+    space L, err(f) the widening of its level, and reads[id(f)] the terms
+    it reads; the leaf keeps its enclosure per the distances among the
+    points those terms stand for.  Returns (g, b, d, N), where N clears
+    every intermediate value and bound: n for distances, the constants'
+    denominators, times 2 under each half and times the denominator of
+    each scale factor, and for a leaf its body's N and the denominator of
+    each of its levels' err.
 
-    * g(s) / N is the exact value of a quantifier-free body at a full
-      vector s; g is None for a body with leaves.
-    * b(L, H) = (lo, hi) bounds N times the value over the box
-      L[c] <= s_c <= H[c], c indexing the coordinates of the chain's rows
-      laid end to end (for first = m, the coordinates of s): the interval
-      extension, connective by connective as in `intervals` (Moore, Kearfott
-      & Cloud 2009, ch. 11), so lo / N and hi / N are exactly the endpoints
-      that enclosure arithmetic gives over [L[c] / n, H[c] / n].  A leaf is
-      [0, N] over any box but the point box b(p, p), one list for both ends,
-      with steps holding p; there it is its enclosure, so b(p, p) is the
-      body's enclosure at p, and for a quantifier-free body (g(s), g(s)).
+    * g(L) / N is the exact value of a quantifier-free body at a full
+      vector L; g is None for a body with leaves.
+    * b(L, H) = (lo, hi) bounds N times the value over the box: the
+      interval extension, connective by connective as in `intervals`
+      (Moore, Kearfott & Cloud 2009, ch. 11), so lo / N and hi / N are
+      exactly the endpoints that enclosure arithmetic gives over
+      [L[c] / n, H[c] / n].  A leaf is its enclosure over any box that
+      fixes every distance it reads, else [0, N]; so b(L, L) is the body's
+      enclosure at a full vector L, and for a quantifier-free body
+      (g(L), g(L)).
     * d(L, H) = (lo, hi, dl, dh): (lo, hi) is b(L, H), and [dl, dh] bounds
       N times the change of the value from s to s + e over the box, e one
-      step of the box's last coordinate (the new point's distance to point
-      m - 1): one unit for that coordinate, none for the others.  min and
+      step of cell (m, m - 1), the box's last (the new point's distance to
+      point m - 1): one unit for that cell, none for the others.  min and
       max take the child that wins over the whole box, absdiff the step
       of x - y where its sign is fixed; a cap or truncation makes the step
       0 where the box lies wholly past it and hulls it with 0 where the box
@@ -540,7 +528,6 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
     Both compute with Python ints only; caps and truncations become
     comparisons with N and 0.
     """
-    first = m if first is None else first
     N = fold(body, {**_DENOMINATOR, AtomD: lambda f: n},
              lambda f, sub: lcm(sub(), err(f).denominator))
     unit = N // n                       # N over n: one mesh step
@@ -549,16 +536,16 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
     def leaf(f, _):
         leaves.append(f)
         at = sorted({point_of(t) for t in reads[id(f)]})
-        cells = [(i, j) for k, i in enumerate(at) for j in at[:k]]
+        cells = [i * (i - 1) // 2 + j for k, i in enumerate(at) for j in at[:k]]
         memo: Dict[tuple, Tuple[int, int]] = {}
 
         def b(L, H):
-            if L is not H:
-                return 0, N
-            key = tuple(steps[i][j] for i, j in cells)
+            key = tuple(L[c] for c in cells)
+            if L is not H and key != tuple(H[c] for c in cells):
+                return 0, N             # a distance it reads is open
             e = memo.get(key)
             if e is None:
-                e = value(f)
+                e = value(f, L)
                 e = memo[key] = (e.lo.numerator * (N // e.lo.denominator),
                                  e.hi.numerator * (N // e.hi.denominator))
             return e
@@ -573,19 +560,12 @@ def _compile(body: Formula, point_of, m: int, steps: List[List[int]], n: int,
         i, j = (i, j) if i > j else (j, i)
         if i == j:
             return constant(0)
-        if i < first:                   # before the chain: known
-            def b(L, H):
-                v = steps[i][j] * unit
-                return v, v
-            return (lambda s: steps[i][j] * unit), b, (lambda L, H: (*b(L, H), 0, 0))
-        at = sum(range(first, i)) + j   # the coordinate's place in the box
-        b = ((lambda L, H: (L[at], H[at])) if unit == 1
-             else (lambda L, H: (L[at] * unit, H[at] * unit)))
-        step = unit if (i, j) == (m, m - 1) else 0  # the box's last coordinate
+        at = i * (i - 1) // 2 + j       # the cell's place in the triangle
+        step = unit if (i, j) == (m, m - 1) else 0  # the box's last cell
         d = lambda L, H: (L[at] * unit, H[at] * unit, step, step)
-        if i < m:
-            return (lambda s: steps[i][j] * unit), b, d
-        return (itemgetter(j) if unit == 1 else (lambda s: s[j] * unit)), b, d
+        if unit == 1:
+            return itemgetter(at), (lambda L, H: (L[at], H[at])), d
+        return (lambda s: s[at] * unit), (lambda L, H: (L[at] * unit, H[at] * unit)), d
 
     def half(x):
         a, ab, ad = x

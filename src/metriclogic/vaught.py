@@ -261,6 +261,9 @@ def nice_closure(X: FiniteGSpace, family: Sequence[GradedTable],
         check_table(X, t, on_group=False)
     for r in cosets:
         check_table(X, r, on_group=True)
+    scales = [Fraction(q) for q in scales]
+    if any(q <= 0 for q in scales):
+        raise GSpaceError("scale factor must be a positive rational")
 
     def vec(table: GradedTable) -> Tuple[Fraction, ...]:
         return tuple(table[p] for p in X.points)
@@ -287,7 +290,7 @@ def nice_closure(X: FiniteGSpace, family: Sequence[GradedTable],
         for v in snapshot:
             yield tuple(ONE - a for a in v)
             for q in scales:
-                yield tuple(dot_scale(Fraction(q), a) for a in v)
+                yield tuple(dot_scale(q, a) for a in v)
             for rho in cosets:
                 yield vec(vaught_delta(X, tab(v), rho))
                 yield vec(vaught_star(X, tab(v), rho))

@@ -227,6 +227,12 @@ def snapped_mesh(dists, mesh: Fraction) -> Fraction:
     return h
 
 
+def triangle(steps):
+    """A step table's cells (i, j), j < i, laid end to end: the flat lower
+    triangle the compiled Urysohn closures read, a new point's row after it."""
+    return [row[j] for i, row in enumerate(steps) for j in range(i)]
+
+
 def admissible_steps(steps, n):
     """Every integer step vector s in [0, n]^m of a new point over m known
     points, steps[p][q] apart in mesh steps, with

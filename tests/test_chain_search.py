@@ -16,6 +16,7 @@ from math import lcm
 from pathlib import Path
 import tracemalloc
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import grid_enclosure, snapped_mesh
@@ -32,6 +33,7 @@ MESHES = (F(1, 2), F(1, 3), F(1, 4))
 W2 = "(sup x (inf y (sup z (dotminus (d x z) (d y z)))))"
 W3 = "(sup x (inf y (max (d a y) (sup z (dotminus (d x z) (d y z))))))"
 W5 = "(sup x (inf y (sup z (min (dotminus (d x z) (d y z)) (max (d a x) (d b y))))))"
+L = "(sup x (sup y (min (inf z (d x z)) (min (d a y) (d b x)))))"
 # Leaves the oracle visits at most, summed over the rounds: it builds and
 # evaluates a finite structure per leaf.
 ORACLE_LEAVES = 6000
@@ -148,6 +150,10 @@ def connective_bodies(draw):
 @example((("a",), {},
           "(inf x (max (d a x) (sup y (min (d x y) (inf z (absdiff (d y z) (d a z)))))))",
           {}, F(1, 2), 1))
+@example((("a", "b"), {("a", "b"): F(1, 2)},
+          "(inf x (max (sup y (min (d x y) 3/4)) (dotplus (d a x) (d b x))))", {}, F(1, 4), 0))
+@example((("a", "b"), {("a", "b"): F(1, 2)},
+          "(sup x (dotminus (max (d a x) (d b x)) (inf y 1/4)))", {}, F(1, 2), 1))
 @settings(max_examples=60, deadline=None)
 def test_quantifier_under_a_connective_equals_plain_loops(instance):
     check(*instance)
@@ -376,9 +382,8 @@ def test_a_leaf_keeps_its_enclosure_per_the_distances_it_reads():
     """inf z (d x z) reads d(x, z) alone, so its enclosure is kept per
     value of that distance, not per vector of x and y: the search at 1/8
     peaks under 0.1 MB where a memo per vector visited peaked near 6 MB."""
-    text = "(sup x (sup y (min (inf z (d x z)) (min (d a y) (d b x)))))"
     space = textio.parse_space((DATA / "pair.space").read_text())
-    phi = parse(text, Signature((), space.points))
+    phi = parse(L, Signature((), space.points))
     tracemalloc.start()
     try:
         e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(F(1, 8), 0))
@@ -387,6 +392,54 @@ def test_a_leaf_keeps_its_enclosure_per_the_distances_it_reads():
         tracemalloc.stop()
     assert e == Enclosure(F(0), F(1, 5))
     assert peak < 2 ** 20
+
+
+def capped_bounds(monkeypatch, cap):
+    """Count the compiled bounds' calls, failing at once past cap: a search
+    that cannot prune runs for minutes before it would fail a count."""
+    calls = [0]
+    real = urysohn._compile
+
+    def counted(*args):
+        g, bound, slope, N = real(*args)
+
+        def bound_counted(L, H):
+            calls[0] += 1
+            assert calls[0] <= cap, f"more than {cap} bound calls"
+            return bound(L, H)
+        return g, bound_counted, slope, N
+
+    monkeypatch.setattr(urysohn, "_compile", counted)
+    return calls
+
+
+ABC = RationalMetricSpace.build(ANCHORS, {("a", "b"): F(3, 5), ("a", "c"): F(1, 2),
+                                        ("b", "c"): F(1, 2)})
+
+
+@pytest.mark.parametrize("space, text, mesh, rounds, expected, cap", [
+    ("pair.space", L, F(1, 32), 0, Enclosure(F(0), F(1, 20)), 1000),
+    (ABC, "(inf y (inf x (dotplus (inf z 1/2) (max (d y x) (d c x)))))", F(1, 6), 0,
+     Enclosure(F(3, 10), F(1, 2)), 200),
+    ("eq3.space", "(inf z (inf y (inf x (dotplus (dotplus (inf z 1/2) (max (d y x) (d c x)))"
+     " (min (neg (d x x)) (max (d a z) 1/4))))))", F(1, 6), 1, Enclosure(F(7, 16), F(3, 4)),
+     2000)])
+def test_a_leaf_bounds_every_box_that_fixes_what_it_reads(monkeypatch, space, text, mesh,
+                                                          rounds, expected, cap):
+    """A leaf is its enclosure over any box that fixes the distances among
+    the points it reads, so over every box when it reads at most one.
+    L's leaf inf z (d x z) reads x alone: 100 bound calls at 1/32, where
+    the leaf that was [0, N] over every box wider than a point made
+    52077998 (about 100 s).  (inf z 1/2) reads no point: 54 bound calls at
+    1/6, where that leaf made 860; three levels down over data/eq3.space
+    with one round, 776, where that leaf did not finish within 60 s."""
+    calls = capped_bounds(monkeypatch, cap)
+    if isinstance(space, str):
+        space = textio.parse_space((DATA / space).read_text())
+    phi = parse(text, Signature((), space.points))
+    e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(mesh, rounds))
+    assert e == expected
+    assert calls[0] > 0
 
 
 def test_a_level_below_the_top_resets_its_row():

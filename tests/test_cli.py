@@ -333,6 +333,20 @@ def test_catalog_names_stay_inside_the_directory(tmp_path, name):
     assert list(tmp_path.rglob("*")) == [tmp_path / "store"]
 
 
+@pytest.mark.parametrize("manifest", [
+    "{not json", "[]", '{"artifacts": []}', '{"artifacts": {"h": "h.space"}}',
+    '{"artifacts": {"h": {"kind": "space", "file": "../../../etc/hostname"}}}',
+    '{"artifacts": {"h": {"kind": "space", "file": "g.space"}}}',
+    '{"artifacts": {"../h": {"kind": "space", "file": "../h.space"}}}'])
+def test_catalog_refuses_a_bad_manifest(tmp_path, manifest):
+    """A manifest is an object holding an artifacts object, and each entry
+    names the plain file put writes for it, so get reads nothing outside
+    the directory."""
+    (tmp_path / "manifest.json").write_text(manifest)
+    with pytest.raises(CatalogError):
+        Catalog(tmp_path)
+
+
 def test_catalog_put_cli_rejects_escaping_name(tmp_path, capsys):
     f = tmp_path / "eq3.space"
     f.write_text(SPACE_TEXT)

@@ -49,6 +49,38 @@ def test_nice_closure_names_the_unknown_family():
     assert (code, err) == (1, "error: --family: unknown name 'zz' (known: mark)\n")
 
 
+@pytest.mark.parametrize("scale", ["-1", "0"])
+def test_nice_closure_refuses_a_scale_factor_not_positive(scale):
+    code, err = call("nice-closure", DATA / "swap.gspace", "--family", "mark", "--budget", "6",
+                     "--scales", scale)
+    assert (code, err) == (1, "error: scale factor must be a positive rational\n")
+
+
+# A regular file where the catalog directory should be, a manifest that is
+# not JSON, one that is not an object holding an artifacts object, and an
+# entry whose file lies outside the directory.
+BAD_CATALOGS = [None, "{not json", "[]", '{"artifacts": []}',
+                '{"artifacts": {"h": {"kind": "space", "file": "../../../etc/hostname"}}}']
+
+
+@pytest.mark.parametrize("manifest", BAD_CATALOGS)
+@pytest.mark.parametrize("by_env", [False, True])
+def test_a_bad_catalog_is_one_line(tmp_path, monkeypatch, manifest, by_env):
+    catalog = tmp_path / "store"
+    if manifest is None:
+        catalog.write_text("")
+    else:
+        catalog.mkdir()
+        (catalog / "manifest.json").write_text(manifest)
+    argv = ["eval-urysohn", "(sup x (d a x))", "--anchors", PAIR]
+    if by_env:
+        monkeypatch.setenv("METRICLOGIC_CATALOG", str(catalog))
+    else:
+        argv = ["--catalog", catalog, *argv]
+    code, err = call(*argv)
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_vaught_delta_names_the_unknown_table():
     code, err = call("vaught-delta", DATA / "swap.gspace", "--phi", "nope", "--j", "full")
     assert (code, err) == (1, "error: --phi: unknown name 'nope' (known: mark)\n")

@@ -17,7 +17,7 @@ from math import lcm
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import admissible_steps, interval_value
+from helpers import admissible_steps, interval_value, triangle
 from metriclogic import urysohn
 from metriclogic.formula import Inf, Signature, Sup, lipschitz
 from metriclogic.intervals import Enclosure
@@ -133,6 +133,7 @@ def test_integer_bound_is_the_enclosure_bound(instance, data):
     n = snapped(dist, mesh).denominator
     m = len(names)
     steps = step_table(names, dist, n)
+    known = triangle(steps)
     row = data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
     L, H = (list(ends) for ends in zip(*data.draw(boxes(n, m))))
     steps.append(row)
@@ -150,8 +151,9 @@ def test_integer_bound_is_the_enclosure_bound(instance, data):
             return F(steps[i][j], n), F(steps[i][j], n)
         return F(L[j], n), F(H[j], n)
 
-    g, bound, _, N = urysohn._compile(body, point_of, m, steps, n)
+    g, bound, _, N = urysohn._compile(body, point_of, m, n)
     lo, hi = interval_value(body, dist_at)
+    L, H, row = known + L, known + H, known + row
     assert bound(L, H) == (N * lo, N * hi)
     assert bound(row, row) == (g(row), g(row))
 
@@ -192,9 +194,10 @@ def test_slope_bound_holds_every_step_of_the_last_coordinate(instance):
     body = parse(text, sig).body
     steps = step_table(names, dist, n)
     index = {p: i for i, p in enumerate(names + ("x",))}
-    _, bound, slope, N = urysohn._compile(body, lambda t: index[t.name], m, steps, n)
-    lo, hi, dl, dh = slope(L, H)
-    assert (lo, hi) == bound(L, H)
+    _, bound, slope, N = urysohn._compile(body, lambda t: index[t.name], m, n)
+    known = triangle(steps)
+    lo, hi, dl, dh = slope(known + L, known + H)
+    assert (lo, hi) == bound(known + L, known + H)
     inside = [s for s in admissible_steps(steps, n)
               if all(L[c] <= s[c] <= H[c] for c in range(m))]
     value = {s: value_at(names, dist, body, sig, {p: F(k, n) for p, k in zip(names, s)})
@@ -217,14 +220,16 @@ def test_triangle_hull_holds_every_admissible_vector(instance, data):
     assume((n + 1) ** m <= 3000)
     steps = step_table(names, dist, n)
     k = data.draw(st.integers(0, m))
-    L, H = [], []
+    known = triangle(steps)
+    L, H = known[:], known[:]
     for lo, hi in data.draw(boxes(n, k)):
         L.append(lo)
         H.append(hi)
     for c in range(k, m):
-        lo, hi = urysohn._span(steps, n, c, L, H)
+        lo, hi = urysohn._span(n, m, c, L, H)
         L.append(lo)
         H.append(hi)
+    L, H = L[len(known):], H[len(known):]
     for s in admissible_steps(steps, n):
         if all(L[c] <= s[c] <= H[c] for c in range(k)):
             assert all(L[c] <= s[c] <= H[c] for c in range(k, m)), s

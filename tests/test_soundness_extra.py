@@ -22,7 +22,7 @@ from metriclogic.structures import FiniteStructure, evaluate
 from metriclogic.syntax import parse
 from metriclogic.urysohn import AnchoredStructure, QuantifierBudget, eval_urysohn
 
-from helpers import admissible_steps, random_far_space, random_formula
+from helpers import admissible_steps, random_far_space, random_formula, triangle
 
 
 def admissible_samples(rng, space, count, den=64):
@@ -111,16 +111,17 @@ def test_compiled_bound_contains_its_box():
         steps = [[int(dist.get((p, q), dist.get((q, p), 0)) * n) for q in names]
                  for p in names]
         index = {p: i for i, p in enumerate(names + ("x",))}
-        g, bound, _, _ = urysohn._compile(body, lambda t: index[t.name], len(names), steps, n)
+        g, bound, _, _ = urysohn._compile(body, lambda t: index[t.name], len(names), n)
+        known = triangle(steps)
         L, H = [], []
         for _ in names:
             lo, hi = sorted((rng.randint(0, n), rng.randint(0, n)))
             L.append(lo)
             H.append(hi)
-        lo, hi = bound(L, H)
+        lo, hi = bound(known + L, known + H)
         for s in admissible_steps(steps, n):
             if all(L[c] <= s[c] <= H[c] for c in range(len(names))):
-                assert lo <= g(s) <= hi, (body, L, H, s)
+                assert lo <= g(known + list(s)) <= hi, (body, L, H, s)
 
 
 @given(st.integers(0, 2 ** 20), st.integers(1, 2 ** 10))

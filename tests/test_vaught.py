@@ -116,6 +116,15 @@ def test_nice_closure_budget_zero():
     assert not res.fixed_point
 
 
+@pytest.mark.parametrize("q", [F(-1), F(0)])
+def test_nice_closure_refuses_a_scale_factor_not_positive(q):
+    """A factor that is not positive would scale a table out of [0, 1]:
+    -1 turned the table of x into [0, -1]."""
+    X = swap_space()
+    with pytest.raises(GSpaceError, match="scale factor must be a positive rational"):
+        nice_closure(X, [characteristic(X.points, ["x"])], [], budget=6, scales=[q])
+
+
 def test_subgroup_table_repair():
     rng = random.Random(5)
     for _ in range(10):
