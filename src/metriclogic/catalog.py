@@ -84,7 +84,10 @@ EXTENSIONS = {"space": "space", "structure": "struct", "formula": "formula",
 class Catalog:
     def __init__(self, directory: str | Path):
         self.dir = Path(directory)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:     # raised only when the path is not a directory
+            raise CatalogError(f"catalog {self.dir} is not a directory") from None
         self.manifest_path = self.dir / "manifest.json"
         if not self.manifest_path.exists():
             self.manifest = {"artifacts": {}, "delta_enumeration": None}

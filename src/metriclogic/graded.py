@@ -202,17 +202,26 @@ def check_graded_axioms(D: GradedDescriptor, space: RationalMetricSpace,
 
     Exact decisions throughout: with radicands r, s, t the subadditivity
     sqrt(r) <= min(sqrt(s) + sqrt(t), 1) holds iff sqrt(s) + sqrt(t) >= 1 or
-    (r - s - t)^2 <= 4 s t, both rational tests.
+    (r - s - t)^2 <= 4 s t, both rational tests.  Each radicand is computed
+    once per target and tuple of images of the descriptor's points.
     """
     if not D.is_subgroup:
         raise GradedError("axiom check applies to subgroup descriptors (shift = base)")
     pts = required_points(D)
     failures: List[AxiomFailure] = []
     n_id = n_sym = n_sub = 0
+    memo: Dict[tuple, Fraction] = {}
+
+    def radicand(g: PartialIsometry) -> Fraction:
+        # All graded_radicand reads of g: its target and the images of pts.
+        key = (g.target, tuple(g.map.get(p) for p in pts))
+        if key not in memo:
+            memo[key] = graded_radicand(D, g)
+        return memo[key]
 
     ident = PartialIsometry.identity(space, pts)
     n_id += 1
-    if graded_radicand(D, ident) != 0:
+    if radicand(ident) != 0:
         failures.append(AxiomFailure("identity", "H(1) != 0"))
 
     elements: List[PartialIsometry] = []
@@ -222,7 +231,7 @@ def check_graded_axioms(D: GradedDescriptor, space: RationalMetricSpace,
         if not (g.defined_on(pts) and all(p in g.map.values() for p in pts)):
             continue
         n_sym += 1
-        if graded_radicand(D, g) != graded_radicand(D, g.inverse()):
+        if radicand(g) != radicand(g.inverse()):
             failures.append(AxiomFailure("symmetry", f"H(g) != H(g^-1) for {dict(g.map)}"))
 
     for g, gp in pairs:
@@ -231,9 +240,9 @@ def check_graded_axioms(D: GradedDescriptor, space: RationalMetricSpace,
         if not all(gp.apply(p) in g.map for p in pts):
             raise GradedError("pair not composable: outer map undefined on inner image")
         n_sub += 1
-        r = graded_radicand(D, g.compose(gp))
-        s = graded_radicand(D, g)
-        t = graded_radicand(D, gp)
+        r = radicand(g.compose(gp))
+        s = radicand(g)
+        t = radicand(gp)
         if not (sqrt_leq_sum(ONE, s, t) or sqrt_leq_sum(r, s, t)):
             failures.append(AxiomFailure(
                 "subadditivity",

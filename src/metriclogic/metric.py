@@ -7,19 +7,24 @@ in the package returns spaces that pass it.
 
 Invariant: every `RationalMetricSpace` the package hands out was validated
 when it was built (`RationalMetricSpace.build`, `textio.parse_space`,
-`amalgam.amalgamate`).  `with_point` relies on it: it checks only the pairs
-and triangles through the new point, which is all a one-point extension of
-a valid space can break.
+`amalgam.amalgamate`), or was grown from such a space one checked point at
+a time: by `with_point`, or by `quenum.qu_enumerate`, which builds its space
+from int rows, each checked by `_extension_breaks` as it is added, and
+makes the Fraction table once at the end (`_from_int_rows`).  Both rely on
+the invariant: they check only the pairs and triangles through the new
+point, which is all a one-point extension of a valid space can break.
 
 Triangle checks run in integers.  A table is scaled by one common
 denominator D (the lcm of its denominators) into lower-triangular int rows,
 row i holding D * d(p_j, p_i) for j < i, and one kernel (`_extension_breaks`)
 tests the triangles that a row closes over the rows before it:
-`validate_table` runs it once per row of one matrix, `with_point` once for
-the new row against the rows its base keeps (`RationalMetricSpace.int_rows`).
-The kernel only decides whether a violation exists; when one does, the
-Fraction generator `_triangle_violations` writes the report, so reports
-and values at the boundary (`d`, `dist`) stay Fractions.
+`validate_table` runs it once per row of one matrix, `with_point` and
+`qu_enumerate` once for each new row against the rows before it
+(`RationalMetricSpace.int_rows`).  The kernel only decides whether a
+violation exists; when one does, the Fraction generator
+`_triangle_violations` writes the report, so reports and values at the
+boundary (`d`, `dist`) stay Fractions.  The Katetov spread of a vector on a
+subset has one int kernel too (`_spread`).
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
+from math import gcd, lcm
+from operator import add
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .rational import ONE, ZERO, in_unit
+from .rational import ZERO, in_unit
 
 
 class MetricError(ValueError):
@@ -117,6 +123,31 @@ def _extension_breaks(rows: Sequence[Sequence[int]], new: Sequence[int]) -> bool
             if abs(ac - bc) > ab or ab > ac + bc:
                 return True
     return False
+
+
+def _spread(cols: Sequence[Sequence[int]], on: Sequence[int], cap: int) -> List[int]:
+    """The shortest-path Katetov extension on ints: for each point x,
+    min(cap, min_a on[a] + cols[a][x]), where cols[a][x] is the scaled
+    d(a, x) and cap the scaled 1."""
+    return [min(cap, *map(add, on, ds)) for ds in zip(*cols)]
+
+
+def _from_int_rows(points: Sequence[str], den: int, rows: Rows) -> "RationalMetricSpace":
+    """The space whose pair (p_j, p_i), j < i, lies at rows[i][j] / den, not
+    validated: the caller checked each row as it was added.  Its `int_rows`
+    are the rows reduced to the table's own denominator, as `_int_rows`
+    would derive them."""
+    g = gcd(den, *chain.from_iterable(rows))
+    if g > 1:
+        den, rows = den // g, [[k // g for k in row] for row in rows]
+    frac = {k: Fraction(k, den) for k in set(chain.from_iterable(rows))}
+    dist: Dict[Tuple[str, str], Fraction] = {(p, p): ZERO for p in points}
+    for q, row in zip(points, rows):
+        for p, k in zip(points, row):
+            dist[(p, q)] = dist[(q, p)] = frac[k]
+    out = RationalMetricSpace(tuple(points), dist)
+    vars(out)["int_rows"] = (den, rows)
+    return out
 
 
 def _triangle_violations(dist: Mapping[Tuple[str, str], Fraction], triples):
@@ -295,13 +326,13 @@ def katetov_spread(space: RationalMetricSpace, on: Mapping[str, Fraction]) -> Di
     """Extend an admissible vector on a subset to the whole space.
 
     Uses the shortest-path value min_a (f(a) + d(a, x)) capped at 1, which
-    stays admissible because the diameter is at most 1.
+    stays admissible because the diameter is at most 1.  Computed by the int
+    kernel `_spread` over the common denominator of the space and the vector.
     """
     on = {a: Fraction(v) for a, v in on.items()}
-    out: Dict[str, Fraction] = {}
-    for x in space.points:
-        if x in on:
-            out[x] = on[x]
-        else:
-            out[x] = min(ONE, min(v + space.d(a, x) for a, v in on.items()))
+    den = lcm(space.int_rows[0], *(v.denominator for v in on.values()))
+    cols = [_scaled([space.d(a, x) for x in space.points], den) for a in on]
+    out = {x: Fraction(k, den)
+           for x, k in zip(space.points, _spread(cols, _scaled(on.values(), den), den))}
+    out.update(on)
     return out

@@ -69,6 +69,84 @@ def metric_ok(space: RationalMetricSpace) -> bool:
     return not triangle_violations(space.points, space.d)
 
 
+def qu_enumerate_oracle(seed: RationalMetricSpace, bound: int, budget: int):
+    """Plain-loop re-derivation of `quenum.qu_enumerate` in Fractions.
+
+    Returns (points, table, tasks), a task being (subset, values,
+    realized_by, added_point).  Tasks run over subset size, subset and
+    lexicographic vector; a vector's realizer is the first point, in point
+    order, at those distances; a new point `q<k>` (the first k free of the
+    seed's names) keeps the vector on the subset and sits at
+    min(1, min_a v_a + d(a, x)) from every other point x.
+    """
+    values = sorted({Fraction(a, b) for b in range(1, bound + 1) for a in range(1, b + 1)})
+    points = list(seed.points)
+    table = {(p, q): seed.d(p, q) for p in points for q in points}
+    tasks = []
+    k = 0
+    for size in range(1, min(budget, len(points)) + 1):
+        for subset in combinations(seed.points, size):
+            for vec in product(values, repeat=size):
+                if any(abs(v - w) > table[(a, b)] or table[(a, b)] > v + w
+                       for (a, v), (b, w) in combinations(zip(subset, vec), 2)):
+                    continue
+                found = [p for p in points
+                         if all(table[(p, a)] == v for a, v in zip(subset, vec))]
+                if found:
+                    tasks.append((subset, vec, found[0], False))
+                    continue
+                while f"q{k}" in seed.points:
+                    k += 1
+                name = f"q{k}"
+                k += 1
+                for x in points:
+                    if x in subset:
+                        d = vec[subset.index(x)]
+                    else:
+                        d = min(min(v + table[(a, x)] for a, v in zip(subset, vec)),
+                                Fraction(1))
+                    table[(x, name)] = table[(name, x)] = d
+                table[(name, name)] = Fraction(0)
+                points.append(name)
+                tasks.append((subset, vec, name, True))
+    return points, table, tasks
+
+
+def graded_axioms_oracle(leaves, d, pairs):
+    """Plain-loop re-derivation of `graded.check_graded_axioms`'s report
+    (identity, symmetry and subadditivity counts, then the failures as
+    (axiom, witness) pairs) for a subgroup descriptor given as leaves
+    (kind, scale, base) and pairs of maps defined on every point, from the
+    distance callable d alone.
+    """
+    pts = []
+    for _, _, base in leaves:
+        pts += [p for p in base if p not in pts]
+
+    def radicand(g):
+        out = Fraction(0)
+        for kind, q, base in leaves:
+            move = max(d(g[s], s) for s in base)
+            out = max(out, min(q * move, 1) ** 2 if kind == "linear" else min(q * q * move, 1))
+        return out
+
+    failures = []
+    if radicand({p: p for p in pts}) != 0:
+        failures.append(("identity", "H(1) != 0"))
+    n_sym = 0
+    for g in [g for pair in pairs for g in pair]:
+        n_sym += 1
+        if radicand(g) != radicand({v: k for k, v in g.items()}):
+            failures.append(("symmetry", f"H(g) != H(g^-1) for {g}"))
+    for g, h in pairs:
+        r, s, t = radicand({p: g[h[p]] for p in h}), radicand(g), radicand(h)
+        # sqrt(r) <= sqrt(s) + sqrt(t), squared: r - s - t <= 2 sqrt(s t)
+        if r - s - t > 0 and (r - s - t) ** 2 > 4 * s * t:
+            failures.append(("subadditivity",
+                             f"H(gg') > H(g) +. H(g') with radicands {r}, {s}, {t}"))
+    return 1, n_sym, len(pairs), failures
+
+
 def random_far_space(rng: random.Random, n: int, lo=Fraction(1, 2)) -> RationalMetricSpace:
     """All distances in [lo, min(2*lo, 1)]: triangles hold for free."""
     dens = (4, 8, 10, 16, 20)

@@ -81,6 +81,18 @@ def test_a_bad_catalog_is_one_line(tmp_path, monkeypatch, manifest, by_env):
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("by_env", [False, True])
+def test_a_regular_file_as_catalog_is_named_as_the_directory(tmp_path, monkeypatch, by_env):
+    catalog = tmp_path / "store"
+    catalog.write_text("")
+    argv = ["validate", DATA / "eq3.space"]
+    if by_env:
+        monkeypatch.setenv("METRICLOGIC_CATALOG", str(catalog))
+    else:
+        argv = ["--catalog", catalog, *argv]
+    assert call(*argv) == (1, f"error: catalog {catalog} is not a directory\n")
+
+
 def test_vaught_delta_names_the_unknown_table():
     code, err = call("vaught-delta", DATA / "swap.gspace", "--phi", "nope", "--j", "full")
     assert (code, err) == (1, "error: --phi: unknown name 'nope' (known: mark)\n")

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from metriclogic import graded
 from metriclogic.formula import Relation, Signature
 from metriclogic.graded import (ApproxFailure, ApproxWitness,
                                 GradedAtomDescriptor, GradedError,
@@ -17,7 +19,7 @@ from metriclogic.metric import RationalMetricSpace
 from metriclogic.structures import FiniteStructure, space_isometries
 from metriclogic.syntax import parse
 
-from helpers import SMALL_SIG, random_formula, random_structure
+from helpers import SMALL_SIG, graded_axioms_oracle, random_formula, random_structure
 
 
 def equilateral(n, d=F(1, 2)):
@@ -244,3 +246,66 @@ def test_oligo_refuses_degenerate_parameters(n, eps):
     M = FiniteStructure(equilateral(2), Signature(), {}, {})
     with pytest.raises(GradedError, match="must be >= "):
         oligo_probe(M, n, eps)
+
+
+def test_axioms_compute_one_radicand_per_isometry(monkeypatch):
+    """The bench's shape: all 36 pairs of the six isometries of an
+    equilateral triangle, base (p0, p1).  The six isometries move (p0, p1)
+    to six image pairs, so six radicands are all the check needs."""
+    s = equilateral(3, F(1, 4))
+    isos = all_isometries(s)
+    pairs = [(g, h) for g in isos for h in isos]
+    calls = []
+    radicand = graded.graded_radicand
+
+    def counting(D, g):
+        calls.append(g)
+        return radicand(D, g)
+
+    monkeypatch.setattr(graded, "graded_radicand", counting)
+    for kind in ("linear", "sqrt"):
+        calls.clear()
+        rep = check_graded_axioms(GradedAtomDescriptor(kind, F(3, 2), ("p0", "p1"), ("p0", "p1")),
+                                  s, pairs)
+        assert (rep.ok, rep.checked_symmetry, rep.checked_subadditivity) == (True, 72, 36)
+        assert len(calls) <= 6
+
+
+@st.composite
+def axiom_cases(draw):
+    """A space whose distances lie in [1/2, 1] (so any table is a metric),
+    one to three leaves over one or two points each, and pairs of
+    permutations, isometries or not."""
+    n = draw(st.integers(2, 4))
+    pts = [f"p{i}" for i in range(n)]
+    dists = {pq: F(draw(st.integers(4, 8)), 8) for pq in combinations(pts, 2)}
+    leaves = draw(st.lists(st.tuples(st.sampled_from(("linear", "sqrt")),
+                                     st.sampled_from((F(1, 2), F(1), F(3, 2), F(3))),
+                                     st.lists(st.sampled_from(pts), min_size=1, max_size=2,
+                                              unique=True).map(tuple)),
+                           min_size=1, max_size=3))
+    perms = st.permutations(pts).map(lambda img: dict(zip(pts, img)))
+    pairs = draw(st.lists(st.tuples(perms, perms), max_size=6))
+    return pts, dists, leaves, pairs
+
+
+@given(axiom_cases())
+# Leaves that read p0 and p1: g fixes both and equals the identity there,
+# and the pair fails symmetry and subadditivity.
+@example((["p0", "p1", "p2", "p3"],
+          dict(zip(combinations(["p0", "p1", "p2", "p3"], 2),
+                   (F(1, 2), F(5, 8), F(3, 4), F(7, 8), F(1), F(1, 2)))),
+          [("sqrt", F(1, 2), ("p0",)), ("linear", F(1), ("p1",))],
+          [({"p0": "p0", "p1": "p1", "p2": "p3", "p3": "p2"},
+            {"p0": "p0", "p1": "p2", "p2": "p3", "p3": "p1"})]))
+@settings(max_examples=60, deadline=None)
+def test_axiom_report_equals_plain_loops(case):
+    pts, dists, leaves, pairs = case
+    s = RationalMetricSpace.build(pts, dists)
+    atoms = [GradedAtomDescriptor(kind, q, base, base) for kind, q, base in leaves]
+    D = atoms[0] if len(atoms) == 1 else GradedMaxDescriptor(tuple(atoms))
+    rep = check_graded_axioms(D, s, [(PartialIsometry(s, s, g), PartialIsometry(s, s, h))
+                                     for g, h in pairs])
+    assert (rep.checked_identity, rep.checked_symmetry, rep.checked_subadditivity,
+            [(f.axiom, f.witness) for f in rep.failures]) == \
+        graded_axioms_oracle(leaves, s.d, pairs)

@@ -3,12 +3,13 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from metriclogic import metric
+from metriclogic import metric, quenum
 from metriclogic.metric import MetricError, RationalMetricSpace
 from metriclogic.quenum import farey_values, qu_enumerate
 
-from helpers import metric_ok, random_far_space
+from helpers import metric_ok, qu_enumerate_oracle, random_far_space
 
 
 def singleton():
@@ -123,3 +124,50 @@ def test_realizers_are_first_in_point_order_on_a_large_enumeration():
         first = next(p for p in out.points
                      if all(out.d(p, a) == v for a, v in zip(task.subset, task.values)))
         assert task.realized_by == first
+
+
+@st.composite
+def enumerations(draw):
+    """A 1-4 point seed with distances k/den closed under shortest paths
+    (so any draw is a metric), a bound 1-5 and a budget 0-3.  The budget is
+    capped so that a draw grows at most a few hundred points: 3 up to bound
+    3, 2 above it, and 1 at bound 5 on four points (budget 2 there grows
+    about 300 points in about a second)."""
+    n = draw(st.integers(1, 4))
+    den = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    pts = "abcd"[:n]
+    d = {(p, q): F(draw(st.integers(1, den)), den) for p, q in combinations(pts, 2)}
+    for m in pts:
+        for p, q in combinations(pts, 2):
+            if m not in (p, q):
+                d[(p, q)] = min(d[(p, q)], d[tuple(sorted((p, m)))] + d[tuple(sorted((m, q)))])
+    bound = draw(st.integers(1, 5))
+    top = 3 if bound <= 3 else 2 if bound == 4 or n <= 3 else 1
+    return RationalMetricSpace.build(tuple(pts), d), bound, draw(st.integers(0, top))
+
+
+@given(enumerations())
+@example((RationalMetricSpace.build(("a", "b"), {("a", "b"): F(1)}), 2, 0))
+@example((RationalMetricSpace.build(("a", "b"), {("a", "b"): F(1, 2)}), 3, 1))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_equals_plain_loops(case):
+    seed, bound, budget = case
+    out, cert = qu_enumerate(seed, bound, budget)
+    points, table, tasks = qu_enumerate_oracle(seed, bound, budget)
+    assert out.points == tuple(points)
+    assert {pq: out.d(*pq) for pq in table} == table
+    assert [(t.subset, t.values, t.realized_by, t.added_point) for t in cert.tasks] == tasks
+    assert out.int_rows == metric._int_rows(out.points, out.dist)
+
+
+def test_a_row_that_breaks_a_triangle_raises_what_with_point_raises(monkeypatch):
+    """The rows are checked as they are added: a broken spread (here q0 on
+    b, though a is at 1 from q0 and 1/2 from b) raises the report
+    `with_point` gives for that point."""
+    seed = RationalMetricSpace.build(("a", "b"), {("a", "b"): F(1, 2)})
+    monkeypatch.setattr(quenum, "_spread", lambda cols, on, cap: [cap, 0])
+    with pytest.raises(MetricError) as want:
+        seed.with_point("q0", {"a": F(1), "b": F(0)})
+    with pytest.raises(MetricError) as got:
+        qu_enumerate(seed, 1, 1)
+    assert str(got.value) == str(want.value)
