@@ -15,7 +15,6 @@ error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -24,6 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 from .metric import (EmbeddingWitness, MetricError, RationalMetricSpace,
                      Violation, validate_table)
 from .rational import ONE
+from .record import record
 
 
 class HypothesisError(MetricError):
@@ -34,7 +34,7 @@ class ConstructionError(MetricError):
     """Internal failure: a triangle broke although the hypotheses held."""
 
 
-@dataclass(frozen=True)
+@record
 class AmalgamResult:
     space: RationalMetricSpace
     witness: EmbeddingWitness          # embeds B into the output

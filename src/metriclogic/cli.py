@@ -9,7 +9,9 @@ arguments are file paths, or names resolved in the catalog when --catalog
 (or METRICLOGIC_CATALOG) is set.  A subcommand is declared by one row of
 COMMANDS: its handler and its arguments, as argparse's add_argument takes
 them.  A handler imports the library modules it calls when it runs, so a
-call loads only what its subcommand needs.
+call loads only what its subcommand needs.  The value classes are frozen
+records (`record`), built without `exec`, so no call imports `dataclasses`
+or `inspect`.
 """
 
 from __future__ import annotations

@@ -8,12 +8,12 @@ linear inverse-continuity-modulus coefficient, by default its arity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, and_, or_
 from typing import Tuple
 
 from .rational import in_unit
+from .record import record
 
 
 class FormulaError(ValueError):
@@ -28,7 +28,7 @@ class FormulaError(ValueError):
 MAX_DEPTH = 128
 
 
-@dataclass(frozen=True)
+@record
 class Relation:
     name: str
     arity: int
@@ -44,7 +44,7 @@ class Relation:
             raise FormulaError(f"relation {self.name}: modulus coefficient must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class Signature:
     relations: Tuple[Relation, ...] = ()
     constants: Tuple[str, ...] = ()
@@ -72,12 +72,12 @@ PURE_METRIC = Signature()
 
 # Terms are variables or signature constants.
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class ConstName:
     name: str
 
@@ -93,7 +93,7 @@ class Formula:
     shape = LEAF
 
 
-@dataclass(frozen=True)
+@record
 class Const(Formula):
     value: Fraction
 
@@ -102,33 +102,33 @@ class Const(Formula):
             raise FormulaError(f"constant {self.value} outside [0,1]")
 
 
-@dataclass(frozen=True)
+@record
 class AtomD(Formula):
     keyword = "d"
     left: "Var | ConstName"
     right: "Var | ConstName"
 
 
-@dataclass(frozen=True)
+@record
 class AtomR(Formula):
     name: str
     args: Tuple["Var | ConstName", ...]
 
 
-@dataclass(frozen=True)
+@record
 class _Unary(Formula):
     shape = UNARY
     body: Formula
 
 
-@dataclass(frozen=True)
+@record
 class _Binary(Formula):
     shape = BINARY
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record
 class _Quantifier(Formula):
     shape = QUANTIFIER
     var: str
@@ -143,7 +143,7 @@ class Neg(_Unary):
     keyword = "neg"
 
 
-@dataclass(frozen=True)
+@record
 class DotScale(Formula):
     shape = SCALE
     keyword = "scale"
@@ -328,7 +328,7 @@ def lipschitz(phi: Formula, sig: Signature = PURE_METRIC,
     return fold(phi, rules, quantify)
 
 
-@dataclass(frozen=True)
+@record
 class BorelLevel:
     class_kind: str   # "Sigma" | "Pi"
     index: int

@@ -11,7 +11,6 @@ with no rounding even for the sqrt family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -20,6 +19,7 @@ from .intervals import (Enclosure, sqrt_enclosure, sqrt_leq_sum,
                         truncated_weighted_sum)
 from .metric import RationalMetricSpace
 from .rational import ONE, ZERO, dot_scale
+from .record import record
 from .structures import (FiniteStructure, automorphisms, delta_exact, evaluate,
                          space_isometries, canonical_enumeration)
 from .formula import Formula, lipschitz
@@ -29,7 +29,7 @@ class GradedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PartialIsometry:
     source: RationalMetricSpace
     target: RationalMetricSpace
@@ -80,7 +80,7 @@ class PartialIsometry:
         return PartialIsometry(inner.source, self.target, mapping)
 
 
-@dataclass(frozen=True)
+@record
 class GradedAtomDescriptor:
     kind: str                    # "linear" | "sqrt"
     scale: Fraction
@@ -105,7 +105,7 @@ class GradedAtomDescriptor:
         return (self,)
 
 
-@dataclass(frozen=True)
+@record
 class GradedMaxDescriptor:
     parts: Tuple[GradedAtomDescriptor, ...]
 
@@ -178,13 +178,13 @@ def value_below(D: GradedDescriptor, g: PartialIsometry, eps: Fraction) -> bool:
     return graded_radicand(D, g) < eps * eps
 
 
-@dataclass(frozen=True)
+@record
 class AxiomFailure:
     axiom: str
     witness: str
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
     checked_identity: int
     checked_symmetry: int
@@ -250,7 +250,7 @@ def check_graded_axioms(D: GradedDescriptor, space: RationalMetricSpace,
     return AxiomReport(n_id, n_sym, n_sub, tuple(failures))
 
 
-@dataclass(frozen=True)
+@record
 class GroupMetricContext:
     """Dense enumeration s_1, s_2, ... of a stored fragment, weights 2^-i."""
     space: RationalMetricSpace
@@ -276,14 +276,14 @@ def rho_s(g: PartialIsometry, h: PartialIsometry, ctx: GroupMetricContext,
                                   for s in pts)
 
 
-@dataclass(frozen=True)
+@record
 class InvarianceFailure:
     sample: Mapping[str, str]
     gap: Fraction
     bound: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class InvarianceReport:
     checked: int
     failures: Tuple[InvarianceFailure, ...]
@@ -327,14 +327,14 @@ def check_formula_invariance(phi: Formula, M: FiniteStructure,
     return InvarianceReport(checked, tuple(failures), tuple(rejected))
 
 
-@dataclass(frozen=True)
+@record
 class ApproxWitness:
     isometry: PartialIsometry
     h_radicand: Fraction
     structure_distance: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class ApproxFailure:
     examined: int
 
@@ -372,7 +372,7 @@ class SizeGuardError(GradedError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class OligoResult:
     family: Tuple[Tuple[str, ...], ...]
     certificate: Mapping[Tuple[str, ...], Tuple[Tuple[str, ...], Fraction]]

@@ -8,14 +8,14 @@ roots, so all comparisons stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .rational import ONE, ZERO, dot_add, dot_sub, format_rational
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Enclosure:
     lo: Fraction
     hi: Fraction

@@ -29,7 +29,6 @@ subset has one int kernel too (`_spread`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
@@ -38,13 +37,14 @@ from operator import add
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .rational import ZERO, in_unit
+from .record import field, record
 
 
 class MetricError(ValueError):
     """A candidate distance table violates a metric-space invariant."""
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     kind: str            # "range" | "diagonal" | "symmetry" | "triangle" | "missing"
     points: Tuple[str, ...]
@@ -54,7 +54,7 @@ class Violation:
         return f"{self.kind} {' '.join(self.points)}: {self.detail}"
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     ok: bool
     violations: Tuple[Violation, ...]
@@ -158,7 +158,7 @@ def _triangle_violations(dist: Mapping[Tuple[str, str], Fraction], triples):
                             f"d={ab},{bc},{ac} fails a triangle inequality")
 
 
-@dataclass(frozen=True)
+@record
 class RationalMetricSpace:
     points: Tuple[str, ...]
     dist: Mapping[Tuple[str, str], Fraction] = field(hash=False)
@@ -244,7 +244,7 @@ class RationalMetricSpace:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class KatetovFunction:
     """Candidate distances from one new point to every point of a base space."""
     base: RationalMetricSpace
@@ -298,7 +298,7 @@ def fresh_point_name(taken: Sequence[str]) -> str:
     return f"p{k}"
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddingWitness:
     source: RationalMetricSpace
     target: RationalMetricSpace

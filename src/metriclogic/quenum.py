@@ -16,7 +16,6 @@ and the Fraction table is built once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -24,9 +23,10 @@ from typing import List, Tuple
 
 from .metric import (MetricError, RationalMetricSpace, _extension_breaks,
                      _from_int_rows, _scaled, _spread, katetov_breaks)
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionTask:
     subset: Tuple[str, ...]
     values: Tuple[Fraction, ...]
@@ -34,7 +34,7 @@ class ExtensionTask:
     added_point: bool
 
 
-@dataclass(frozen=True)
+@record
 class EnumeratorCertificate:
     denominator_bound: int
     budget: int

@@ -19,13 +19,13 @@ actual theorem for generated instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .formula import Relation, Signature
 from .metric import EmbeddingWitness, MetricError, RationalMetricSpace
+from .record import record
 from .structures import FiniteStructure, carries_tables, space_isometries
 from .vaught import FiniteGSpace, GSpaceError, compose_permutations, group_closure
 
@@ -34,14 +34,14 @@ class ReductionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class GroupElement:
     name: str
     y_map: Mapping[str, str]     # isometry of Y
     x_map: Mapping[str, str]     # permutation of X
 
 
-@dataclass(frozen=True)
+@record
 class ReductionInstance:
     y_space: RationalMetricSpace
     x_space: RationalMetricSpace           # carries d_tau
@@ -113,7 +113,7 @@ def encode(inst: ReductionInstance, x: str) -> FiniteStructure:
     return FiniteStructure(inst.y_space, sig, tables, {})
 
 
-@dataclass(frozen=True)
+@record
 class OrbitEquivResult:
     same_orbit: bool
     isomorphic: bool

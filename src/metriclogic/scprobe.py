@@ -11,13 +11,13 @@ from the same pool, with thresholds anchored at realizing tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
 from .formula import Formula, free_variables
+from .record import record
 from .structures import FiniteStructure, evaluate
 from .syntax import print_formula
 
@@ -28,7 +28,7 @@ def tuple_vars(n: int) -> List[str]:
     return [f"{VAR_STEM}{i}" for i in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
+@record
 class Condition:
     formula: Formula
     threshold: Fraction
@@ -37,7 +37,7 @@ class Condition:
         return f"{print_formula(self.formula)} <= {self.threshold}"
 
 
-@dataclass(frozen=True)
+@record
 class ProbeReport:
     status: str                                   # "witness" | "counterexample" | "inconclusive"
     family: Tuple[Condition, ...] = ()

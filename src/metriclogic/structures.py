@@ -7,7 +7,6 @@ over the finite point set, so every value is an exact rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -18,13 +17,14 @@ from .formula import (AbsDiff, AtomD, AtomR, Const, ConstName, DotMinus,
 from .intervals import Enclosure, truncated_weighted_sum
 from .metric import RationalMetricSpace
 from .rational import ONE, dot_add, dot_scale, dot_sub, in_unit
+from .record import field, record
 
 
 class StructureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FiniteStructure:
     space: RationalMetricSpace
     sig: Signature

@@ -11,7 +11,6 @@ comparison; any violation is collected with a witness string.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
@@ -22,12 +21,12 @@ from .vaught import (FiniteGSpace, GradedTable, characteristic, compose_permutat
                      _value_grid)
 
 
-@dataclass
 class SuiteReport:
-    instances: int = 0
-    checks: int = 0
-    violations: List[str] = field(default_factory=list)
-    per_lemma: Dict[str, int] = field(default_factory=dict)
+    def __init__(self):
+        self.instances = 0
+        self.checks = 0
+        self.violations: List[str] = []
+        self.per_lemma: Dict[str, int] = {}
 
     def count(self, lemma: str, n: int = 1):
         self.checks += n

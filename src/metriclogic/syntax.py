@@ -18,7 +18,6 @@ recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -26,6 +25,7 @@ from .formula import (BINARY, CONNECTIVES, QUANTIFIER, SCALE, AtomD, AtomR,
                       Const, ConstName, DotScale, Formula, FormulaError,
                       MAX_DEPTH, PURE_METRIC, Signature, Var, fold)
 from .rational import format_rational, parse_rational
+from .record import record
 
 KEYWORDS = {AtomD.keyword, *CONNECTIVES}
 
@@ -36,7 +36,7 @@ class ParseError(FormulaError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     text: str
     pos: int

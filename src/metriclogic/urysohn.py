@@ -86,7 +86,6 @@ whatever was dropped: the same rationals as a walk over every grid vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter, or_
@@ -100,6 +99,7 @@ from .formula import (CONNECTIVES, AbsDiff, AtomD, AtomR, Const, ConstName,
 from .intervals import Enclosure, enc_dot_add, enc_dot_sub, sqrt_enclosure
 from .metric import RationalMetricSpace
 from .rational import ONE, ZERO, dot_scale
+from .record import field, record
 from .structures import FiniteStructure, evaluate
 
 
@@ -107,7 +107,7 @@ class UrysohnError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PredicateDef:
     """A relation symbol defined by a quantifier-free distance formula."""
     params: Tuple[str, ...]
@@ -120,7 +120,7 @@ class PredicateDef:
             raise UrysohnError("predicate definitions must be quantifier free")
 
 
-@dataclass(frozen=True)
+@record
 class AnchoredStructure:
     anchors: RationalMetricSpace
     defs: Mapping[str, PredicateDef] = field(default_factory=dict)
@@ -173,7 +173,7 @@ def expand_predicates(phi: Formula, anchored: AnchoredStructure, atom=keep) -> F
     return fold(phi, {**_REBUILD, AtomD: atom, AtomR: inline})
 
 
-@dataclass(frozen=True)
+@record
 class QuantifierBudget:
     mesh: Fraction
     rounds: int = 0
@@ -228,6 +228,9 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
         return r
 
     top = reads[id(body)] = fold(body, _READS, bind)
+    unknown = {t.name for t in top if isinstance(t, ConstName)} - set(anchored.anchors.points)
+    if unknown:
+        raise UrysohnError(f"point {min(unknown)!r} is not an anchor")
     missing = {t.name for t in top if isinstance(t, Var)} - set(params)
     if missing:
         raise UrysohnError(f"unbound variables after substitution: {sorted(missing)}")

@@ -14,11 +14,11 @@ module is claimed for non-discrete groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from .rational import ONE, ZERO, dot_add, dot_scale, dot_sub, in_unit
+from .record import field, record
 
 
 class GSpaceError(ValueError):
@@ -28,7 +28,7 @@ class GSpaceError(ValueError):
 GradedTable = Mapping[str, Fraction]   # total map, values in [0,1]
 
 
-@dataclass(frozen=True)
+@record
 class FiniteGSpace:
     """A finite group acting on a finite point set, given by its named
     permutations.
@@ -240,7 +240,7 @@ def is_invariant(X: FiniteGSpace, phi: GradedTable, H: GradedTable) -> bool:
                for g in X.elements for x in X.points)
 
 
-@dataclass(frozen=True)
+@record
 class ClosureResult:
     family: Tuple[Tuple[Fraction, ...], ...]
     fixed_point: bool

@@ -9,16 +9,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import metriclogic
 from metriclogic.catalog import Catalog
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def loaded_after(statement):
-    """The metriclogic modules a fresh interpreter holds after statement."""
-    script = (f"import json, sys\n{statement}\n"
-              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('metriclogic'))))")
+def modules_after(statement):
+    """The modules a fresh interpreter holds after statement."""
+    script = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
     env = {k: v for k, v in os.environ.items() if k != "METRICLOGIC_CATALOG"}
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=ROOT,
@@ -27,12 +28,21 @@ def loaded_after(statement):
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def loaded_after(statement):
+    """The metriclogic modules a fresh interpreter holds after statement."""
+    return {m for m in modules_after(statement) if m.startswith("metriclogic")}
+
+
+def cli_call(argv):
+    """A statement making one successful CLI call."""
+    return ("import contextlib, io\nfrom metriclogic.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+
+
 def loaded_by_cli(argv):
     """The metriclogic modules loaded by one successful CLI call."""
-    return loaded_after(
-        "import contextlib, io\nfrom metriclogic.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0")
+    return loaded_after(cli_call(argv))
 
 
 def test_package_import_loads_no_submodule():
@@ -63,3 +73,17 @@ def test_validate_by_catalog_name_loads_no_formula_code(tmp_path):
     for name in ("formula", "syntax", "structures", "graded", "reduction", "vaught",
                  "urysohn"):
         assert f"metriclogic.{name}" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "data/eq3.space"],
+    ["eval-urysohn", "(sup x (inf y (max (d a y) (sup z (dotminus (d x z) (d y z))))))",
+     "--anchors", "data/pair.space", "--mesh", "1/4", "--rounds", "0"],
+], ids=["validate", "eval-urysohn"])
+def test_cold_call_imports_neither_dataclasses_nor_inspect(argv):
+    """Beyond what a bare interpreter holds here (a site hook may load
+    more), a cold call adds neither module: records are built without
+    them."""
+    added = modules_after(cli_call(argv)) - modules_after("")
+    assert "metriclogic.cli" in added
+    assert not added & {"dataclasses", "inspect"}

@@ -4,7 +4,8 @@ from math import isqrt
 
 import pytest
 
-from metriclogic.formula import Relation, Signature
+from metriclogic.formula import (AtomD, ConstName, Inf, Max, Relation, Signature, Sup,
+                                 Var)
 from metriclogic.intervals import sqrt_enclosure
 from metriclogic.metric import RationalMetricSpace
 from metriclogic.structures import FiniteStructure, evaluate
@@ -133,6 +134,19 @@ def test_rejects_unbound_variables():
     with pytest.raises(UrysohnError):
         eval_urysohn(parse("(d s x)", csig("s")), a, {},
                      QuantifierBudget(F(1, 4), 0))
+
+
+@pytest.mark.parametrize("phi", [
+    Sup("x", AtomD(Var("x"), ConstName("c"))),
+    Sup("x", Max(AtomD(Var("x"), ConstName("a")),
+                 Inf("y", AtomD(Var("y"), ConstName("c"))))),
+    AtomD(ConstName("a"), ConstName("c")),
+    AtomD(ConstName("c"), ConstName("c")),
+], ids=["quantified", "under_a_connective", "two_constants", "same_constant"])
+def test_a_point_that_is_no_anchor_is_refused_by_name(phi):
+    a = anchors({("a", "b"): (3, 5)})
+    with pytest.raises(UrysohnError, match="point 'c' is not an anchor"):
+        eval_urysohn(phi, a, {}, QuantifierBudget(F(1, 4), 0))
 
 
 def test_snap_mesh_clears_denominators():
