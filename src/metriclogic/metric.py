@@ -24,7 +24,9 @@ tests the triangles that a row closes over the rows before it:
 violation exists; when one does, the Fraction generator
 `_triangle_violations` writes the report, so reports and values at the
 boundary (`d`, `dist`) stay Fractions.  The Katetov spread of a vector on a
-subset has one int kernel too (`_spread`).
+subset has one int kernel too (`_spread`).  The same scaling
+(`rational.scaled`) runs `quenum`'s admissibility test, `amalgam`'s
+hypothesis check and construction and `vaught`'s transforms on ints.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .rational import ZERO, in_unit
+from .rational import ZERO, in_unit, scaled
 from .record import field, record
 
 
@@ -107,11 +109,7 @@ def _int_rows(points: Sequence[str],
     lower-triangular rows of D * d(p_j, p_i)."""
     fracs = [[dist[(p, q)] for p in points[:i]] for i, q in enumerate(points)]
     den = lcm(*(d.denominator for row in fracs for d in row))
-    return den, [_scaled(row, den) for row in fracs]
-
-
-def _scaled(row, den: int) -> List[int]:
-    return [d.numerator * (den // d.denominator) for d in row]
+    return den, [scaled(row, den) for row in fracs]
 
 
 def _extension_breaks(rows: Sequence[Sequence[int]], new: Sequence[int]) -> bool:
@@ -234,7 +232,7 @@ class RationalMetricSpace:
         if grown != den:
             k = grown // den
             rows = [[x * k for x in row] for row in rows]
-        row = _scaled(new, grown)
+        row = scaled(new, grown)
         if violations or _extension_breaks(rows, row):
             violations.extend(_triangle_violations(
                 dist, ((a, b, name) for a, b in combinations(self.points, 2))))
@@ -331,8 +329,8 @@ def katetov_spread(space: RationalMetricSpace, on: Mapping[str, Fraction]) -> Di
     """
     on = {a: Fraction(v) for a, v in on.items()}
     den = lcm(space.int_rows[0], *(v.denominator for v in on.values()))
-    cols = [_scaled([space.d(a, x) for x in space.points], den) for a in on]
+    cols = [scaled([space.d(a, x) for x in space.points], den) for a in on]
     out = {x: Fraction(k, den)
-           for x, k in zip(space.points, _spread(cols, _scaled(on.values(), den), den))}
+           for x, k in zip(space.points, _spread(cols, scaled(on.values(), den), den))}
     out.update(on)
     return out

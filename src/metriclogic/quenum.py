@@ -7,7 +7,8 @@ then lexicographic vector), so the output is deterministic and the space for
 a larger budget extends the space for a smaller one point for point.
 
 The closure runs in integers over one common denominator E, the lcm of the
-seed's denominator and 1..bound: a new point sits at a value v on the
+seed's denominator and 1..bound: each vector's Katetov condition on its
+subset is tested on ints, and a new point sits at a value v on the
 subset and at min(1, min_a v_a + d(a, x)) from every other point x (the
 Katetov spread, `metric._spread`), so every distance lies on 1/E.  Each new
 row is checked against the rows before it by `metric._extension_breaks`,
@@ -22,7 +23,8 @@ from math import lcm
 from typing import List, Tuple
 
 from .metric import (MetricError, RationalMetricSpace, _extension_breaks,
-                     _from_int_rows, _scaled, _spread, katetov_breaks)
+                     _from_int_rows, _spread)
+from .rational import scaled
 from .record import record
 
 
@@ -62,7 +64,7 @@ def qu_enumerate(seed: RationalMetricSpace, denominator_bound: int,
     values = farey_values(denominator_bound)
     D, seed_rows = seed.int_rows
     E = lcm(D, *range(1, denominator_bound + 1))
-    scaled = _scaled(values, E)
+    keys = scaled(values, E)
     rows = [[k * (E // D) for k in row] for row in seed_rows]
     n = len(seed.points)
     # cols[i][x]: E * d(seed point i, point x), grown with every added point
@@ -80,8 +82,11 @@ def qu_enumerate(seed: RationalMetricSpace, denominator_bound: int,
             realizers = {}
             for p, key in zip(points, zip(*sub_cols)):
                 realizers.setdefault(key, p)
-            for vec, key in zip(product(values, repeat=size), product(scaled, repeat=size)):
-                if any(katetov_breaks(seed, dict(zip(subset, vec)))):
+            # The Katetov condition |v_s - v_t| <= d(s, t) <= v_s + v_t on
+            # each pair of the subset, on ints.
+            pairs = [(s, t, sub_cols[s][idx[t]]) for s, t in combinations(range(size), 2)]
+            for vec, key in zip(product(values, repeat=size), product(keys, repeat=size)):
+                if any(abs(key[s] - key[t]) > d or d > key[s] + key[t] for s, t, d in pairs):
                     continue
                 existing = realizers.get(key)
                 if existing is not None:

@@ -1,12 +1,15 @@
-"""Exact rational helpers: num/den parsing and the dotted [0,1] operations.
+"""Exact rational helpers: num/den parsing, the dotted [0,1] operations and
+the scaling of rationals to ints over one common denominator.
 
-Everything in this package computes with `fractions.Fraction`; floats are
-never introduced on value paths.
+Everything in this package computes with `fractions.Fraction`, or with
+ints over a common denominator in inner loops; floats are never introduced
+on value paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import List
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,6 +39,12 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def scaled(values, den: int) -> List[int]:
+    """Each rational times den, as an int; den must be a common multiple of
+    their denominators."""
+    return [q.numerator * (den // q.denominator) for q in values]
 
 
 def in_unit(q: Fraction) -> bool:

@@ -98,19 +98,20 @@ def sc_probe(M: FiniteStructure, n: int, eps: Fraction, formula_pool: Sequence[F
         order, so the failing tuple reported is the first one.
         """
         holders = covers[cond]
+        held = [c for c in ext_tuples if c[:n] in holders]
         for a in tuples:
             if a not in holders:
                 continue
+            # The extensions b of holders within eps of a: whether b is near
+            # depends on a and b alone, not on c or Delta.
+            close = {t for t in holders
+                     if max(M.space.d(x, y) for x, y in zip(a, t)) < eps}
+            near = [b for b in held if b[:n] in close]
             for delta_formulas in deltas:
-                for c in ext_tuples:
-                    if c[:n] not in holders:
-                        continue
+                for c in held:
                     bounds = [value(f, c) for f in delta_formulas]
-                    if not any(b[:n] in holders
-                               and all(value(f, b) <= bd for f, bd in zip(delta_formulas, bounds))
-                               and max((M.space.d(x, y) for x, y in zip(a, b[:n])),
-                                       default=Fraction(0)) < eps
-                               for b in ext_tuples):
+                    if not any(all(value(f, b) <= bd for f, bd in zip(delta_formulas, bounds))
+                               for b in near):
                         anchored = tuple(Condition(f, bd)
                                          for f, bd in zip(delta_formulas, bounds))
                         return a, (cond,) + anchored

@@ -10,14 +10,19 @@ it covers it.  Under that reading the graded transforms have closed forms
 and every transform here computes both the closed form and an independent
 threshold scan of the definition, asserting equality.  Nothing in this
 module is claimed for non-discrete groups.
+
+Both run on ints: phi and J are scaled once by E, twice the lcm of their
+denominators, so every grid midpoint is an int too.  The scan still checks
+every value of the closed form, and each value becomes a Fraction once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
-from .rational import ONE, ZERO, dot_add, dot_scale, dot_sub, in_unit
+from .rational import ONE, ZERO, dot_add, dot_scale, dot_sub, in_unit, scaled
 from .record import field, record
 
 
@@ -126,73 +131,80 @@ def characteristic(keys: Sequence[str], inside) -> Dict[str, Fraction]:
     return {k: (ZERO if k in inside else ONE) for k in keys}
 
 
+def _int_tables(phi: GradedTable, J: GradedTable):
+    """(E, P, Jk, grid): E = 2 * the lcm of both tables' denominators, the
+    tables times E as ints, and the threshold grid on those ints: every
+    value, 0 and E, and the midpoint of each two neighbours.  Every value is
+    an even int, so every midpoint is an int too."""
+    E = 2 * lcm(*(v.denominator for t in (phi, J) for v in t.values()))
+    P, Jk = dict(zip(phi, scaled(phi.values(), E))), dict(zip(J, scaled(J.values(), E)))
+    vals = sorted({*P.values(), *Jk.values(), 0, E})
+    return E, P, Jk, vals + [(a + b) // 2 for a, b in zip(vals, vals[1:])]
+
+
 def _value_grid(phi: GradedTable, J: GradedTable) -> List[Fraction]:
-    vals = sorted(set(phi.values()) | set(J.values()) | {ZERO, ONE})
-    grid = list(vals)
-    for a, b in zip(vals, vals[1:]):
-        grid.append((a + b) / 2)
-    return sorted(set(grid))
+    """The threshold grid as ascending Fractions."""
+    E, _, _, grid = _int_tables(phi, J)
+    return sorted(Fraction(k, E) for k in grid)
 
 
 def vaught_delta(X: FiniteGSpace, phi: GradedTable, J: GradedTable) -> Dict[str, Fraction]:
     """Graded delta-transform; closed form checked against the threshold scan."""
-    return _transform(X, phi, J, min, dot_add, _delta_scan)
+    return _transform(X, phi, J, lambda pairs, E: min(E, min(p + j for p, j in pairs)),
+                      _delta_scan)
 
 
 def vaught_star(X: FiniteGSpace, phi: GradedTable, J: GradedTable) -> Dict[str, Fraction]:
     """Graded star-transform; closed form checked against the threshold scan."""
-    return _transform(X, phi, J, max, dot_sub, _star_scan)
+    return _transform(X, phi, J, lambda pairs, E: max(0, max(p - j for p, j in pairs)),
+                      _star_scan)
 
 
-def _transform(X, phi, J, pick, op, scan) -> Dict[str, Fraction]:
-    """x -> pick over h of op(phi(h.x), J(h)), each value checked against
-    scan, the transform's definition."""
+def _transform(X, phi, J, closed, scan) -> Dict[str, Fraction]:
+    """x -> closed(pairs, E) over the pairs (phi(h.x), J(h)) for every h,
+    on ints over E; each value is checked against scan, the transform's
+    definition, on the same ints."""
     check_table(X, phi, on_group=False)
     check_table(X, J, on_group=True)
-    grid = _value_grid(phi, J)
+    E, P, Jk, grid = _int_tables(phi, J)
+    acts = [(X.action[h], Jk[h]) for h in X.elements]
     out = {}
     for x in X.points:
-        closed = pick(op(phi[X.act(h, x)], J[h]) for h in X.elements)
-        scanned = scan(X, phi, J, x, grid)
-        if closed != scanned:
-            raise GSpaceError(
-                f"definition scan {scanned} disagrees with closed form {closed} at {x}")
-        out[x] = closed
+        value = closed([(P[a[x]], j) for a, j in acts], E)
+        scanned = scan(X, P, Jk, x, grid, E)
+        if value != scanned:
+            raise GSpaceError(f"definition scan {Fraction(scanned, E)} disagrees with "
+                              f"closed form {Fraction(value, E)} at {x}")
+        out[x] = Fraction(value, E)
     return out
 
 
-def _delta_scan(X, phi, J, x, grid) -> Fraction:
+def _delta_scan(X, phi, J, x, grid, top=ONE):
     # inf over threshold pairs (r,s) such that some h has phi(h.x) <= r and
     # J(h) <= s; the infimum of the strict-threshold definition is attained
     # on the closed grid of occurring values.  For fixed r the best s is the
     # least J-value among qualifying h (a grid point), so the inner
-    # minimisation is exact.
+    # minimisation is exact.  top is 1 on Fractions, E on ints over E.
     pairs = [(phi[X.act(h, x)], J[h]) for h in X.elements]
     best = None
     for r in grid:
-        s_min = None
-        for pv, jv in pairs:
-            if pv <= r and (s_min is None or jv < s_min):
-                s_min = jv
+        s_min = min((jv for pv, jv in pairs if pv <= r), default=None)
         if s_min is None:
             continue
-        v = dot_add(r, s_min)
+        v = min(r + s_min, top)
         best = v if best is None else min(best, v)
     if best is None:
         raise GSpaceError("empty group")
     return best
 
 
-def _star_scan(X, phi, J, x, grid) -> Fraction:
+def _star_scan(X, phi, J, x, grid, top=ONE):
     pairs = [(phi[X.act(h, x)], J[h]) for h in X.elements]
-    best = ZERO
+    best = top - top                  # 0, in top's type
     for r in grid:
-        s_min = None
-        for pv, jv in pairs:
-            if pv >= r and (s_min is None or jv < s_min):
-                s_min = jv
+        s_min = min((jv for pv, jv in pairs if pv >= r), default=None)
         if s_min is not None:
-            best = max(best, dot_sub(r, s_min))
+            best = max(best, r - s_min)
     return best
 
 

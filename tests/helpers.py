@@ -220,6 +220,24 @@ def amalgam_instance(rng: random.Random, n: int, q: int, with_geodesic=False):
             return host, tuple(pts), b_space, q, eps
 
 
+# ---------------------------------------------------------- group actions
+
+def vaught_oracle(X, phi, J):
+    """(delta, star) of the graded transforms by their closed forms, in plain
+    Fractions: delta(x) is the least min(1, phi(h.x) + J(h)) and star(x) the
+    greatest max(0, phi(h.x) - J(h)) over the group elements h."""
+    delta, star = {}, {}
+    for x in X.points:
+        for h in X.elements:
+            p, j = phi[X.action[h][x]], J[h]
+            up, down = min(Fraction(1), p + j), max(Fraction(0), p - j)
+            if x not in delta or up < delta[x]:
+                delta[x] = up
+            if x not in star or down > star[x]:
+                star[x] = down
+    return delta, star
+
+
 # ---------------------------------------------------------------- formulas
 
 def random_structure(rng: random.Random, n: int, sig: Signature) -> FiniteStructure:

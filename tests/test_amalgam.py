@@ -4,6 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metriclogic.amalgam import HypothesisError, amalgamate, check_hypotheses
 from metriclogic.metric import RationalMetricSpace
@@ -136,3 +137,46 @@ def test_first_cross_pair_gets_half_eps_margin():
         first = min(pairs, key=lambda ij: (lvals[ij], ij))
         i, j = first
         assert res.space.d(a_pts[i], res.b_names[j]) == lvals[first] - eps / 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 6), st.integers(0, 2))
+def test_cross_pairs_get_half_eps_and_copies_the_displacement(seed, n, q):
+    """Every cross pair is min(d_A, d_B) - eps/2, every displaced copy sits
+    at (2*C(n-q,2)+1)*eps from its original, and B embeds unchanged."""
+    host, a_pts, b_space, q, eps = amalgam_instance(random.Random(seed), n, min(q, n - 1))
+    res = amalgamate(host, a_pts, b_space, q, eps)
+    d, bs, names = res.space.d, b_space.points, res.b_names
+    disp = (2 * comb(n - q, 2) + 1) * eps
+    assert res.displacement == disp
+    for i in range(q, n):
+        assert d(a_pts[i], names[i]) == disp
+    for i, j in combinations(range(q, n), 2):
+        low = min(host.d(a_pts[i], a_pts[j]), b_space.d(bs[i], bs[j])) - eps / 2
+        assert d(a_pts[i], names[j]) == d(names[i], a_pts[j]) == low
+    for i, j in combinations(range(n), 2):
+        assert d(names[i], names[j]) == b_space.d(bs[i], bs[j])
+        assert d(a_pts[i], a_pts[j]) == host.d(a_pts[i], a_pts[j])
+    assert not triangle_violations(res.space.points, d)
+
+
+def test_hypothesis_report_prints_lowest_terms():
+    """The values share the denominator 60 (with eps/2 = 1/20), and none has
+    it: the report prints each in its own lowest terms."""
+    host = RationalMetricSpace.build(
+        ("a0", "a1", "a2"), {("a0", "a1"): F(1, 2), ("a0", "a2"): F(1, 3), ("a1", "a2"): F(5, 6)})
+    b = RationalMetricSpace.build(
+        ("b0", "b1", "b2"), {("b0", "b1"): F(7, 10), ("b0", "b2"): F(5, 12), ("b1", "b2"): F(11, 15)})
+    pts, eps = ("a0", "a1", "a2"), F(1, 10)
+    assert [str(v) for v in check_hypotheses(host, pts, b, 0, eps)] == [
+        "range a0 a1: (2C+1)eps = 7/10 not < d = 1/2",
+        "range b0 b1: |d_B - d_A| = 1/5 > eps",
+        "range a0 a2: (2C+1)eps = 7/10 not < d = 1/3",
+        "triangle a2 a0 a1: non-geodesic margin 2/3 not > 7/10",
+        "triangle a0 a1 a2: geodesic triple with two displaced points"]
+    report = [str(v) for v in check_hypotheses(host, pts, b, 2, eps)]
+    assert report == ["range b0 b1: |d_B - d_A| = 1/5 > eps",
+                      "symmetry b0 b1: B must agree with A on the first 2 points"]
+    with pytest.raises(HypothesisError) as err:
+        amalgamate(host, pts, b, 2, eps)
+    assert str(err.value) == "; ".join(report)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,20 @@ def test_probe_inconclusive_at_budget():
     rep2 = sc_probe(M, 1, F(1, 2), [Const(F(1, 2)), Const(F(1))], depth=0,
                     max_families=0)
     assert rep2.status == "inconclusive"
+
+
+def test_probe_counterexample_pinned():
+    """A counterexample that turns on the strict eps test (d(a, c) = eps):
+    the failing tuple, its Delta and the families examined are pinned."""
+    pts = ("a", "b", "c", "d")
+    dists = dict(zip(combinations(pts, 2), map(F, ("3/4", "1/4", "1/2", "3/4", "3/4", "1/4"))))
+    sig = Signature((Relation("P", 1),), ())
+    P = {("a",): F(1), ("b",): F(1, 2), ("c",): F(0), ("d",): F(1, 2)}
+    M = FiniteStructure(RationalMetricSpace.build(pts, dists), sig, {"P": P}, {})
+    pool = [parse(f, sig) for f in ("(P x1)", "(d x1 x2)", "(P x2)", "(max (P x1) (P x2))")]
+    rep = sc_probe(M, 1, F(1, 4), pool, depth=2)
+    assert (rep.status, rep.failing_tuple, rep.families_examined) == ("counterexample", ("a",), 7)
+    assert [str(c) for c in rep.failing_delta] == ["(P x1) <= 1", "(P x1) <= 1/2"]
 
 
 PROBE_REPRO = """

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from metriclogic import vaught
 from metriclogic.rational import dot_add, dot_sub
 from metriclogic.suite import (check_conjugates, check_duality, check_invariance,
                                check_order, check_set_correspondence,
@@ -13,6 +15,8 @@ from metriclogic.vaught import (FiniteGSpace, GSpaceError, characteristic,
                                 is_invariant, is_subgroup_table, nice_closure,
                                 translate_table, vaught_delta, vaught_sets,
                                 vaught_star)
+
+from helpers import vaught_oracle
 
 
 def swap_space():
@@ -200,3 +204,44 @@ def test_conjugate_and_translate_tables():
     from metriclogic.vaught import conjugate_table
     conj = conjugate_table(X, H, "s")
     assert conj == H                                  # abelian group
+
+
+def table_of(kind, keys, rng):
+    """All 0, all 1, or values whose denominators run over 1..12, so the
+    common denominator is not a power of 2."""
+    if kind in (0, 1):
+        return {k: F(kind) for k in keys}
+    out = {}
+    for k in keys:
+        den = rng.randint(1, 12)
+        out[k] = F(rng.randint(0, den), den)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([0, 1, "mixed"]),
+       st.sampled_from([0, 1, "mixed"]))
+def test_transforms_equal_the_plain_closed_forms(seed, phi_kind, j_kind):
+    rng = random.Random(seed)
+    X = random_gspace(rng, 6, 12)
+    phi = table_of(phi_kind, X.points, rng)
+    J = table_of(j_kind, X.elements, rng)
+    delta, star = vaught_oracle(X, phi, J)
+    assert vaught_delta(X, phi, J) == delta
+    assert vaught_star(X, phi, J) == star
+
+
+@pytest.mark.parametrize("transform, scan, closed", [
+    (vaught_delta, "_delta_scan", "5/12"), (vaught_star, "_star_scan", "1/12")])
+def test_a_scan_that_disagrees_with_the_closed_form_raises(monkeypatch, transform,
+                                                           scan, closed):
+    """The closed form is still checked against the threshold scan, value by
+    value; the message gives both values in lowest terms."""
+    real = getattr(vaught, scan)
+    monkeypatch.setattr(vaught, scan, lambda *args: real(*args) + 1)
+    X = trivial_space()
+    phi, J = {"x": F(1, 4), "y": F(3, 4)}, {"e": F(1, 6)}
+    scanned = F(closed) + F(1, 24)           # one step of the common denominator
+    with pytest.raises(GSpaceError) as err:
+        transform(X, phi, J)
+    assert str(err.value) == f"definition scan {scanned} disagrees with closed form {closed} at x"
