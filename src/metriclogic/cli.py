@@ -150,6 +150,10 @@ def cmd_validate(session, args):
 def cmd_extend(session, args):
     from . import textio
     from .metric import KatetovFunction, one_point_extend
+    name = args.name
+    if name and ("#" in name or name.split() != [name]):
+        raise CliError(f"--name: {name!r} cannot be written in a space file "
+                       "(no whitespace or '#')")
     space = session.space(args.space)
     values = {}
     for item in args.value:
@@ -160,7 +164,7 @@ def cmd_extend(session, args):
             raise CliError(f"--value: point {p!r} given twice")
         values[_named("--value", space.points, p)] = parse_rational(v)
     f = KatetovFunction(space, values)
-    out = one_point_extend(space, f, name=args.name or "")
+    out = one_point_extend(space, f, name=name)
     return {"space": textio.serialize_space(out)}
 
 

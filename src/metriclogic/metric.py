@@ -6,27 +6,28 @@ range, symmetry, zero-diagonal and triangle conditions, and every operation
 in the package returns spaces that pass it.
 
 Invariant: every `RationalMetricSpace` the package hands out was validated
-when it was built (`RationalMetricSpace.build`, `textio.parse_space`,
-`amalgam.amalgamate`), or was grown from such a space one checked point at
-a time: by `with_point`, or by `quenum.qu_enumerate`, which builds its space
-from int rows, each checked by `_extension_breaks` as it is added, and
-makes the Fraction table once at the end (`_from_int_rows`).  Both rely on
-the invariant: they check only the pairs and triangles through the new
-point, which is all a one-point extension of a valid space can break.
+when it was built (`RationalMetricSpace.build`, which `restrict` and
+`with_point` go through, `textio.parse_space`, `amalgam.amalgamate`), or
+was grown by `quenum.qu_enumerate` from int rows, each checked by
+`_extension_breaks` against the rows before it as it is added, with the
+Fraction table made once at the end (`_from_int_rows`).  That check relies
+on the invariant: a one-point extension of a valid space can break only the
+triangles through the new point.
 
 Triangle checks run in integers.  A table is scaled by one common
 denominator D (the lcm of its denominators) into lower-triangular int rows,
 row i holding D * d(p_j, p_i) for j < i, and one kernel (`_extension_breaks`)
-tests the triangles that a row closes over the rows before it:
-`validate_table` runs it once per row of one matrix, `with_point` and
-`qu_enumerate` once for each new row against the rows before it
-(`RationalMetricSpace.int_rows`).  The kernel only decides whether a
-violation exists; when one does, the Fraction generator
-`_triangle_violations` writes the report, so reports and values at the
-boundary (`d`, `dist`) stay Fractions.  The Katetov spread of a vector on a
-subset has one int kernel too (`_spread`).  The same scaling
-(`rational.scaled`) runs `quenum`'s admissibility test, `amalgam`'s
-hypothesis check and construction and `vaught`'s transforms on ints.
+tests the triangles that a row closes over the rows before it.
+`validate_table` runs it once per row of one matrix; `qu_enumerate` runs it
+on each candidate vector over its subset's rows (a vector is Katetov
+admissible on a subset exactly when no triangle through the new point
+breaks) and on each row it adds (`RationalMetricSpace.int_rows`).  The
+kernel only decides whether a violation exists; when one does, the Fraction
+generator `_triangle_violations` writes the report, so reports and values
+at the boundary (`d`, `dist`) stay Fractions.  The Katetov spread of a
+vector on a subset has one int kernel too (`_spread`).  The same scaling
+(`rational.scaled`) runs `amalgam`'s hypothesis check and construction and
+`vaught`'s transforms on ints.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def validate_table(points: Sequence[str], dist: Mapping[Tuple[str, str], Fractio
     return ValidationReport(not violations, tuple(violations))
 
 
-Rows = List[List[int]]      # never mutated: a space shares them with its extensions
+Rows = List[List[int]]      # never mutated once a space holds them
 
 
 def _int_rows(points: Sequence[str],
@@ -187,7 +188,7 @@ class RationalMetricSpace:
     def int_rows(self) -> Tuple[int, Rows]:
         """(D, rows): the distances as ints over one common denominator D,
         row i holding D * d(p_j, p_i) for j < i.  Derived from `dist` on
-        first use unless `with_point` handed it over."""
+        first use unless `_from_int_rows` handed it over."""
         return _int_rows(self.points, self.dist)
 
     @cached_property
@@ -207,39 +208,13 @@ class RationalMetricSpace:
     def with_point(self, name: str, dists: Mapping[str, Fraction]) -> "RationalMetricSpace":
         """Extension by one point; admissibility is the caller's business.
 
-        The base was validated when it was built, so only what the new point
-        adds is checked: the range of its n distances and the C(n,2)
-        triangles (a, b, name), in ints against the base's `int_rows`.  New
-        denominators grow D to an lcm and rescale the old rows once; the
-        result keeps the old rows plus the new one as its own `int_rows`.
-        A failure raises MetricError with exactly the report `validate_table`
-        gives on the whole extended table.
+        Built by `build`, so a failure raises MetricError with exactly the
+        report `validate_table` gives on the whole extended table.
         """
         if name in self.points:
             raise MetricError(f"point {name!r} already present")
-        dist = dict(self.dist)
-        dist[(name, name)] = ZERO
-        violations = []
-        new: List[Fraction] = []
-        for p in self.points:
-            d = Fraction(dists[p])
-            dist[(p, name)] = dist[(name, p)] = d
-            new.append(d)
-            if not in_unit(d):
-                violations.append(Violation("range", (p, name), f"{d} outside [0,1]"))
-        den, rows = self.int_rows
-        grown = lcm(den, *(d.denominator for d in new))
-        if grown != den:
-            k = grown // den
-            rows = [[x * k for x in row] for row in rows]
-        row = scaled(new, grown)
-        if violations or _extension_breaks(rows, row):
-            violations.extend(_triangle_violations(
-                dist, ((a, b, name) for a, b in combinations(self.points, 2))))
-            raise MetricError(str(ValidationReport(False, tuple(violations))))
-        out = RationalMetricSpace(self.points + (name,), dist)
-        vars(out)["int_rows"] = (grown, rows + [row])
-        return out
+        pairs = {**self.dist, **{(p, name): dists[p] for p in self.points}}
+        return RationalMetricSpace.build(self.points + (name,), pairs)
 
 
 @record
@@ -258,22 +233,16 @@ class KatetovFunction:
                 out.append(Violation("range", (p,), f"{v} outside [0,1]"))
         if out:
             return tuple(out)
-        f = {p: self.values[p] for p in self.base.points}
-        return tuple(Violation("triangle", (p, q), f"|{fp}-{fq}| <= {d} <= {fp}+{fq} fails")
-                     for p, q, fp, fq, d in katetov_breaks(self.base, f))
+        f = [(p, self.values[p]) for p in self.base.points]
+        for (p, fp), (q, fq) in combinations(f, 2):
+            d = self.base.d(p, q)
+            if abs(fp - fq) > d or d > fp + fq:
+                out.append(Violation("triangle", (p, q), f"|{fp}-{fq}| <= {d} <= {fp}+{fq} fails"))
+        return tuple(out)
 
     @property
     def admissible(self) -> bool:
         return not self.admissibility_violations()
-
-
-def katetov_breaks(space: RationalMetricSpace, f: Mapping[str, Fraction]):
-    """The pairs (p, q, f(p), f(q), d(p, q)), in f's order, at which f
-    fails the Katetov condition |f(p) - f(q)| <= d(p, q) <= f(p) + f(q)."""
-    for (p, fp), (q, fq) in combinations(f.items(), 2):
-        d = space.d(p, q)
-        if abs(fp - fq) > d or d > fp + fq:
-            yield p, q, fp, fq, d
 
 
 def one_point_extend(space: RationalMetricSpace, f: KatetovFunction,
@@ -318,19 +287,3 @@ class EmbeddingWitness:
                 if ds != dt:
                     out.append(Violation("triangle", (p, q), f"{ds} != {dt}"))
         return ValidationReport(not out, tuple(out))
-
-
-def katetov_spread(space: RationalMetricSpace, on: Mapping[str, Fraction]) -> Dict[str, Fraction]:
-    """Extend an admissible vector on a subset to the whole space.
-
-    Uses the shortest-path value min_a (f(a) + d(a, x)) capped at 1, which
-    stays admissible because the diameter is at most 1.  Computed by the int
-    kernel `_spread` over the common denominator of the space and the vector.
-    """
-    on = {a: Fraction(v) for a, v in on.items()}
-    den = lcm(space.int_rows[0], *(v.denominator for v in on.values()))
-    cols = [scaled([space.d(a, x) for x in space.points], den) for a in on]
-    out = {x: Fraction(k, den)
-           for x, k in zip(space.points, _spread(cols, scaled(on.values(), den), den))}
-    out.update(on)
-    return out

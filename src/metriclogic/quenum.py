@@ -7,12 +7,13 @@ then lexicographic vector), so the output is deterministic and the space for
 a larger budget extends the space for a smaller one point for point.
 
 The closure runs in integers over one common denominator E, the lcm of the
-seed's denominator and 1..bound: each vector's Katetov condition on its
-subset is tested on ints, and a new point sits at a value v on the
-subset and at min(1, min_a v_a + d(a, x)) from every other point x (the
+seed's denominator and 1..bound.  A vector meets the Katetov condition on
+its subset when `metric._extension_breaks` finds no broken triangle through
+the new point over the subset's rows, and a new point sits at a value v on
+the subset and at min(1, min_a v_a + d(a, x)) from every other point x (the
 Katetov spread, `metric._spread`), so every distance lies on 1/E.  Each new
-row is checked against the rows before it by `metric._extension_breaks`,
-and the Fraction table is built once, at the end.
+row is checked against the rows before it by the same kernel, and the
+Fraction table is built once, at the end.
 """
 
 from __future__ import annotations
@@ -82,11 +83,11 @@ def qu_enumerate(seed: RationalMetricSpace, denominator_bound: int,
             realizers = {}
             for p, key in zip(points, zip(*sub_cols)):
                 realizers.setdefault(key, p)
-            # The Katetov condition |v_s - v_t| <= d(s, t) <= v_s + v_t on
-            # each pair of the subset, on ints.
-            pairs = [(s, t, sub_cols[s][idx[t]]) for s, t in combinations(range(size), 2)]
+            # A vector is admissible on the subset when no triangle through
+            # the new point breaks over the subset's own rows.
+            sub_rows = [[sub_cols[s][i] for s in range(t)] for t, i in enumerate(idx)]
             for vec, key in zip(product(values, repeat=size), product(keys, repeat=size)):
-                if any(abs(key[s] - key[t]) > d or d > key[s] + key[t] for s, t, d in pairs):
+                if _extension_breaks(sub_rows, key):
                     continue
                 existing = realizers.get(key)
                 if existing is not None:

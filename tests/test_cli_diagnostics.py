@@ -188,12 +188,23 @@ def test_definition_parameters_split_on_commas_and_spaces(capsys, define):
     assert json.loads(capsys.readouterr().out)["result"] == {"lo": "1", "hi": "1"}
 
 
-@pytest.mark.parametrize("values, message", [
-    (["a=1/2", "b=1/2", "z=1/4"], "--value: unknown name 'z' (known: a, b)"),
-    (["a=1/2", "b=1/2", "a=1/4"], "--value: point 'a' given twice")],
-    ids=["unknown-point", "repeated-point"])
-def test_extend_refuses_a_stray_or_repeated_value(values, message):
-    argv = ["extend", PAIR]
+NAME_REFUSED = "cannot be written in a space file (no whitespace or '#')"
+
+
+@pytest.mark.parametrize("values, name, message", [
+    (["a=1/2", "b=1/2", "z=1/4"], "", "--value: unknown name 'z' (known: a, b)"),
+    (["a=1/2", "b=1/2", "a=1/4"], "", "--value: point 'a' given twice"),
+    (["a=3/10", "b=3/10"], "m n", f"--name: 'm n' {NAME_REFUSED}"),
+    (["a=3/10", "b=3/10"], "m#", f"--name: 'm#' {NAME_REFUSED}"),
+    (["a=1/10", "b=1/10"], "",
+     "inadmissible extension: triangle a b: |1/10-1/10| <= 3/5 <= 1/10+1/10 fails"),
+    (["a=1/2"], "", "inadmissible extension: missing b: no value at point"),
+    (["a=3/2", "b=1/2"], "", "inadmissible extension: range a: 3/2 outside [0,1]"),
+    (["a=3/10", "b=3/10"], "a", "point 'a' already present")],
+    ids=["unknown-point", "repeated-point", "name-with-space", "name-with-hash",
+         "triangle", "missing-value", "out-of-range", "name-present"])
+def test_extend_refuses_a_stray_or_repeated_value(values, name, message):
+    argv = ["extend", PAIR, "--name", name]
     for v in values:
         argv += ["--value", v]
     assert call(*argv) == (1, f"error: {message}\n")

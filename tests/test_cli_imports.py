@@ -1,7 +1,9 @@
 """What a cold call loads: the package imports no module of its own, and a
 subcommand imports only the modules its handler runs.  Each case runs in a
-fresh interpreter, since this process has imported everything already."""
+fresh interpreter, since this process has imported everything already.
+Last, no module imports a name it never reads."""
 
+import ast
 import importlib
 import json
 import os
@@ -87,3 +89,23 @@ def test_cold_call_imports_neither_dataclasses_nor_inspect(argv):
     added = modules_after(cli_call(argv)) - modules_after("")
     assert "metriclogic.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def unread_imports(path):
+    """The names a module's top-level imports bind and its code never reads
+    (`from __future__` aside)."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    src = ROOT / "src" / "metriclogic"
+    unread = {p.name: sorted(names) for p in sorted(src.glob("*.py"))
+              if (names := unread_imports(p))}
+    assert unread == {}

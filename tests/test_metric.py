@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from metriclogic.metric import (EmbeddingWitness, KatetovFunction, MetricError,
-                                RationalMetricSpace, katetov_spread,
-                                one_point_extend, validate_table)
+                                RationalMetricSpace, _spread, one_point_extend,
+                                validate_table)
+from metriclogic.rational import scaled
 
 from helpers import metric_ok, random_far_space, validation_text
 
@@ -102,7 +104,10 @@ def test_katetov_spread_is_admissible(case):
     if not all(abs(a - b) <= s.d(p, q) <= a + b
                for (p, a), (q, b) in combinations(sub.items(), 2)):
         return
-    full = katetov_spread(s, sub)
+    # the shortest-path spread on ints over one denominator of the space and sub
+    den = lcm(s.int_rows[0], *(v.denominator for v in sub.values()))
+    cols = [scaled([s.d(a, x) for x in s.points], den) for a in sub]
+    full = {x: F(k, den) for x, k in zip(s.points, _spread(cols, scaled(sub.values(), den), den))}
     assert KatetovFunction(s, full).admissible
     for p, v in sub.items():
         assert full[p] == v
