@@ -28,7 +28,7 @@ package loads none of its modules.
 
 _HOME = {
     "Enclosure": "intervals",
-    "EmbeddingWitness": "metric", "KatetovFunction": "metric", "MetricError": "metric",
+    "KatetovFunction": "metric", "MetricError": "metric", "PartialIsometry": "metric",
     "RationalMetricSpace": "metric", "one_point_extend": "metric",
     "validate_table": "metric",
     "BorelLevel": "formula", "Formula": "formula", "Relation": "formula",

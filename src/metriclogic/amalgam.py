@@ -13,8 +13,8 @@ not a user error.
 The hypothesis check and the construction share one int table: the a- and
 B-distances and eps/2 times E, the lcm of their denominators.  Reports
 print lowest-terms Fractions, and the output's Fraction table is made once
-from the ints and still checked in full by `validate_table`, its embedding
-of B by `EmbeddingWitness.check`.
+from the ints and still checked in full: the table by `validate_table`, the
+witness, a `PartialIsometry` defined on all of B, by its `check`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .metric import (EmbeddingWitness, MetricError, RationalMetricSpace,
+from .metric import (MetricError, PartialIsometry, RationalMetricSpace,
                      Violation, _from_int_rows)
 from .rational import ONE, scaled
 from .record import record
@@ -41,7 +41,7 @@ class ConstructionError(MetricError):
 @record
 class AmalgamResult:
     space: RationalMetricSpace
-    witness: EmbeddingWitness          # embeds B into the output
+    witness: PartialIsometry           # embeds B into the output
     displacement: Fraction             # (2*C(n-q,2)+1)*eps, exact
     b_names: Tuple[str, ...]           # output names of b_1..b_n in order
 
@@ -201,9 +201,8 @@ def amalgamate(host: RationalMetricSpace, a_points: Sequence[str],
     report = space.validate()
     if not report.ok:
         raise ConstructionError(f"output failed validation: {report}")
-    witness = EmbeddingWitness(b_space, space,
-                               dict(zip(b_space.points, b_names)))
+    witness = PartialIsometry(b_space, space, dict(zip(b_space.points, b_names)))
     wreport = witness.check()
-    if not wreport.ok:
+    if not (wreport.ok and witness.defined_on(b_space.points)):
         raise ConstructionError(f"B-embedding broke: {wreport}")
     return AmalgamResult(space, witness, disp, tuple(b_names))

@@ -620,6 +620,9 @@ def _render_value(key, value, indent=0):
         for i, v in enumerate(value):
             out.extend(_render_value(str(i), v, indent + 1))
         return out
+    if isinstance(value, str) and "\n" in value:
+        # A space or artifact text: each of its lines one level deeper.
+        return [f"{pad}{key}:", *(f"{pad}  {line}" for line in value.splitlines())]
     return [f"{pad}{key}: {value}"]
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .intervals import (Enclosure, sqrt_enclosure, sqrt_leq_sum,
                         truncated_weighted_sum)
-from .metric import RationalMetricSpace
+from .metric import PartialIsometry, RationalMetricSpace
 from .rational import ONE, ZERO, dot_scale
 from .record import record
 from .structures import (FiniteStructure, automorphisms, delta_exact, evaluate,
@@ -27,57 +27,6 @@ from .formula import Formula, lipschitz
 
 class GradedError(ValueError):
     pass
-
-
-@record
-class PartialIsometry:
-    source: RationalMetricSpace
-    target: RationalMetricSpace
-    map: Mapping[str, str]
-
-    @staticmethod
-    def build(source: RationalMetricSpace, target: RationalMetricSpace,
-              mapping: Mapping[str, str]) -> "PartialIsometry":
-        for p, q in mapping.items():
-            if not source.has_point(p):
-                raise GradedError(f"domain point {p!r} not in the source space")
-            if not target.has_point(q):
-                raise GradedError(f"image point {q!r} not in the target space")
-        values = list(mapping.values())
-        if len(set(values)) != len(values):
-            raise GradedError("map is not injective")
-        for a, b in combinations(mapping, 2):
-            if source.d(a, b) != target.d(mapping[a], mapping[b]):
-                raise GradedError(
-                    f"distance not preserved on ({a},{b}): "
-                    f"{source.d(a, b)} vs {target.d(mapping[a], mapping[b])}")
-        return PartialIsometry(source, target, dict(mapping))
-
-    @staticmethod
-    def identity(space: RationalMetricSpace,
-                 points: Optional[Sequence[str]] = None) -> "PartialIsometry":
-        pts = tuple(points) if points is not None else space.points
-        return PartialIsometry(space, space, {p: p for p in pts})
-
-    def defined_on(self, points: Sequence[str]) -> bool:
-        return all(p in self.map for p in points)
-
-    def apply(self, p: str) -> str:
-        q = self.map.get(p)
-        if q is None:
-            raise GradedError(f"isometry undefined on {p!r}")
-        return q
-
-    def inverse(self) -> "PartialIsometry":
-        return PartialIsometry(self.target, self.source,
-                               {v: k for k, v in self.map.items()})
-
-    def compose(self, inner: "PartialIsometry") -> "PartialIsometry":
-        """self after inner, on the points where the chain is defined."""
-        if self.source.points != inner.target.points:
-            raise GradedError("composition spaces do not match")
-        mapping = {p: self.map[q] for p, q in inner.map.items() if q in self.map}
-        return PartialIsometry(inner.source, self.target, mapping)
 
 
 @record
@@ -171,11 +120,7 @@ def _exact_sqrt(rad: Fraction) -> Fraction:
 def value_below(D: GradedDescriptor, g: PartialIsometry, eps: Fraction) -> bool:
     """Decide value(D, g) < eps exactly (compare radicands with eps^2)."""
     eps = Fraction(eps)
-    if eps <= 0:
-        return False
-    if eps > ONE:
-        return True
-    return graded_radicand(D, g) < eps * eps
+    return eps > 0 and graded_radicand(D, g) < eps * eps
 
 
 @record
@@ -212,37 +157,40 @@ def check_graded_axioms(D: GradedDescriptor, space: RationalMetricSpace,
     n_id = n_sym = n_sub = 0
     memo: Dict[tuple, Fraction] = {}
 
-    def radicand(g: PartialIsometry) -> Fraction:
-        # All graded_radicand reads of g: its target and the images of pts.
-        key = (g.target, tuple(g.map.get(p) for p in pts))
+    def radicand(target: RationalMetricSpace, images: Mapping[str, str]) -> Fraction:
+        # All graded_radicand reads of a map: its target and the images of
+        # pts.  One record is built per key, none per inverse or composition.
+        key = (target, tuple(images.get(p) for p in pts))
         if key not in memo:
-            memo[key] = graded_radicand(D, g)
+            memo[key] = graded_radicand(D, PartialIsometry(target, target, images))
         return memo[key]
 
-    ident = PartialIsometry.identity(space, pts)
     n_id += 1
-    if radicand(ident) != 0:
+    if radicand(space, {p: p for p in pts}) != 0:
         failures.append(AxiomFailure("identity", "H(1) != 0"))
 
     elements: List[PartialIsometry] = []
     for g, gp in pairs:
         elements.extend((g, gp))
     for g in elements:
-        if not (g.defined_on(pts) and all(p in g.map.values() for p in pts)):
+        inverse = {v: k for k, v in g.map.items()}
+        if not (g.defined_on(pts) and all(p in inverse for p in pts)):
             continue
         n_sym += 1
-        if radicand(g) != radicand(g.inverse()):
+        if radicand(g.target, g.map) != radicand(g.source, inverse):
             failures.append(AxiomFailure("symmetry", f"H(g) != H(g^-1) for {dict(g.map)}"))
 
     for g, gp in pairs:
         if not gp.defined_on(pts):
             raise GradedError(f"pair not composable: inner map undefined on {pts}")
-        if not all(gp.apply(p) in g.map for p in pts):
+        if not all(gp.map[p] in g.map for p in pts):
             raise GradedError("pair not composable: outer map undefined on inner image")
+        if g.source.points != gp.target.points:
+            raise GradedError("composition spaces do not match")
         n_sub += 1
-        r = radicand(g.compose(gp))
-        s = radicand(g)
-        t = radicand(gp)
+        r = radicand(g.target, {p: g.map[gp.map[p]] for p in pts})
+        s = radicand(g.target, g.map)
+        t = radicand(gp.target, gp.map)
         if not (sqrt_leq_sum(ONE, s, t) or sqrt_leq_sum(r, s, t)):
             failures.append(AxiomFailure(
                 "subadditivity",
@@ -358,9 +306,9 @@ def approx_search(M: FiniteStructure, N: FiniteStructure, H: GradedDescriptor,
             break
         examined += 1
         g = PartialIsometry(M.space, M.space, iso)
-        if not value_below(H, g, eps):
-            continue
         rad = graded_radicand(H, g)
+        if not (eps > 0 and rad < eps * eps):
+            continue
         moved = N.transport(iso)
         dist = delta_exact(M, moved, enumeration)
         if dist < eps:

@@ -28,6 +28,10 @@ at the boundary (`d`, `dist`) stay Fractions.  The Katetov spread of a
 vector on a subset has one int kernel too (`_spread`).  The same scaling
 (`rational.scaled`) runs `amalgam`'s hypothesis check and construction and
 `vaught`'s transforms on ints.
+
+A map between spaces is one record, `PartialIsometry` (`graded`'s argument,
+`amalgam`'s witness), whose one `check` reports a point outside its space as
+"missing" and a repeated image or a moved distance as "isometry".
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from functools import cached_property
 from itertools import chain, combinations
 from math import gcd, lcm
 from operator import add
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .rational import ZERO, in_unit, scaled
 from .record import field, record
@@ -49,7 +53,7 @@ class MetricError(ValueError):
 
 @record
 class Violation:
-    kind: str            # "range" | "diagonal" | "symmetry" | "triangle" | "missing"
+    kind: str            # "range" | "diagonal" | "symmetry" | "triangle" | "missing" | "isometry"
     points: Tuple[str, ...]
     detail: str
 
@@ -266,24 +270,64 @@ def fresh_point_name(taken: Sequence[str]) -> str:
 
 
 @record
-class EmbeddingWitness:
+class PartialIsometry:
+    """A map from part of `source` into `target`, unchecked until `build`
+    or `check` tests that it is injective and preserves distances."""
     source: RationalMetricSpace
     target: RationalMetricSpace
     map: Mapping[str, str]
 
+    @staticmethod
+    def build(source: RationalMetricSpace, target: RationalMetricSpace,
+              mapping: Mapping[str, str]) -> "PartialIsometry":
+        """The checked record; raises MetricError with the first fault's text."""
+        g = PartialIsometry(source, target, dict(mapping))
+        report = g.check()
+        if not report.ok:
+            raise MetricError(report.violations[0].detail)
+        return g
+
     def check(self) -> ValidationReport:
-        """Exact distance preservation of the recorded point map."""
+        """Every fault: points outside their space, then a repeated image and,
+        when no point is outside, each moved distance."""
         out = []
-        for p in self.source.points:
-            if p not in self.map or self.map[p] not in self.target.points:
-                out.append(Violation("missing", (p,), "unmapped point"))
-        if not out:
-            images = [self.map[p] for p in self.source.points]
-            if len(set(images)) != len(images):
-                out.append(Violation("symmetry", tuple(images), "map not injective"))
-            for p, q in combinations(self.source.points, 2):
-                ds = self.source.d(p, q)
-                dt = self.target.d(self.map[p], self.map[q])
+        for p, q in self.map.items():
+            if not self.source.has_point(p):
+                out.append(Violation("missing", (p,),
+                                     f"domain point {p!r} not in the source space"))
+            if not self.target.has_point(q):
+                out.append(Violation("missing", (q,),
+                                     f"image point {q!r} not in the target space"))
+        missing = bool(out)
+        images = list(self.map.values())
+        if len(set(images)) != len(images):
+            out.append(Violation("isometry", tuple(images), "map is not injective"))
+        if not missing:
+            for a, b in combinations(self.map, 2):
+                ds, dt = self.source.d(a, b), self.target.d(self.map[a], self.map[b])
                 if ds != dt:
-                    out.append(Violation("triangle", (p, q), f"{ds} != {dt}"))
+                    out.append(Violation("isometry", (a, b),
+                                         f"distance not preserved on ({a},{b}): {ds} vs {dt}"))
         return ValidationReport(not out, tuple(out))
+
+    @staticmethod
+    def identity(space: RationalMetricSpace,
+                 points: Optional[Sequence[str]] = None) -> "PartialIsometry":
+        pts = tuple(points) if points is not None else space.points
+        return PartialIsometry(space, space, {p: p for p in pts})
+
+    def defined_on(self, points: Sequence[str]) -> bool:
+        return all(p in self.map for p in points)
+
+    def apply(self, p: str) -> str:
+        q = self.map.get(p)
+        if q is None:
+            raise MetricError(f"isometry undefined on {p!r}")
+        return q
+
+    def compose(self, inner: "PartialIsometry") -> "PartialIsometry":
+        """self after inner, on the points where the chain is defined."""
+        if self.source.points != inner.target.points:
+            raise MetricError("composition spaces do not match")
+        mapping = {p: self.map[q] for p, q in inner.map.items() if q in self.map}
+        return PartialIsometry(inner.source, self.target, mapping)

@@ -24,13 +24,14 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "." in text:
         raise ValueError(f"decimal notation not accepted, use num/den: {text!r}")
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}") from None
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"bad rational {text!r}: want num/den or an integer") from None
+    if den == 0:
+        raise ValueError(f"bad rational {text!r}: zero denominator")
+    return Fraction(num, den)
 
 
 def format_rational(q: Fraction) -> str:

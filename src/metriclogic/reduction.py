@@ -24,7 +24,7 @@ from itertools import combinations, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .formula import Relation, Signature
-from .metric import EmbeddingWitness, MetricError, RationalMetricSpace
+from .metric import MetricError, PartialIsometry, RationalMetricSpace
 from .record import record
 from .structures import FiniteStructure, carries_tables, space_isometries
 from .vaught import FiniteGSpace, GSpaceError, compose_permutations, group_closure
@@ -67,7 +67,7 @@ class ReductionInstance:
         for g in self.elements:
             if sorted(g.x_map) != sorted(xpts) or sorted(g.x_map.values()) != sorted(xpts):
                 raise ReductionError(f"{g.name}: x-part is not a permutation of X")
-            if not EmbeddingWitness(self.y_space, self.y_space, g.y_map).check().ok:
+            if not PartialIsometry(self.y_space, self.y_space, g.y_map).check().ok:
                 raise ReductionError(f"{g.name} does not act by isometries on Y")
         for (g, h), gh in G.mult.items():
             if any(x_map[g][x_map[h][x]] != x_map[gh][x] for x in xpts):

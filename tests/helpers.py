@@ -58,6 +58,34 @@ def validation_text(points, table):
     return "; ".join(out) or "ok"
 
 
+def partial_isometry_faults(source_points, target_points, d_source, d_target, mapping):
+    """Plain-loop re-derivation of `PartialIsometry.check`'s report as
+    (kind, points, detail) triples: each domain point outside the source
+    and image outside the target, then a repeated image, then, when every
+    point lies in its space, each pair whose distance the map moves.  The
+    distances are callables; nothing here reads a space record.
+    """
+    out = []
+    for p, q in mapping.items():
+        if p not in source_points:
+            out.append(("missing", (p,), f"domain point {p!r} not in the source space"))
+        if q not in target_points:
+            out.append(("missing", (q,), f"image point {q!r} not in the target space"))
+    complete = not out
+    images = list(mapping.values())
+    if any(images.count(q) > 1 for q in images):
+        out.append(("isometry", tuple(images), "map is not injective"))
+    if complete:
+        domain = list(mapping)
+        for i, a in enumerate(domain):
+            for b in domain[i + 1:]:
+                ds, dt = d_source(a, b), d_target(mapping[a], mapping[b])
+                if ds != dt:
+                    out.append(("isometry", (a, b),
+                                f"distance not preserved on ({a},{b}): {ds} vs {dt}"))
+    return out
+
+
 def metric_ok(space: RationalMetricSpace) -> bool:
     for p in space.points:
         if space.d(p, p) != 0:

@@ -192,6 +192,30 @@ def test_catalog_cli_roundtrip(tmp_path, capsys):
     assert code == 1                                  # collision
 
 
+PAIR = str(Path(__file__).resolve().parent.parent / "data" / "pair.space")
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", PAIR, "--value", "a=3/10", "--value", "b=3/10"],
+    ["amalgamate", PAIR, PAIR, "--a-points", "a b", "--eps", "1/20"],
+    ["catalog-get", "eq3"]],
+    ids=["extend", "amalgamate", "catalog-get"])
+def test_text_report_indents_every_line_of_a_multiline_field(tmp_path, capsys, argv):
+    """A space's text prints under its key, every line one level deeper, so
+    no line between `result:` and `timing_ms:` starts at column 0."""
+    cat = ["--catalog", str(tmp_path / "store")]
+    f = tmp_path / "eq3.space"
+    f.write_text(SPACE_TEXT)
+    assert run_cli(capsys, *cat, "catalog-put", "eq3", "space", str(f))[0] == 0
+    code, out, _ = run_cli(capsys, *cat, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    end = next(i for i, line in enumerate(lines) if line.startswith("timing_ms:"))
+    body = lines[lines.index("result:") + 1:end]
+    assert all(line.startswith("  ") for line in body), body
+    assert any(line.startswith("    d a b ") for line in body), body
+
+
 def test_eval_and_lipschitz_subcommands(tmp_path, capsys):
     M = random_structure(random.Random(4), 3, SMALL_SIG)
     f = tmp_path / "m.struct"

@@ -211,6 +211,18 @@ def test_extend_refuses_a_stray_or_repeated_value(values, name, message):
 
 
 @pytest.mark.parametrize("argv", [
+    ["extend", PAIR, "--value", "a=1/0", "--value", "b=3/10"],
+    ["extend", PAIR, "--value", "a=1/2/3", "--value", "b=3/10"],
+    ["extend", PAIR, "--value", "a=x", "--value", "b=3/10"],
+    ["amalgamate", PAIR, PAIR, "--a-points", "a b", "--eps", "1/0"]],
+    ids=["zero-denominator", "two-slashes", "not-a-number", "eps"])
+def test_a_bad_rational_is_named_in_the_projects_terms(argv):
+    code, err = call(*argv)
+    assert code == 1 and err.count("\n") == 1 and err.startswith("error: bad rational ")
+    assert "Fraction(" not in err and "int()" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ["eval-urysohn", "(d x a)", "--anchors", PAIR, "--params", "x=a,x=b"],
     ["eval", DATA / "twopoint.struct", "(d x c)", "--assign", "x=p x=q"]],
     ids=["params", "assign"])

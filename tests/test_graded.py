@@ -15,7 +15,7 @@ from metriclogic.graded import (ApproxFailure, ApproxWitness,
                                 graded_eval, oligo_probe,
                                 rho_s, value_below)
 from metriclogic.intervals import Enclosure
-from metriclogic.metric import RationalMetricSpace
+from metriclogic.metric import MetricError, RationalMetricSpace
 from metriclogic.structures import FiniteStructure, space_isometries
 from metriclogic.syntax import parse
 
@@ -70,7 +70,7 @@ def test_undefined_point_rejected():
 def test_corrupted_isometry_rejected_at_construction():
     s = equilateral(3, F(1, 4))
     t = RationalMetricSpace.build(("q0", "q1"), {("q0", "q1"): F(1, 2)})
-    with pytest.raises(GradedError):
+    with pytest.raises(MetricError):
         PartialIsometry.build(s, t, {"p0": "q0", "p1": "q1"})
 
 
@@ -269,6 +269,36 @@ def test_axioms_compute_one_radicand_per_isometry(monkeypatch):
                                   s, pairs)
         assert (rep.ok, rep.checked_symmetry, rep.checked_subadditivity) == (True, 72, 36)
         assert len(calls) <= 6
+
+
+def test_axioms_build_one_record_per_radicand(monkeypatch):
+    """The bench's shape again: the check builds one record per distinct
+    radicand, not one per inverse and per composition (1 + 72 + 36)."""
+    s = equilateral(3, F(1, 4))
+    isos = all_isometries(s)
+    pairs = [(g, h) for g in isos for h in isos]
+    built = []
+    init = PartialIsometry.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PartialIsometry, "__init__", counting)
+    for kind in ("linear", "sqrt"):
+        built.clear()
+        rep = check_graded_axioms(GradedAtomDescriptor(kind, F(3, 2), ("p0", "p1"), ("p0", "p1")),
+                                  s, pairs)
+        assert (rep.ok, rep.checked_symmetry, rep.checked_subadditivity) == (True, 72, 36)
+        assert len(built) <= 6
+
+
+def test_axioms_refuse_a_pair_over_other_spaces():
+    s, t = equilateral(3), equilateral(4)
+    D = GradedAtomDescriptor("linear", F(1), ("p0",), ("p0",))
+    pair = (PartialIsometry.identity(t), PartialIsometry.identity(s))
+    with pytest.raises(GradedError, match="composition spaces do not match"):
+        check_graded_axioms(D, s, [pair])
 
 
 @st.composite

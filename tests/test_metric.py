@@ -6,12 +6,13 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metriclogic.metric import (EmbeddingWitness, KatetovFunction, MetricError,
+from metriclogic.metric import (KatetovFunction, MetricError, PartialIsometry,
                                 RationalMetricSpace, _spread, one_point_extend,
                                 validate_table)
 from metriclogic.rational import scaled
 
-from helpers import metric_ok, random_far_space, validation_text
+from helpers import (metric_ok, partial_isometry_faults, random_far_space,
+                     validation_text)
 
 
 def space(pairs, pts=None):
@@ -116,10 +117,54 @@ def test_katetov_spread_is_admissible(case):
 def test_embedding_witness_checks_distances():
     s = space({("a", "b"): F(1, 2)})
     t = space({("x", "y"): F(1, 2), ("x", "z"): F(1, 2), ("y", "z"): F(1, 2)})
-    ok = EmbeddingWitness(s, t, {"a": "x", "b": "y"})
+    ok = PartialIsometry(s, t, {"a": "x", "b": "y"})
     assert ok.check().ok
-    bad = EmbeddingWitness(s, t, {"a": "x", "b": "x"})
+    bad = PartialIsometry(s, t, {"a": "x", "b": "x"})
     assert not bad.check().ok
+
+
+@st.composite
+def partial_maps(draw):
+    """Two spaces on distances 1/2 and 1 (any such table is a metric, and
+    isometries are common), and a partial map whose domain and images may
+    fall outside them and repeat."""
+    def draw_space(prefix):
+        pts = [f"{prefix}{i}" for i in range(draw(st.integers(1, 4)))]
+        return space({pq: draw(st.sampled_from((F(1, 2), F(1))))
+                      for pq in combinations(pts, 2)}, pts)
+    s, t = draw_space("p"), draw_space("q")
+    stray = draw(st.booleans())         # may the map leave the spaces?
+    mapping = draw(st.dictionaries(st.sampled_from(s.points + ("x",) * stray),
+                                   st.sampled_from(t.points + ("y",) * stray), max_size=5))
+    return s, t, mapping
+
+
+@given(partial_maps())
+@settings(max_examples=300, deadline=None)
+def test_partial_isometry_check_equals_plain_loops(case):
+    s, t, mapping = case
+    want = partial_isometry_faults(s.points, t.points, s.d, t.d, mapping)
+    report = PartialIsometry(s, t, mapping).check()
+    assert [(v.kind, v.points, v.detail) for v in report.violations] == want
+    assert report.ok == (not want)
+    if want:
+        with pytest.raises(MetricError) as exc:
+            PartialIsometry.build(s, t, mapping)
+        assert str(exc.value) == want[0][2]
+    else:
+        assert PartialIsometry.build(s, t, mapping).map == mapping
+
+
+def test_partial_isometry_fault_kinds():
+    s = space({("a", "b"): F(1, 2), ("a", "c"): F(1, 2), ("b", "c"): F(1, 4)})
+    repeated = PartialIsometry(s, s, {"a": "c", "b": "c"}).check()
+    assert str(repeated) == ("isometry c c: map is not injective; "
+                             "isometry a b: distance not preserved on (a,b): 1/2 vs 0")
+    moved = PartialIsometry(s, s, {"b": "b", "c": "a"}).check()
+    assert str(moved) == "isometry b c: distance not preserved on (b,c): 1/4 vs 1/2"
+    outside = PartialIsometry(s, s, {"z": "a", "a": "w"}).check()
+    assert [v.kind for v in outside.violations] == ["missing", "missing"]
+    assert PartialIsometry(s, s, {"a": "b", "b": "a"}).check().ok
 
 
 def test_has_point_reads_one_kept_index():

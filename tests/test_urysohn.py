@@ -14,7 +14,7 @@ from metriclogic.urysohn import (AnchoredStructure, PredicateDef,
                                  QuantifierBudget, UrysohnError, eval_urysohn,
                                  qf_decide, snap_mesh, theta_demo)
 
-from helpers import random_far_space
+from helpers import interval_value, random_far_space
 
 
 def anchors(pairs, pts=None):
@@ -185,6 +185,9 @@ def test_qf_decide_agrees_with_finite_eval():
         from helpers import random_formula
         phi = random_formula(rng, sig, [], rng.randint(0, 3))
         assert qf_decide(phi, frag) == evaluate(phi, M, {})
+        # an oracle that shares no code with evaluate: exact intervals
+        lo, hi = interval_value(phi, lambda p, q: (frag.d(p, q),) * 2)
+        assert lo == hi == qf_decide(phi, frag)
 
 
 # ------------------------------------------------------------ theta demo
