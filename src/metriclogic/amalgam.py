@@ -12,9 +12,10 @@ not a user error.
 
 The hypothesis check and the construction share one int table: the a- and
 B-distances and eps/2 times E, the lcm of their denominators.  Reports
-print lowest-terms Fractions, and the output's Fraction table is made once
-from the ints and still checked in full: the table by `validate_table`, the
-witness, a `PartialIsometry` defined on all of B, by its `check`.
+print lowest-terms Fractions.  The output's Fraction table is made once,
+by `metric._from_int_rows`, which checks the int rows in full (a failure
+raises its MetricError with `validate_table`'s report), and the witness, a
+`PartialIsometry` defined on all of B, is checked by its `check`.
 """
 
 from __future__ import annotations
@@ -198,9 +199,6 @@ def amalgamate(host: RationalMetricSpace, a_points: Sequence[str],
         put(b_at[i], j, v)
 
     space = _from_int_rows(points, E, [row[:x] for x, row in enumerate(T)])
-    report = space.validate()
-    if not report.ok:
-        raise ConstructionError(f"output failed validation: {report}")
     witness = PartialIsometry(b_space, space, dict(zip(b_space.points, b_names)))
     wreport = witness.check()
     if not (wreport.ok and witness.defined_on(b_space.points)):

@@ -267,10 +267,10 @@ def _anchored(session, args) -> AnchoredStructure:
     sig = Signature((), anchors.points)
     defs = {}
     for i, d in enumerate(args.define or []):
-        head, _, body = d.partition("=")
+        head, eq, body = d.partition("=")
         name, _, params = head.strip().partition("(")
         name = name.strip()
-        if not params.endswith(")"):
+        if not (eq and params.endswith(")")):
             raise CliError(f"--define wants R(x)=FORMULA, got {d!r}")
         if name in defs:
             raise CliError(f"--define: {name} defined twice")

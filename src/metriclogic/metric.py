@@ -5,24 +5,21 @@ tables are dense and symmetric.  Validation is an exhaustive check of the
 range, symmetry, zero-diagonal and triangle conditions, and every operation
 in the package returns spaces that pass it.
 
-Invariant: every `RationalMetricSpace` the package hands out was validated
-when it was built (`RationalMetricSpace.build`, which `restrict` and
-`with_point` go through, `textio.parse_space`, `amalgam.amalgamate`), or
-was grown by `quenum.qu_enumerate` from int rows, each checked by
-`_extension_breaks` against the rows before it as it is added, with the
-Fraction table made once at the end (`_from_int_rows`).  That check relies
-on the invariant: a one-point extension of a valid space can break only the
-triangles through the new point.
+Invariant: every space is checked by the constructor that builds it.
+`RationalMetricSpace.build` (which `restrict` and `with_point` go through)
+and `textio.parse_space` check a Fraction table with `validate_table`;
+`_from_int_rows`, which builds `quenum.qu_enumerate`'s and
+`amalgam.amalgamate`'s output, checks its int rows with the same kernel.
+Either way a refusal raises MetricError with `validate_table`'s report.
 
 Triangle checks run in integers.  A table is scaled by one common
 denominator D (the lcm of its denominators) into lower-triangular int rows,
 row i holding D * d(p_j, p_i) for j < i, and one kernel (`_extension_breaks`)
-tests the triangles that a row closes over the rows before it.
-`validate_table` runs it once per row of one matrix; `qu_enumerate` runs it
-on each candidate vector over its subset's rows (a vector is Katetov
-admissible on a subset exactly when no triangle through the new point
-breaks) and on each row it adds (`RationalMetricSpace.int_rows`).  The
-kernel only decides whether a violation exists; when one does, the Fraction
+tests the triangles that a row closes over the rows before it; `_rows_break`
+runs it once per row of one matrix.  `qu_enumerate` also runs it on each
+candidate vector over its subset's rows: a vector is Katetov admissible on
+a subset exactly when no triangle through the new point breaks.  The kernel
+only decides whether a violation exists; when one does, the Fraction
 generator `_triangle_violations` writes the report, so reports and values
 at the boundary (`d`, `dist`) stay Fractions.  The Katetov spread of a
 vector on a subset has one int kernel too (`_spread`).  The same scaling
@@ -58,7 +55,7 @@ class Violation:
     detail: str
 
     def __str__(self):
-        return f"{self.kind} {' '.join(self.points)}: {self.detail}"
+        return f"{' '.join((self.kind, *self.points))}: {self.detail}"
 
 
 @record
@@ -99,8 +96,7 @@ def validate_table(points: Sequence[str], dist: Mapping[Tuple[str, str], Fractio
             violations.append(Violation("range", (p, q), f"{dpq} outside [0,1]"))
     if missing:
         return ValidationReport(False, tuple(violations))
-    _, rows = _int_rows(points, dist)
-    if any(_extension_breaks(rows[:i], row) for i, row in enumerate(rows)):
+    if _rows_break(_int_rows(points, dist)[1]):
         violations.extend(_triangle_violations(dist, combinations(points, 3)))
     return ValidationReport(not violations, tuple(violations))
 
@@ -128,6 +124,11 @@ def _extension_breaks(rows: Sequence[Sequence[int]], new: Sequence[int]) -> bool
     return False
 
 
+def _rows_break(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether some row breaks a triangle over the rows before it."""
+    return any(_extension_breaks(rows[:i], row) for i, row in enumerate(rows))
+
+
 def _spread(cols: Sequence[Sequence[int]], on: Sequence[int], cap: int) -> List[int]:
     """The shortest-path Katetov extension on ints: for each point x,
     min(cap, min_a on[a] + cols[a][x]), where cols[a][x] is the scaled
@@ -136,10 +137,11 @@ def _spread(cols: Sequence[Sequence[int]], on: Sequence[int], cap: int) -> List[
 
 
 def _from_int_rows(points: Sequence[str], den: int, rows: Rows) -> "RationalMetricSpace":
-    """The space whose pair (p_j, p_i), j < i, lies at rows[i][j] / den, not
-    validated: the caller checked each row as it was added.  Its `int_rows`
-    are the rows reduced to the table's own denominator, as `_int_rows`
-    would derive them."""
+    """The space whose pair (p_j, p_i), j < i, lies at rows[i][j] / den.
+    Row i must hold i values in [0, den] and break no triangle over the rows
+    before it; otherwise MetricError carries `validate_table`'s report on
+    the table.  Its `int_rows` are the rows reduced to the table's own
+    denominator, as `_int_rows` would derive them."""
     g = gcd(den, *chain.from_iterable(rows))
     if g > 1:
         den, rows = den // g, [[k // g for k in row] for row in rows]
@@ -148,6 +150,9 @@ def _from_int_rows(points: Sequence[str], den: int, rows: Rows) -> "RationalMetr
     for q, row in zip(points, rows):
         for p, k in zip(points, row):
             dist[(p, q)] = dist[(q, p)] = frac[k]
+    if (list(map(len, rows)) != list(range(len(points)))
+            or not all(0 <= k <= den for k in frac) or _rows_break(rows)):
+        raise MetricError(str(validate_table(points, dist)))
     out = RationalMetricSpace(tuple(points), dist)
     vars(out)["int_rows"] = (den, rows)
     return out

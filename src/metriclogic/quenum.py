@@ -11,9 +11,9 @@ seed's denominator and 1..bound.  A vector meets the Katetov condition on
 its subset when `metric._extension_breaks` finds no broken triangle through
 the new point over the subset's rows, and a new point sits at a value v on
 the subset and at min(1, min_a v_a + d(a, x)) from every other point x (the
-Katetov spread, `metric._spread`), so every distance lies on 1/E.  Each new
-row is checked against the rows before it by the same kernel, and the
-Fraction table is built once, at the end.
+Katetov spread, `metric._spread`), so every distance lies on 1/E.  The
+Fraction table is built once, at the end, by `metric._from_int_rows`, which
+checks every row against the rows before it with the same kernel.
 """
 
 from __future__ import annotations
@@ -99,9 +99,6 @@ def qu_enumerate(seed: RationalMetricSpace, denominator_bound: int,
                     name = f"q{counter}"
                 counter += 1
                 row = _spread(sub_cols, key, E)
-                if _extension_breaks(rows, row):
-                    raise MetricError(str(
-                        _from_int_rows(points + [name], E, rows + [row]).validate()))
                 rows.append(row)
                 points.append(name)
                 for col, k in zip(cols, row):

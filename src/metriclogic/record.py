@@ -66,36 +66,14 @@ def _init(qualname: str, params, post):
             raise TypeError(f"{qualname}() got an unexpected keyword argument {min(kwargs)!r}")
         return values
 
-    # A call that passes every field by position skips `bind`.  Formula
-    # nodes, terms and enclosures have one or two fields and are built in
-    # hot loops: their fields are set without a loop.
-    if n == 1:
-        name0, = names
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 1:
-                args = bind(args, kwargs)
-            _set(self, name0, args[0])
-            if post is not None:
-                post(self)
-    elif n == 2:
-        name0, name1 = names
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 2:
-                args = bind(args, kwargs)
-            _set(self, name0, args[0])
-            _set(self, name1, args[1])
-            if post is not None:
-                post(self)
-    else:
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != n:
-                args = bind(args, kwargs)
-            for name, value in zip(names, args):
-                _set(self, name, value)
-            if post is not None:
-                post(self)
+    # A call that passes every field by position skips `bind`.
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        if post is not None:
+            post(self)
     return __init__
 
 

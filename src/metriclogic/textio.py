@@ -362,9 +362,10 @@ def parse_instance(text: str) -> ReductionInstance:
         elif parts[0] == "senum":
             senum = tuple(parts[1:])
         elif parts[0] == "kmax":
-            if len(parts) != 2:
-                raise FormatError(f"bad kmax line: {line!r}")
-            kmax = int(parts[1])
+            try:
+                kmax, = map(int, parts[1:])
+            except ValueError:
+                raise FormatError(f"bad kmax line: {line!r}") from None
         elif mode in ("yspace", "xspace"):
             sections[mode].append(line)
         else:

@@ -139,18 +139,30 @@ DELTA = ["delta-seq", DATA / "twopoint.struct", DATA / "twopoint.struct",
     (SWAPX.replace("ymap s0 s0\n", "ymap s0 s0\nymap s0 s1\n", 1), ORBIT,
      "duplicate ymap s0 in element e: 'ymap s0 s1'"),
     (SWAPX.replace("xmap x0 x0\n", "xmap x0 x0\nxmap x0 x1\n", 1), ORBIT,
-     "duplicate xmap x0 in element e: 'xmap x0 x1'")],
+     "duplicate xmap x0 in element e: 'xmap x0 x1'"),
+    (SWAPX.replace("kmax 2\n", "kmax two\n", 1), ORBIT, "bad kmax line: 'kmax two'")],
     ids=["ymap-first", "nameless-element", "nameless-graded-space",
          "nameless-graded-group", "enumeration-line", "unknown-relation", "unknown-tuple",
          "duplicate-gspace-point", "duplicate-space-point", "duplicate-pair", "duplicate-rel-tuple", "duplicate-perm",
          "duplicate-graded-space", "duplicate-graded-group", "duplicate-ymap",
-         "duplicate-xmap"])
+         "duplicate-xmap", "kmax-not-a-number"])
 def test_malformed_text_gets_a_one_line_diagnostic(tmp_path, text, argv, message):
     path = tmp_path / "input"
     path.write_text(text)
     code, err = call(*(path if a == "{}" else a for a in argv))
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
-    assert message in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err and "int()" not in err
+
+
+@pytest.mark.parametrize("q, eps, message", [
+    ("-1", "1/20", "range: q = -1 outside 0..2"),
+    ("0", "0", "range: eps = 0 must be positive"),
+    ("0", "1/2", "range: displacement 3/2 exceeds the diameter bound; "
+                 "range a b: (2C+1)eps = 3/2 not < d = 3/5")],
+    ids=["q", "eps", "displacement"])
+def test_a_report_line_with_no_points_has_no_space_before_its_colon(q, eps, message):
+    code, err = call("amalgamate", PAIR, PAIR, "--a-points", "a b", "--q", q, "--eps", eps)
+    assert (code, err) == (1, f"error: {message}\n")
 
 
 def test_a_pair_may_be_given_in_both_directions(tmp_path):
@@ -171,8 +183,9 @@ def test_gspace_perm_line_must_be_a_permutation(tmp_path, images):
     ("(R b)", ["R(y)=(d y a)", "R(y)=(d y b)"], "--define: R defined twice"),
     ("(sup x (R x))", ["R(a)=(d a b)"], "parameter a of R names an anchor"),
     ("(sup x (R x))", ["R(y=(d y a)"], "--define wants R(x)=FORMULA, got 'R(y=(d y a)'"),
-    ("(sup x (R x))", ["R(x)=(d z y)"], "definition of R has stray variables y, z")],
-    ids=["defined-twice", "anchor-parameter", "unclosed-head", "stray-variables"])
+    ("(sup x (R x))", ["R(x)=(d z y)"], "definition of R has stray variables y, z"),
+    ("(sup x (R x))", ["R(x)"], "--define wants R(x)=FORMULA, got 'R(x)'")],
+    ids=["defined-twice", "anchor-parameter", "unclosed-head", "stray-variables", "no-body"])
 def test_eval_urysohn_refuses_a_bad_definition(formula, defines, message):
     argv = ["eval-urysohn", formula, "--anchors", PAIR, "--mesh", "1/8", "--rounds", "0"]
     for d in defines:

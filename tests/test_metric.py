@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metriclogic.metric import (KatetovFunction, MetricError, PartialIsometry,
-                                RationalMetricSpace, _spread, one_point_extend,
-                                validate_table)
+                                RationalMetricSpace, _from_int_rows, _spread,
+                                one_point_extend, validate_table)
 from metriclogic.rational import scaled
 
 from helpers import (metric_ok, partial_isometry_faults, random_far_space,
@@ -322,15 +322,25 @@ def test_with_point_chain_matches_fraction_oracle(data):
             table[(p, name)] = table[(name, p)] = v
         expected = validation_text(points, table)
         assert str(validate_table(points, table)) == expected
+        # The same table as int rows over a multiple of its denominator,
+        # values below 0 and above den included, through the int constructor.
+        den = lcm(*(v.denominator for v in table.values())) * data.draw(st.integers(1, 3))
+        rows = [scaled([table[(p, q)] for p in points[:i]], den) for i, q in enumerate(points)]
         if expected != "ok":
-            with pytest.raises(MetricError) as exc:
-                space.with_point(name, vec)
-            assert str(exc.value) == expected
+            for build in (lambda: space.with_point(name, vec),
+                          lambda: _from_int_rows(points, den, rows)):
+                with pytest.raises(MetricError) as exc:
+                    build()
+                assert str(exc.value) == expected
             continue
+        fresh = RationalMetricSpace(points, table).int_rows
+        from_ints = _from_int_rows(points, den, rows)
+        assert from_ints.points == points and from_ints.dist == table
+        assert from_ints.int_rows == fresh
         out = space.with_point(name, vec)
         assert out.points == points and out.dist == table
         # the rows handed over equal the rows derived afresh from dist
-        assert out.int_rows == RationalMetricSpace(points, table).int_rows
+        assert out.int_rows == fresh
         space = out
 
 

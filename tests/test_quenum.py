@@ -161,13 +161,25 @@ def test_enumeration_equals_plain_loops(case):
 
 
 def test_a_row_that_breaks_a_triangle_raises_what_with_point_raises(monkeypatch):
-    """The rows are checked as they are added: a broken spread (here q0 on
-    b, though a is at 1 from q0 and 1/2 from b) raises the report
-    `with_point` gives for that point."""
+    """The output's rows are checked when its table is built: a broken
+    spread (here q0 on b, though a is at 1 from q0 and 1/2 from b) raises
+    the report `with_point` gives for that point."""
     seed = RationalMetricSpace.build(("a", "b"), {("a", "b"): F(1, 2)})
-    monkeypatch.setattr(quenum, "_spread", lambda cols, on, cap: [cap, 0])
+    real = quenum._spread
+    monkeypatch.setattr(quenum, "_spread", lambda cols, on, cap:
+                        [cap, 0] if len(cols[0]) == 2 else real(cols, on, cap))
     with pytest.raises(MetricError) as want:
         seed.with_point("q0", {"a": F(1), "b": F(0)})
     with pytest.raises(MetricError) as got:
         qu_enumerate(seed, 1, 1)
     assert str(got.value) == str(want.value)
+
+
+def test_a_short_row_is_refused_as_missing(monkeypatch):
+    """An added row one value short leaves a pair out of the table."""
+    seed = RationalMetricSpace.build(("a", "b"), {("a", "b"): F(1, 2)})
+    real = quenum._spread
+    monkeypatch.setattr(quenum, "_spread", lambda cols, on, cap: real(cols, on, cap)[:-1])
+    with pytest.raises(MetricError) as got:
+        qu_enumerate(seed, 2, 1)
+    assert str(got.value).startswith("missing b q0: pair not in table")
