@@ -45,23 +45,10 @@ def _canon_formula(text: str) -> str:
 
 
 def _canon_enumeration(text: str) -> str:
-    entries = parse_enumeration(text)
+    entries = textio.parse_enumeration(text)
     if not entries:
         raise CatalogError("empty enumeration")
     return "\n".join(" ".join(("t", name, *tup)) for name, tup in entries) + "\n"
-
-
-def parse_enumeration(text: str) -> List[Tuple[str, Tuple[str, ...]]]:
-    """The (relation, tuple) entries of `t NAME p1 ... pk` lines."""
-    out = []
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] != "t" or len(parts) < 3:
-            raise CatalogError(f"bad enumeration line: {line.strip()!r}")
-        out.append((parts[1], tuple(parts[2:])))
-    return out
 
 
 CANONICALIZERS: Dict[str, Callable[[str], str]] = {

@@ -227,8 +227,8 @@ def cmd_delta_seq(session, args):
 
 
 def _enumeration(session, args, M):
-    from .catalog import parse_enumeration
     from .structures import canonical_enumeration
+    from .textio import parse_enumeration
     if args.enumeration:
         return parse_enumeration(session.text_of(args.enumeration, "enumeration"))
     if session.catalog is not None and session.catalog.manifest.get("delta_enumeration"):

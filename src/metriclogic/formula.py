@@ -251,19 +251,17 @@ def atoms(phi: Formula) -> Tuple[Formula, ...]:
     return fold(phi, _ATOMS)
 
 
-def _var_names(terms) -> frozenset:
-    return frozenset(t.name for t in terms if isinstance(t, Var))
-
-
-_FREE = {**by_shape(unary=keep, scale=keep, binary=or_,
-                    quantifier=lambda var, free: free - {var}),
-         Const: lambda f: frozenset(),
-         AtomD: lambda f: _var_names((f.left, f.right)),
-         AtomR: lambda f: _var_names(f.args)}
+# The terms a formula reads: its variables and constants, the arguments of
+# its relation atoms included (a quantifier drops its variable).
+FREE_TERMS = {**by_shape(unary=keep, scale=keep, binary=or_,
+                         quantifier=lambda var, terms: terms - {Var(var)}),
+              Const: lambda f: frozenset(),
+              AtomD: lambda f: frozenset((f.left, f.right)),
+              AtomR: lambda f: frozenset(f.args)}
 
 
 def free_variables(phi: Formula) -> frozenset:
-    return fold(phi, _FREE)
+    return frozenset(t.name for t in fold(phi, FREE_TERMS) if isinstance(t, Var))
 
 
 _QF = {**by_shape(unary=keep, scale=keep, binary=and_,

@@ -18,7 +18,7 @@ from .rational import ONE, ZERO, dot_add
 from .vaught import (FiniteGSpace, GradedTable, characteristic, compose_permutations,
                      conjugate_table, group_closure, is_invariant, is_subgroup_table,
                      translate_table, vaught_delta, vaught_sets, vaught_star,
-                     _value_grid)
+                     _int_tables)
 
 
 class SuiteReport:
@@ -168,7 +168,8 @@ def check_set_correspondence(X, phi, u, report: SuiteReport):
     o_u = characteristic(X.elements, u)
     delta_graded = vaught_delta(X, phi, o_u)
     star_graded = vaught_star(X, phi, o_u)
-    grid = [r for r in _value_grid(phi, o_u) if r > 0]
+    E, _, _, grid = _int_tables(phi, o_u)
+    grid = sorted(Fraction(k, E) for k in grid if k > 0)
     report.count("set-correspondence", 2 * len(grid))
     for r in grid:
         _, delta_set = vaught_sets(X, _cone(phi, X.points, r, strict=True), u)

@@ -11,6 +11,7 @@ Group spaces: `points ...`, `perm NAME img1 img2 ...`,
 Instances:   sections `yspace`/`xspace` holding space blocks, `element NAME`
              with `ymap`/`xmap` lines, `basis p1 p2 ...`, `senum ...`,
              `kmax N`.
+Enumerations: `t NAME p1 ... pk` lines.
 
 Serialization is canonical: fixed ordering, exact `num/den` rationals, one
 trailing newline.  parse(serialize(x)) reproduces x, and serialize is a
@@ -336,8 +337,8 @@ def parse_instance(text: str) -> ReductionInstance:
     sections: Dict[str, List[str]] = {"yspace": [], "xspace": []}
     elements: List[Tuple[str, Dict[str, str], Dict[str, str]]] = []
     basis: List[Tuple[str, ...]] = []
-    senum: Tuple[str, ...] = ()
-    kmax = 0
+    senum: Tuple[str, ...] | None = None
+    kmax: int | None = None
     mode = None
     for line in lines:
         parts = line.split()
@@ -360,8 +361,12 @@ def parse_instance(text: str) -> ReductionInstance:
         elif parts[0] == "basis":
             basis.append(tuple(parts[1:]))
         elif parts[0] == "senum":
+            if senum is not None:
+                raise FormatError(f"duplicate senum line: {line!r}")
             senum = tuple(parts[1:])
         elif parts[0] == "kmax":
+            if kmax is not None:
+                raise FormatError(f"duplicate kmax line: {line!r}")
             try:
                 kmax, = map(int, parts[1:])
             except ValueError:
@@ -374,6 +379,19 @@ def parse_instance(text: str) -> ReductionInstance:
     x_space = parse_space("\n".join(sections["xspace"]) + "\n")
     gels = tuple(GroupElement(name, ymap, xmap) for name, ymap, xmap in elements)
     try:
-        return ReductionInstance(y_space, x_space, gels, tuple(basis), senum, kmax)
+        return ReductionInstance(y_space, x_space, gels, tuple(basis), senum or (), kmax or 0)
     except Exception as exc:
         raise FormatError(str(exc)) from None
+
+
+# ----------------------------------------------------------- enumerations
+
+def parse_enumeration(text: str) -> List[Tuple[str, Tuple[str, ...]]]:
+    """The (relation, tuple) entries of `t NAME p1 ... pk` lines."""
+    out = []
+    for line in _lines(text):
+        parts = line.split()
+        if parts[0] != "t" or len(parts) < 3:
+            raise FormatError(f"bad enumeration line: {line!r}")
+        out.append((parts[1], tuple(parts[2:])))
+    return out

@@ -9,6 +9,12 @@ in the universal space of diameter 1 (universality plus ultrahomogeneity),
 so grid optimization under-approximates sup and over-approximates inf; a
 Lipschitz error term closes the gap from the other side.
 
+A sentence is prepared once, before any search.  `expand_predicates`
+inlines the definitions and turns each distance atom between two anchors
+into the constant it is (as an atom it would make both anchors coordinates
+of every search it sits in).  One fold then records the terms each
+quantifier reads, and each quantifier's Lipschitz coefficient is found once.
+
 The requested mesh is snapped to h = 1/n, n = D * 2^t, where D clears the
 anchor distance denominators.  With every known distance on that grid,
 rounding an admissible real vector up coordinatewise stays admissible, which
@@ -88,12 +94,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .formula import (CONNECTIVES, AbsDiff, AtomD, AtomR, Const, ConstName,
-                      DotMinus, DotPlus, DotScale, Formula, Half, Inf, MAX_DEPTH,
-                      Max, Min, Neg, Signature, Sup, Var, atoms, by_shape,
+from .formula import (CONNECTIVES, FREE_TERMS, AbsDiff, AtomD, AtomR, Const,
+                      ConstName, DotMinus, DotPlus, DotScale, Formula, Half, Inf,
+                      MAX_DEPTH, Max, Min, Neg, Signature, Sup, Var, atoms, by_shape,
                       fold, free_variables, is_quantifier_free, keep, lipschitz,
                       nesting_depth)
 from .intervals import Enclosure, enc_dot_add, enc_dot_sub, sqrt_enclosure
@@ -116,6 +122,9 @@ class PredicateDef:
     def __post_init__(self):
         if not self.params:
             raise UrysohnError("predicate definition needs at least one parameter")
+        for i, p in enumerate(self.params):
+            if p in self.params[:i]:
+                raise UrysohnError(f"parameter {p} of a definition is repeated")
         if not is_quantifier_free(self.body):
             raise UrysohnError("predicate definitions must be quantifier free")
 
@@ -147,16 +156,22 @@ class AnchoredStructure:
 # Rebuilding a formula: each connective's rule is its class constructor.
 _REBUILD = {Const: keep, **{cls: cls for cls in CONNECTIVES.values()}}
 
-# The terms a formula reads: its free variables and the anchors it names
-# (a quantifier's rule drops its variable).
-_READS = {**by_shape(unary=keep, scale=keep, binary=or_),
-          Const: lambda f: frozenset(), AtomD: lambda f: frozenset((f.left, f.right))}
 
+def expand_predicates(phi: Formula, anchored: AnchoredStructure) -> Formula:
+    """Inline every relation atom through its definition, and turn every
+    distance atom between two anchors, the definitions' too, into the
+    constant of their distance (an atom naming a point that is no anchor
+    stays, for the caller to refuse); phi itself when this changes nothing,
+    which one walk over phi's atoms decides."""
+    dist = anchored.anchors.dist
 
-def expand_predicates(phi: Formula, anchored: AnchoredStructure, atom=keep) -> Formula:
-    """Inline every relation atom through its definition, and rewrite every
-    distance atom, those of the definitions too, by atom; phi itself when
-    that changes nothing, which one walk over phi's atoms decides."""
+    def atom(a: AtomD) -> Formula:
+        if isinstance(a.left, ConstName) and isinstance(a.right, ConstName):
+            d = dist.get((a.left.name, a.right.name))
+            if d is not None:
+                return Const(d)
+        return a
+
     if all(not isinstance(a, AtomR) and atom(a) is a for a in atoms(phi)):
         return phi
 
@@ -199,7 +214,8 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
                  budget: QuantifierBudget = QuantifierBudget(Fraction(1, 16), 2)) -> Enclosure:
     """Enclosure of the value of phi over the universal space.
 
-    params sends the free variables of phi to anchor points; the refined
+    params sends the free variables of phi to anchor points.  phi is
+    prepared once for every round (see the module docstring); the refined
     enclosures of successive rounds are intersected, so the width never
     grows with extra rounds.
     """
@@ -208,26 +224,17 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
     if nesting_depth(phi) > MAX_DEPTH:
         raise UrysohnError(f"formula nested deeper than {MAX_DEPTH} levels")
     params = dict(params or {})
-
-    # An atom between two anchors is a constant of the search; as an atom it
-    # would make both anchors coordinates of every search it sits in.
-    def constant(a: AtomD) -> Formula:
-        if isinstance(a.left, ConstName) and isinstance(a.right, ConstName):
-            d = anchored.anchors.dist.get((a.left.name, a.right.name))
-            if d is not None:
-                return Const(d)
-        return a
-
-    body = expand_predicates(phi, anchored, constant)
-    sig = anchored.signature
+    body = expand_predicates(phi, anchored)
     # per formula the search may meet, by identity: the terms it reads
     reads: Dict[int, frozenset] = {}
+    nodes: List[Formula] = []           # the quantifier nodes
 
     def bind(f, inner):
+        nodes.append(f)
         r = reads[id(f)] = inner() - {Var(f.var)}
         return r
 
-    top = reads[id(body)] = fold(body, _READS, bind)
+    top = reads[id(body)] = fold(body, FREE_TERMS, bind)
     unknown = {t.name for t in top if isinstance(t, ConstName)} - set(anchored.anchors.points)
     if unknown:
         raise UrysohnError(f"point {min(unknown)!r} is not an anchor")
@@ -238,30 +245,31 @@ def eval_urysohn(phi: Formula, anchored: AnchoredStructure,
         if not anchored.anchors.has_point(p):
             raise UrysohnError(f"parameter {v} -> {p!r} is not an anchor")
 
-    h0 = snap_mesh(Fraction(budget.mesh), anchored.anchors)
     # per quantifier node, by identity: its lipschitz coefficient
-    nodes: Dict[int, Fraction] = {}
+    sig = anchored.signature
+    coeffs = {id(f): lipschitz(f.body, sig, only_var=f.var) for f in nodes}
+    h0 = snap_mesh(Fraction(budget.mesh), anchored.anchors)
     result = None
     for r in range(budget.rounds + 1):
-        e = _eval_at_mesh(body, anchored.anchors, sig, params, h0 / (2 ** r), nodes, reads)
+        e = _eval_at_mesh(body, anchored.anchors, params, h0 / (2 ** r), coeffs, reads)
         result = e if result is None else result.intersect(e)
     return result
 
 
-def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
-                  params: Mapping[str, str], h: Fraction,
-                  nodes: Dict[int, Fraction], reads: Dict[int, frozenset]) -> Enclosure:
+def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, params: Mapping[str, str],
+                  h: Fraction, coeffs: Dict[int, Fraction],
+                  reads: Dict[int, frozenset]) -> Enclosure:
     index = anchors.point_index
     n = h.denominator               # snap_mesh makes h = 1/n, n = D * 2^t
     # The anchors' distances in mesh steps as a flat lower triangle: cell
     # (i, j), j < i, at i * (i - 1) // 2 + j (the int rows laid end to end).
     D, rows = anchors.int_rows
     table = [x * (n // D) for row in rows for x in row]
-    # per searched formula: (quantifier free, _compile's closures for its
-    # body), keyed by everything the closures capture: the node, the size of
-    # the (cut-down) partial space, the points left out and the point each
-    # term the formula reads stands for.  Within one, a leaf's points and
-    # widening are fixed: its memo needs only their distances.
+    # per searched formula: _compile's closures for its body, keyed by
+    # everything they capture: the node, the size of the (cut-down) partial
+    # space, the points left out and the point each term the formula reads
+    # stands for.  Within one, a leaf's points and widening are fixed: its
+    # memo needs only their distances.
     compiled: Dict[tuple, tuple] = {}
 
     def value(f: Formula, T: List[int], m0: int, point_of: Dict, dropped: int) -> Enclosure:
@@ -288,10 +296,10 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
             f = f.body
         last = m0 + len(chain) - 1
         if key not in compiled:
-            compiled[key] = (is_quantifier_free(f), _compile(
-                f, at.__getitem__, last, n,
-                lambda q, T: value(q, T, last + 1, at, dropped), err, reads))
-        best = chain_optimum(chain, T, m0, *compiled[key])
+            compiled[key] = _compile(f, at.__getitem__, last, n,
+                                     lambda q, T: value(q, T, last + 1, at, dropped),
+                                     err, reads)
+        best = chain_optimum(chain, T, m0, compiled[key])
         if best is None:
             raise UrysohnError("empty admissibility polytope; inputs were inconsistent")
         # Widening commutes with the endpoint-wise merge of the level above,
@@ -306,14 +314,10 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
 
     def err(f) -> Fraction:
         # The optimum over the polytope lies within coeff * h of the grid's,
-        # on the far side: best +. [0, err] for sup, best -. [0, err] for
-        # inf.  The coefficient is found once per node.
-        coeff = nodes.get(id(f))
-        if coeff is None:
-            coeff = nodes[id(f)] = lipschitz(f.body, sig, only_var=f.var)
-        return min(ONE, coeff * h)
+        # on the far side: best +. [0, err] for sup, best -. [0, err] for inf.
+        return min(ONE, coeffs[id(f)] * h)
 
-    def chain_optimum(chain, T: List[int], m0: int, exact: bool, closures) -> Optional[Enclosure]:
+    def chain_optimum(chain, T: List[int], m0: int, closures) -> Optional[Enclosure]:
         # The grid minimax over the chain's points m0 ... last, in integers
         # over N: alpha-beta over the levels.  One triangle [L, H] over
         # every point is both the partial space and the box: a known cell
@@ -453,7 +457,7 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, sig: Signature,
             return best
 
         # values lie in [0, N]: an open window
-        if exact:
+        if g is not None:
             lo = hi = search(0, -1, N + 1)
         else:
             # The body's enclosure at a full vector L is b(L, L).  Each
@@ -510,7 +514,7 @@ def _compile(body: Formula, point_of, m: int, n: int, value=None, err=None, read
     each of its levels' err.
 
     * g(L) / N is the exact value of a quantifier-free body at a full
-      vector L; g is None for a body with leaves.
+      vector L; g is None for a body with leaves, which has no exact value.
     * b(L, H) = (lo, hi) bounds N times the value over the box: the
       interval extension, connective by connective as in `intervals`
       (Moore, Kearfott & Cloud 2009, ch. 11), so lo / N and hi / N are

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
 from .rational import ONE, ZERO, dot_add, dot_scale, dot_sub, in_unit, scaled
 from .record import field, record
@@ -142,12 +142,6 @@ def _int_tables(phi: GradedTable, J: GradedTable):
     return E, P, Jk, vals + [(a + b) // 2 for a, b in zip(vals, vals[1:])]
 
 
-def _value_grid(phi: GradedTable, J: GradedTable) -> List[Fraction]:
-    """The threshold grid as ascending Fractions."""
-    E, _, _, grid = _int_tables(phi, J)
-    return sorted(Fraction(k, E) for k in grid)
-
-
 def vaught_delta(X: FiniteGSpace, phi: GradedTable, J: GradedTable) -> Dict[str, Fraction]:
     """Graded delta-transform; closed form checked against the threshold scan."""
     return _transform(X, phi, J, lambda pairs, E: min(E, min(p + j for p, j in pairs)),
@@ -170,8 +164,9 @@ def _transform(X, phi, J, closed, scan) -> Dict[str, Fraction]:
     acts = [(X.action[h], Jk[h]) for h in X.elements]
     out = {}
     for x in X.points:
-        value = closed([(P[a[x]], j) for a, j in acts], E)
-        scanned = scan(X, P, Jk, x, grid, E)
+        pairs = [(P[a[x]], j) for a, j in acts]
+        value = closed(pairs, E)
+        scanned = scan(pairs, grid, E)
         if value != scanned:
             raise GSpaceError(f"definition scan {Fraction(scanned, E)} disagrees with "
                               f"closed form {Fraction(value, E)} at {x}")
@@ -179,28 +174,23 @@ def _transform(X, phi, J, closed, scan) -> Dict[str, Fraction]:
     return out
 
 
-def _delta_scan(X, phi, J, x, grid, top=ONE):
-    # inf over threshold pairs (r,s) such that some h has phi(h.x) <= r and
-    # J(h) <= s; the infimum of the strict-threshold definition is attained
-    # on the closed grid of occurring values.  For fixed r the best s is the
-    # least J-value among qualifying h (a grid point), so the inner
-    # minimisation is exact.  top is 1 on Fractions, E on ints over E.
-    pairs = [(phi[X.act(h, x)], J[h]) for h in X.elements]
-    best = None
+def _delta_scan(pairs, grid, top):
+    # pairs holds (phi(h.x), J(h)) for every h, on ints over top = E.  inf
+    # over threshold pairs (r,s) such that some h has phi(h.x) <= r and
+    # J(h) <= s, capped at top; the infimum of the strict-threshold
+    # definition is attained on the closed grid of occurring values.  For
+    # fixed r the best s is the least J-value among qualifying h (a grid
+    # point), so the inner minimisation is exact.
+    best = top
     for r in grid:
         s_min = min((jv for pv, jv in pairs if pv <= r), default=None)
-        if s_min is None:
-            continue
-        v = min(r + s_min, top)
-        best = v if best is None else min(best, v)
-    if best is None:
-        raise GSpaceError("empty group")
+        if s_min is not None:
+            best = min(best, r + s_min)
     return best
 
 
-def _star_scan(X, phi, J, x, grid, top=ONE):
-    pairs = [(phi[X.act(h, x)], J[h]) for h in X.elements]
-    best = top - top                  # 0, in top's type
+def _star_scan(pairs, grid, top):
+    best = 0
     for r in grid:
         s_min = min((jv for pv, jv in pairs if pv >= r), default=None)
         if s_min is not None:

@@ -14,7 +14,7 @@ from math import gcd
 from metriclogic.formula import (AbsDiff, AtomD, AtomR, Const, ConstName,
                                  DotMinus, DotPlus, DotScale, Half, Inf, Max,
                                  Min, Neg, Relation, Signature, Sup, Var,
-                                 is_quantifier_free, lipschitz)
+                                 is_quantifier_free)
 from metriclogic.metric import RationalMetricSpace
 from metriclogic.structures import FiniteStructure, evaluate
 
@@ -338,6 +338,35 @@ def random_formula(rng: random.Random, sig: Signature, variables, depth: int):
 SMALL_SIG = Signature((Relation("P", 1), Relation("E", 2)), ())
 
 
+def modulus(phi, sig, var=None, bound=frozenset()):
+    """Linear modulus coefficient of phi by plain recursion, in the calculus
+    of `bench/oracles.modulus`: a distance atom counts its positions that
+    hold var (any free variable when var is None), a relation atom gives its
+    modulus coefficient once one does, half halves, scale multiplies, min
+    and max keep the larger child, the other connectives add, and a
+    quantifier binds its variable."""
+    if isinstance(phi, Const):
+        return Fraction(0)
+    if isinstance(phi, (AtomD, AtomR)):
+        terms = (phi.left, phi.right) if isinstance(phi, AtomD) else phi.args
+        hits = sum(1 for t in terms if isinstance(t, Var) and t.name not in bound
+                   and var in (None, t.name))
+        if isinstance(phi, AtomD):
+            return Fraction(hits)
+        return Fraction(sig.relation(phi.name).modulus_coefficient) if hits else Fraction(0)
+    if isinstance(phi, (Sup, Inf)):
+        return modulus(phi.body, sig, var, bound | {phi.var})
+    if isinstance(phi, DotScale):
+        return Fraction(phi.factor) * modulus(phi.body, sig, var, bound)
+    kids = [modulus(k, sig, var, bound)
+            for k in ([phi.body] if hasattr(phi, "body") else [phi.left, phi.right])]
+    if isinstance(phi, Half):
+        return kids[0] / 2
+    if isinstance(phi, (Min, Max)):
+        return max(kids)
+    return sum(kids, Fraction(0))
+
+
 # ------------------------------------------------------------ urysohn grid
 
 def snapped_mesh(dists, mesh: Fraction) -> Fraction:
@@ -420,7 +449,7 @@ def grid_enclosure(phi, space, env, sig, h, known=None):
     A quantifier-free formula is evaluated exactly with `structures.evaluate`
     on the partial space.  A quantifier visits every admissible grid vector
     of a new point, merges its body's enclosures lo with lo and hi with hi,
-    then widens by lipschitz * h on the far side, unless the new point is the
+    then widens by `modulus` * h on the far side, unless the new point is the
     first point of the partial space (known counts the anchors and the
     enclosing quantifiers).  A connective combines its children's endpoints.
     """
@@ -436,7 +465,7 @@ def grid_enclosure(phi, space, env, sig, h, known=None):
         lo, hi = pick(e[0] for e in es), pick(e[1] for e in es)
         if known == 0:
             return lo, hi
-        err = lipschitz(phi.body, sig, only_var=phi.var) * h
+        err = modulus(phi.body, sig, phi.var) * h
         if isinstance(phi, Sup):
             return lo, min(Fraction(1), hi + err)
         return max(Fraction(0), lo - err), hi

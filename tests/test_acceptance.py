@@ -23,7 +23,7 @@ from metriclogic.suite import run_suite, random_gspace, random_table
 from metriclogic.syntax import parse
 from metriclogic.urysohn import (AnchoredStructure, QuantifierBudget,
                                  eval_urysohn, qf_decide, theta_demo)
-from metriclogic.vaught import _delta_scan, _star_scan, _value_grid, vaught_delta, vaught_star
+from metriclogic.vaught import _delta_scan, _int_tables, _star_scan, vaught_delta, vaught_star
 
 from helpers import (SMALL_SIG, amalgam_instance, random_far_space,
                      random_formula, random_structure, triangle_violations)
@@ -98,14 +98,15 @@ def test_criterion_4_definition_scan_agreement():
         X = random_gspace(rng, 12, 24)
         phi = random_table(rng, X.points, 8)
         J = random_table(rng, X.elements, 8)
-        grid = _value_grid(phi, J)
+        E, P, Jk, grid = _int_tables(phi, J)
         delta = vaught_delta(X, phi, J)
         star = vaught_star(X, phi, J)
         for x in X.points:
             checked += 2
-            if _delta_scan(X, phi, J, x, grid) != delta[x]:
+            pairs = [(P[X.act(h, x)], Jk[h]) for h in X.elements]
+            if F(_delta_scan(pairs, grid, E), E) != delta[x]:
                 mismatches += 1
-            if _star_scan(X, phi, J, x, grid) != star[x]:
+            if F(_star_scan(pairs, grid, E), E) != star[x]:
                 mismatches += 1
     verdict(4, checked > 0 and mismatches == 0,
             f"threshold scan equals closed form on {checked} table entries")

@@ -272,7 +272,7 @@ def counted_leaves(monkeypatch):
         def g_counted(s):
             calls[0] += 1
             return g(s)
-        return g_counted, bound, slope, N
+        return g and g_counted, bound, slope, N
 
     monkeypatch.setattr(urysohn, "_compile", counted)
     return calls

@@ -9,6 +9,7 @@ import pytest
 
 from metriclogic import cli
 from metriclogic.cli import main
+from metriclogic.textio import parse_enumeration
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 PAIR = DATA / "pair.space"
@@ -140,18 +141,39 @@ DELTA = ["delta-seq", DATA / "twopoint.struct", DATA / "twopoint.struct",
      "duplicate ymap s0 in element e: 'ymap s0 s1'"),
     (SWAPX.replace("xmap x0 x0\n", "xmap x0 x0\nxmap x0 x1\n", 1), ORBIT,
      "duplicate xmap x0 in element e: 'xmap x0 x1'"),
-    (SWAPX.replace("kmax 2\n", "kmax two\n", 1), ORBIT, "bad kmax line: 'kmax two'")],
+    (SWAPX.replace("kmax 2\n", "kmax two\n", 1), ORBIT, "bad kmax line: 'kmax two'"),
+    (SWAPX + "kmax 1\n", ORBIT, "duplicate kmax line: 'kmax 1'"),
+    (SWAPX + "senum s1 s0\n", ORBIT, "duplicate senum line: 'senum s1 s0'")],
     ids=["ymap-first", "nameless-element", "nameless-graded-space",
          "nameless-graded-group", "enumeration-line", "unknown-relation", "unknown-tuple",
          "duplicate-gspace-point", "duplicate-space-point", "duplicate-pair", "duplicate-rel-tuple", "duplicate-perm",
          "duplicate-graded-space", "duplicate-graded-group", "duplicate-ymap",
-         "duplicate-xmap", "kmax-not-a-number"])
+         "duplicate-xmap", "kmax-not-a-number", "duplicate-kmax", "duplicate-senum"])
 def test_malformed_text_gets_a_one_line_diagnostic(tmp_path, text, argv, message):
     path = tmp_path / "input"
     path.write_text(text)
     code, err = call(*(path if a == "{}" else a for a in argv))
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err and "Traceback" not in err and "int()" not in err
+
+
+def test_an_enumeration_may_hold_comments(tmp_path):
+    """`#` starts a comment in an enumeration as in every other format: the
+    commented file gives the entries and the delta-seq result of the bare
+    one."""
+    bare, commented = tmp_path / "bare.enum", tmp_path / "commented.enum"
+    bare.write_text("t P q\nt P p\n")
+    commented.write_text("# c\nt P q  # first\n\n   # c\nt P p\n")
+    assert parse_enumeration(commented.read_text()) == [("P", ("q",)), ("P", ("p",))]
+    results = []
+    for path in (bare, commented):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--format", "json", "delta-seq", str(DATA / "twopoint.struct"),
+                         str(DATA / "twopoint.struct"), "--enumeration", str(path),
+                         "--k", "1"]) == 0
+        results.append(json.loads(out.getvalue())["result"])
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("q, eps, message", [
@@ -184,8 +206,10 @@ def test_gspace_perm_line_must_be_a_permutation(tmp_path, images):
     ("(sup x (R x))", ["R(a)=(d a b)"], "parameter a of R names an anchor"),
     ("(sup x (R x))", ["R(y=(d y a)"], "--define wants R(x)=FORMULA, got 'R(y=(d y a)'"),
     ("(sup x (R x))", ["R(x)=(d z y)"], "definition of R has stray variables y, z"),
-    ("(sup x (R x))", ["R(x)"], "--define wants R(x)=FORMULA, got 'R(x)'")],
-    ids=["defined-twice", "anchor-parameter", "unclosed-head", "stray-variables", "no-body"])
+    ("(sup x (R x))", ["R(x)"], "--define wants R(x)=FORMULA, got 'R(x)'"),
+    ("(R a b)", ["R(x,x)=(d x a)"], "parameter x of a definition is repeated")],
+    ids=["defined-twice", "anchor-parameter", "unclosed-head", "stray-variables", "no-body",
+         "repeated-parameter"])
 def test_eval_urysohn_refuses_a_bad_definition(formula, defines, message):
     argv = ["eval-urysohn", formula, "--anchors", PAIR, "--mesh", "1/8", "--rounds", "0"]
     for d in defines:

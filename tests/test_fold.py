@@ -63,7 +63,8 @@ def p_inlined(s, t):
 CASES = {
     "half": ("(half (P x y))", f"(half {p_inlined('x', 'y')})"),
     "neg": ("(neg (P y x))", f"(neg {p_inlined('y', 'x')})"),
-    "scale": ("(scale 2/3 (P x a))", f"(scale 2/3 {p_inlined('x', 'a')})"),
+    # (d a a) is an atom between two anchors: the constant 0
+    "scale": ("(scale 2/3 (P x a))", "(scale 2/3 (dotminus (d x a) (half 0)))"),
     **{kw: (f"({kw} (P x y) (P y x))", f"({kw} {p_inlined('x', 'y')} {p_inlined('y', 'x')})")
        for kw in ("min", "max", "absdiff", "dotminus", "dotplus")},
     "sup": ("(sup x (P a x))", f"(sup x {p_inlined('a', 'x')})"),

@@ -10,7 +10,7 @@ from metriclogic.formula import (AtomD, Const, FormulaError, Neg, Relation,
 from metriclogic.structures import evaluate
 from metriclogic.syntax import ParseError, parse, print_formula
 
-from helpers import SMALL_SIG, random_formula, random_structure
+from helpers import SMALL_SIG, modulus, random_formula, random_structure
 
 SIG_C = Signature((), ("c", "u0"))
 SIG_R = Signature((Relation("R", 1),), ("c",))
@@ -90,6 +90,20 @@ def test_lipschitz_base_cases():
     assert lipschitz(parse("(sup x (d x y))")) == 1
     assert lipschitz(parse("(R x)", SIG_R), SIG_R) == 1
     assert lipschitz(parse("(inf x (R x))", SIG_R), SIG_R) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 5))
+def test_lipschitz_equals_the_plain_recursion(seed, depth):
+    """lipschitz, over every free variable and over one variable (the
+    widening's only_var), equals the modulus by plain recursion."""
+    rng = random.Random(seed)
+    sig = Signature((Relation("P", 1, F(1, 3)), Relation("E", 2), Relation("T", 3, F(5, 2))),
+                    ("c0",))
+    phi = random_formula(rng, sig, ["x", "y", "z"], depth)
+    assert lipschitz(phi, sig) == modulus(phi, sig)
+    for v in ("x", "y", "z"):
+        assert lipschitz(phi, sig, only_var=v) == modulus(phi, sig, v)
 
 
 def test_lipschitz_soundness_sampled():

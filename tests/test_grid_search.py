@@ -397,7 +397,7 @@ def counting_work(monkeypatch):
         def bound_counted(L, H):
             bounds[0] += 1
             return bound(L, H)
-        return g_counted, bound_counted, slope, N
+        return g and g_counted, bound_counted, slope, N
 
     counting(monkeypatch, "_compile", wrap)
     return evals, bounds
