@@ -4,17 +4,18 @@ Given points a_1..a_n of a host space, a second space B on b_1..b_n whose
 pairwise distances deviate from the a-distances by at most eps, and q shared
 initial points, this builds one metric space on {a_1..a_n, b_{q+1}..b_n} in
 which every displaced copy sits at distance exactly (2*C(n-q,2)+1)*eps from
-its original.  Cross distances are filled in pair by pair in ascending order
-of min(d(a_i,a_j), d(b_i,b_j)); each pair receives that minimum lowered by
-the margin eps/2.  The hypotheses below make the procedure always succeed;
-an internal triangle failure after a successful hypothesis check is a bug,
-not a user error.
+its original, and every cross pair (a_i, b_j), i != j both >= q, at
+min(d(a_i,a_j), d(b_i,b_j)) lowered by the margin eps/2.  The paper places
+the cross pairs in ascending order of that minimum, the order of its
+inductive argument; the order changes no value, so the rows are written at
+once.  The hypotheses below make the construction always succeed; a broken
+output after a successful hypothesis check is a bug, not a user error.
 
 The hypothesis check and the construction share one int table: the a- and
 B-distances and eps/2 times E, the lcm of their denominators.  Reports
-print lowest-terms Fractions.  The output's Fraction table is made once,
-by `metric._from_int_rows`, which checks the int rows in full (a failure
-raises its MetricError with `validate_table`'s report), and the witness, a
+print lowest-terms Fractions.  The output is built and checked once, by
+`metric._from_int_rows`, from its int rows (a failure raises its
+MetricError with `validate_table`'s report), and the witness, a
 `PartialIsometry` defined on all of B, is checked by its `check`.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .metric import (MetricError, PartialIsometry, RationalMetricSpace,
                      Violation, _from_int_rows)
@@ -36,7 +37,7 @@ class HypothesisError(MetricError):
 
 
 class ConstructionError(MetricError):
-    """Internal failure: a triangle broke although the hypotheses held."""
+    """Internal failure: B does not embed although the hypotheses held."""
 
 
 @record
@@ -143,62 +144,28 @@ def amalgamate(host: RationalMetricSpace, a_points: Sequence[str],
         raise HypothesisError("; ".join(str(v) for v in bad))
 
     n = len(a_points)
-    a_points = tuple(a_points)
     disp = (2 * comb(n - q, 2) + 1) * eps
 
     # Output points: the a-points keep their names; moved b-points get fresh
     # names derived from B's, suffixed until they avoid the a-names.
     taken = set(a_points)
-    b_names: List[str] = []
-    for i, b in enumerate(b_space.points):
-        if i < q:
-            b_names.append(a_points[i])
-            continue
-        name = b
+    b_names = list(a_points[:q])
+    for name in b_space.points[q:]:
         while name in taken:
-            name = name + "'"
+            name += "'"
         taken.add(name)
         b_names.append(name)
 
-    # T[x][y]: E * d(x, y) by output index, None until placed.  a_i has
-    # index i; b_i is a_i for i < q, else n + i - q.
+    # Output rows, lower triangle over E: a_i has index i and b_j, j >= q,
+    # index n + j - q (b_j is a_j for j < q).  Row b_j holds its distance to
+    # each a_i, then to each moved b_i before it.
     E, A, B, h = table
-    points = list(a_points) + b_names[q:]
-    b_at = list(range(q)) + list(range(n, len(points)))
-    T: List[List[Optional[int]]] = [[0 if x == y else None for y in range(len(points))]
-                                    for x in range(len(points))]
-
-    def put(x, y, k):
-        T[x][y] = T[y][x] = k
-
-    for i, j in combinations(range(n), 2):
-        put(i, j, A[i][j])
-        if j >= q:
-            put(b_at[i], b_at[j], B[i][j])
-    for i in range(q, n):
-        put(i, b_at[i], scaled((disp,), E)[0])
-
-    def breaks_triangle(i, j, v):
-        # Would setting d(a_i, b_j) = d(b_i, a_j) = v violate a triangle with
-        # any third point whose distances to both ends are already in the
-        # table?  Neither pair is yet, so an end is never that third point.
-        for x, y in ((i, b_at[j]), (b_at[i], j)):
-            for xz, yz in zip(T[x], T[y]):
-                if xz is not None and yz is not None and (v > xz + yz or abs(xz - yz) > v):
-                    return True
-        return False
-
-    # Each cross pair gets min(d_A, d_B) lowered by the margin eps/2, in
-    # ascending order of that minimum.
-    for v, i, j in sorted((min(A[i][j], B[i][j]) - h, i, j)
-                          for i, j in combinations(range(q, n), 2)):
-        if breaks_triangle(i, j, v):
-            raise ConstructionError(
-                f"triangle violation while placing pair ({a_points[i]},{b_names[j]})")
-        put(i, b_at[j], v)
-        put(b_at[i], j, v)
-
-    space = _from_int_rows(points, E, [row[:x] for x, row in enumerate(T)])
+    D = (2 * comb(n - q, 2) + 1) * 2 * h        # E * disp
+    rows = [A[i][:i] for i in range(n)]
+    for j in range(q, n):
+        rows.append([B[i][j] if i < q else D if i == j else min(A[i][j], B[i][j]) - h
+                     for i in range(n)] + [B[i][j] for i in range(q, j)])
+    space = _from_int_rows(list(a_points) + b_names[q:], E, rows)
     witness = PartialIsometry(b_space, space, dict(zip(b_space.points, b_names)))
     wreport = witness.check()
     if not (wreport.ok and witness.defined_on(b_space.points)):

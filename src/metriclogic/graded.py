@@ -320,6 +320,11 @@ class SizeGuardError(GradedError):
     pass
 
 
+# Guards of `oligo_probe`: the n-tuples it covers and the group it acts by.
+MAX_TUPLES = 4096
+MAX_GROUP = 5040
+
+
 @record
 class OligoResult:
     family: Tuple[Tuple[str, ...], ...]
@@ -328,8 +333,7 @@ class OligoResult:
     group_order: int
 
 
-def oligo_probe(M: FiniteStructure, n: int, eps: Fraction,
-                max_tuples: int = 4096, max_group: int = 5040) -> OligoResult:
+def oligo_probe(M: FiniteStructure, n: int, eps: Fraction) -> OligoResult:
     """Minimal family F of n-tuples whose orbit closure is eps-dense in M^n.
 
     Computed by set cover over orbit eps-neighbourhoods; minimality comes
@@ -341,10 +345,11 @@ def oligo_probe(M: FiniteStructure, n: int, eps: Fraction,
     if eps < 0:
         raise GradedError("eps must be >= 0")
     pts = M.space.points
-    if len(pts) ** n > max_tuples:
-        raise SizeGuardError(f"{len(pts)}^{n} tuples exceed the guard ({max_tuples})")
+    # k >= 2 to the bit length of the guard already exceeds it: cap the power
+    if len(pts) ** min(n, MAX_TUPLES.bit_length()) > MAX_TUPLES:
+        raise SizeGuardError(f"{len(pts)}^{n} tuples exceed the guard ({MAX_TUPLES})")
     autos = automorphisms(M)
-    if len(autos) > max_group:
+    if len(autos) > MAX_GROUP:
         raise SizeGuardError(f"automorphism group of size {len(autos)} exceeds the guard")
 
     tuples = list(product(pts, repeat=n))

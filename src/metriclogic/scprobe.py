@@ -22,6 +22,10 @@ from .structures import FiniteStructure, evaluate
 from .syntax import print_formula
 
 VAR_STEM = "x"
+# Guards: the (n+1)-tuples a probe may build, and the families it may try.
+MAX_TUPLES = 4096
+MAX_FAMILY_SIZE = 4
+MAX_FAMILIES = 20000
 
 
 def tuple_vars(n: int) -> List[str]:
@@ -55,16 +59,18 @@ class ProbeReport:
 
 
 def sc_probe(M: FiniteStructure, n: int, eps: Fraction, formula_pool: Sequence[Formula],
-             depth: int, max_family_size: int = 4,
-             max_families: int = 20000) -> ProbeReport:
+             depth: int) -> ProbeReport:
     """Search for a witness family; see the module docstring for the reading."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    points = M.space.points
+    # k >= 2 to the bit length of the guard already exceeds it: cap the power
+    if len(points) ** min(n + 1, MAX_TUPLES.bit_length()) > MAX_TUPLES:
+        raise ValueError(f"{len(points)}^{n + 1} tuples exceed the guard ({MAX_TUPLES})")
     xs = tuple_vars(n)
     ys = tuple_vars(n + 1)
     pool_n = [f for f in formula_pool if free_variables(f) <= set(xs)]
     pool_ext = [f for f in formula_pool if free_variables(f) <= set(ys)]
-    points = M.space.points
     tuples = list(product(points, repeat=n))
     ext_tuples = list(product(points, repeat=n + 1))
 
@@ -119,10 +125,10 @@ def sc_probe(M: FiniteStructure, n: int, eps: Fraction, formula_pool: Sequence[F
 
     examined = 0
     first_failure = None
-    for size in range(1, min(max_family_size, len(candidates)) + 1):
+    for size in range(1, min(MAX_FAMILY_SIZE, len(candidates)) + 1):
         for family in combinations(candidates, size):
             examined += 1
-            if examined > max_families:
+            if examined > MAX_FAMILIES:
                 return ProbeReport("inconclusive", families_examined=examined - 1)
             covered = frozenset().union(*(covers[c] for c in family))
             if len(covered) != len(tuples):

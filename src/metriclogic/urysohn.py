@@ -93,6 +93,7 @@ whatever was dropped: the same rationals as a walk over every grid vector.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -769,17 +770,18 @@ def theta_demo(q: Fraction, tol: Fraction) -> Enclosure:
         rt = Enclosure(sqrt_enclosure(e1, prec).lo, sqrt_enclosure(e2, prec).hi)
         return enc_dot_add(lin, rt)
 
-    enclosures = {(ZERO, q): cell_enclosure(ZERO, q)}
+    # Cells in a heap by (lo, cell), beside the least hi of any cell: the top
+    # is the live cell (lo below that hi) with the least lo, if one is left.
+    top = cell_enclosure(ZERO, q)
+    cells, best = [(top.lo, ZERO, q)], top.hi
     while True:
-        global_hi = min(e.hi for e in enclosures.values())
-        live = [c for c, e in enclosures.items() if e.lo < global_hi]
-        global_lo = min((enclosures[c].lo for c in live), default=global_hi)
-        if global_hi - global_lo <= tol:
-            return Enclosure(global_lo, global_hi)
-        # split the live cell with the smallest lower bound
-        target = min(live, key=lambda c: (enclosures[c].lo, c))
-        e1, e2 = target
+        lo, e1, e2 = cells[0]
+        lo = min(lo, best)
+        if best - lo <= tol:
+            return Enclosure(lo, best)
+        heappop(cells)
         mid = (e1 + e2) / 2
-        del enclosures[target]
         for cell in ((e1, mid), (mid, e2)):
-            enclosures[cell] = cell_enclosure(*cell)
+            e = cell_enclosure(*cell)
+            best = min(best, e.hi)
+            heappush(cells, (e.lo, *cell))

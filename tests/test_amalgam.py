@@ -6,8 +6,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metriclogic import amalgam
 from metriclogic.amalgam import HypothesisError, amalgamate, check_hypotheses
-from metriclogic.metric import RationalMetricSpace
+from metriclogic.metric import MetricError, RationalMetricSpace
 
 from helpers import amalgam_instance, triangle_violations
 
@@ -47,6 +48,28 @@ def test_shared_points_are_identified():
     for i in (1, 2):
         assert res.space.d(a_pts[i], res.b_names[i]) == disp == 3 * eps
     assert not triangle_violations(res.space.points, res.space.d)
+
+
+def test_a_broken_output_raises_what_build_raises(monkeypatch):
+    """The output's rows are checked once, when its table is built: with
+    the margin eps/2 tripled, the copies sit at 9/10 and the cross pairs at
+    3/10, a triangle breaks, and the report is the one `build` gives."""
+    host = two_point((1, 2))
+    b = RationalMetricSpace.build(("b1", "b2"), {("b1", "b2"): F(9, 20)})
+    real = amalgam._hypotheses
+
+    def tripled(*args):
+        bad, (E, A, B, h) = real(*args)
+        return bad, (E, A, B, 3 * h)
+    monkeypatch.setattr(amalgam, "_hypotheses", tripled)
+    with pytest.raises(MetricError) as want:
+        RationalMetricSpace.build(("a1", "a2", "b1", "b2"), {
+            ("a1", "a2"): F(1, 2), ("b1", "b2"): F(9, 20), ("a1", "b1"): F(9, 10),
+            ("a2", "b2"): F(9, 10), ("a1", "b2"): F(3, 10), ("a2", "b1"): F(3, 10)})
+    with pytest.raises(MetricError) as got:
+        amalgamate(host, ("a1", "a2"), b, 0, F(1, 10))
+    assert type(got.value) is MetricError
+    assert str(got.value) == str(want.value)
 
 
 def test_hypothesis_failure_reported_in_detail():

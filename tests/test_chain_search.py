@@ -34,6 +34,11 @@ W2 = "(sup x (inf y (sup z (dotminus (d x z) (d y z)))))"
 W3 = "(sup x (inf y (max (d a y) (sup z (dotminus (d x z) (d y z))))))"
 W5 = "(sup x (inf y (sup z (min (dotminus (d x z) (d y z)) (max (d a x) (d b y))))))"
 L = "(sup x (sup y (min (inf z (d x z)) (min (d a y) (d b x)))))"
+# absdiff of two sides whose difference is at most 0 over every box: at
+# mesh 1/64 over 3/5 (snapped to 1/80) the rows of d(b, x) are longer than
+# `_CUT_OVER` steps, so the slope bound bisects a row, and absdiff's step is
+# the negated one.
+SLOPED = "(absdiff (half (d b x)) (dotplus (d b x) 1/4))"
 # Leaves the oracle visits at most, summed over the rounds: it builds and
 # evaluates a finite structure per leaf.
 ORACLE_LEAVES = 6000
@@ -115,6 +120,8 @@ def prenex_chains(draw):
           "(inf x (sup y (min (max (d a y) (d b y)) (d x y))))", {}, F(1, 4), 0))
 @example((("a", "b"), {("a", "b"): F(3, 5)},
           "(inf x (inf y (absdiff (d a x) (dotplus (d b y) (d x y)))))", {}, F(1, 4), 0))
+@example((("a", "b"), {("a", "b"): F(3, 5)}, f"(sup x {SLOPED})", {}, F(1, 64), 0))
+@example((("a", "b"), {("a", "b"): F(3, 5)}, f"(inf x (neg {SLOPED}))", {}, F(1, 64), 0))
 @settings(max_examples=80, deadline=None)
 def test_prenex_chain_equals_plain_loops(instance):
     check(*instance)

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,32 @@ def call(*argv):
 def test_oligo_probe_refuses_degenerate_parameters(n, eps, message):
     code, err = call("oligo-probe", DATA / "twopoint.struct", "--n", n, "--eps", eps)
     assert (code, err) == (1, message + "\n")
+
+
+# Runs the CLI's main in a child capped at 512 MB of address space, and
+# prints how long main took.
+TIMED_MAIN = """import sys, time
+from metriclogic.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def test_sc_probe_refuses_more_tuples_than_its_guard():
+    """2^21 (n+1)-tuples exceed the guard: refused at once, before any is
+    built (building them runs out of memory)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, "sc-probe", str(DATA / "twopoint.struct"),
+         "--n", "20", "--eps", "1/2", "--formula", "(d x1 x2)"],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29)))
+    assert (proc.returncode, proc.stderr) == (1, "error: 2^21 tuples exceed the guard (4096)\n")
+    assert float(proc.stdout) < 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from metriclogic import scprobe
 from metriclogic.formula import Const, Relation, Signature, lipschitz
 from metriclogic.metric import RationalMetricSpace
 from metriclogic.scprobe import sc_probe
@@ -168,14 +169,16 @@ def test_probe_groups_near_pair():
     assert near, "expected a condition grouping the near pair"
 
 
-def test_probe_inconclusive_at_budget():
+def test_probe_inconclusive_at_budget(monkeypatch):
     M = discrete_two_point()
-    rep = sc_probe(M, 1, F(1, 2), [Const(F(0)), Const(F(1, 2))], depth=1,
-                   max_families=1, max_family_size=1)
+    monkeypatch.setattr(scprobe, "MAX_FAMILIES", 1)
+    monkeypatch.setattr(scprobe, "MAX_FAMILY_SIZE", 1)
+    rep = sc_probe(M, 1, F(1, 2), [Const(F(0)), Const(F(1, 2))], depth=1)
     # the single budgeted family is examined, then the search gives up
     assert rep.status in ("witness", "inconclusive")
-    rep2 = sc_probe(M, 1, F(1, 2), [Const(F(1, 2)), Const(F(1))], depth=0,
-                    max_families=0)
+    monkeypatch.undo()
+    monkeypatch.setattr(scprobe, "MAX_FAMILIES", 0)
+    rep2 = sc_probe(M, 1, F(1, 2), [Const(F(1, 2)), Const(F(1))], depth=0)
     assert rep2.status == "inconclusive"
 
 

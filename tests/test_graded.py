@@ -238,7 +238,7 @@ def test_oligo_size_guard():
     space = equilateral(4, F(1, 2))
     M = FiniteStructure(space, Signature(), {}, {})
     with pytest.raises(SizeGuardError):
-        oligo_probe(M, 9, F(1, 2), max_tuples=1000)
+        oligo_probe(M, 9, F(1, 2))
 
 
 @pytest.mark.parametrize("n, eps", [(0, F(1, 2)), (-1, F(1, 2)), (1, F(-1))])
