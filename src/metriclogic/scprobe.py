@@ -63,6 +63,8 @@ def sc_probe(M: FiniteStructure, n: int, eps: Fraction, formula_pool: Sequence[F
     """Search for a witness family; see the module docstring for the reading."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
     points = M.space.points
     # k >= 2 to the bit length of the guard already exceeds it: cap the power
     if len(points) ** min(n + 1, MAX_TUPLES.bit_length()) > MAX_TUPLES:
@@ -88,22 +90,22 @@ def sc_probe(M: FiniteStructure, n: int, eps: Fraction, formula_pool: Sequence[F
     if not candidates:
         return ProbeReport("counterexample", failing_tuple=tuples[0] if tuples else ())
 
-    covers = {c: frozenset(t for t in tuples if value(c.formula, t) <= c.threshold)
-              for c in candidates}
+    covers = [frozenset(t for t in tuples if value(c.formula, t) <= c.threshold)
+              for c in candidates]
 
     deltas: List[tuple] = [()]
     for size in range(1, min(depth, len(pool_ext)) + 1):
         deltas.extend(combinations(pool_ext, size))
 
     @cache
-    def extension_holds(cond: Condition):
-        """None when the clause holds, else the failing (tuple, Delta).
+    def extension_holds(i: int):
+        """None when candidate i's clause holds, else the failing (tuple, Delta).
 
         A pure function of the condition, so each is decided once per probe
         however many families contain it.  The holders are walked in point
         order, so the failing tuple reported is the first one.
         """
-        holders = covers[cond]
+        holders = covers[i]
         held = [c for c in ext_tuples if c[:n] in holders]
         for a in tuples:
             if a not in holders:
@@ -120,13 +122,13 @@ def sc_probe(M: FiniteStructure, n: int, eps: Fraction, formula_pool: Sequence[F
                                for b in near):
                         anchored = tuple(Condition(f, bd)
                                          for f, bd in zip(delta_formulas, bounds))
-                        return a, (cond,) + anchored
+                        return a, (candidates[i],) + anchored
         return None
 
     examined = 0
     first_failure = None
     for size in range(1, min(MAX_FAMILY_SIZE, len(candidates)) + 1):
-        for family in combinations(candidates, size):
+        for family in combinations(range(len(candidates)), size):
             examined += 1
             if examined > MAX_FAMILIES:
                 return ProbeReport("inconclusive", families_examined=examined - 1)
@@ -134,12 +136,13 @@ def sc_probe(M: FiniteStructure, n: int, eps: Fraction, formula_pool: Sequence[F
             if len(covered) != len(tuples):
                 continue
             failure = None
-            for cond in family:
-                failure = extension_holds(cond)
+            for i in family:
+                failure = extension_holds(i)
                 if failure is not None:
                     break
             if failure is None:
-                return ProbeReport("witness", family=family, families_examined=examined)
+                return ProbeReport("witness", family=tuple(candidates[i] for i in family),
+                                   families_examined=examined)
             if first_failure is None:
                 first_failure = failure
     if first_failure is not None:

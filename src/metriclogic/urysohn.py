@@ -87,7 +87,7 @@ no coordinates.
 
 Pruning and cutoffs only ever drop vectors whose values cannot change the
 optimum, so the result is the exact grid optimum (plus the Lipschitz term)
-whatever was dropped: the same rationals as a walk over every grid vector.
+whatever they left out: the same rationals as a walk over every grid vector.
 """
 
 from __future__ import annotations
@@ -266,52 +266,40 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, params: Mapping[st
     # (i, j), j < i, at i * (i - 1) // 2 + j (the int rows laid end to end).
     D, rows = anchors.int_rows
     table = [x * (n // D) for row in rows for x in row]
-    # per searched formula: _compile's closures for its body, keyed by
-    # everything they capture: the node, the size of the (cut-down) partial
-    # space, the points left out and the point each term the formula reads
-    # stands for.  Within one, a leaf's points and widening are fixed: its
-    # memo needs only their distances.
-    compiled: Dict[tuple, tuple] = {}
 
-    def value(f: Formula, T: List[int], m0: int, point_of: Dict, dropped: int) -> Enclosure:
+    def prepare(f: Formula, point_of: Dict, full: int):
         # f's prenex run Q1 x1 ... Qk xk (k = 0 when f is no quantifier) and
-        # the body below it: one search at the partial space T of m0 points
-        # (point_of sends each term to its point; the enclosing searches left
-        # `dropped` points out), cut down to the points f reads, which has
-        # the same grid minimax (the Katetov extension, see the module
-        # docstring).
-        full = m0 + dropped             # the unrestricted partial space
-        at = {t: point_of[t] for t in reads[id(f)]}
-        kept = sorted(set(at.values()))
-        if len(kept) < m0:              # renumber the table and the terms
-            place = {i: k for k, i in enumerate(kept)}
-            T = [T[i * (i - 1) // 2 + j] for k, i in enumerate(kept) for j in kept[:k]]
-            at = {t: place[i] for t, i in at.items()}
-            dropped += m0 - len(kept)
-            m0 = len(kept)
-        key = (id(f), m0, dropped, frozenset(at.items()))
+        # the body below it, searched at a partial space of `full` points
+        # (point_of sends each term to its point) cut down to the points f
+        # reads, which has the same grid minimax (the Katetov extension, see
+        # the module docstring).  Returns those points' cells in the space's
+        # triangle, and the search: f's widened enclosure at their distances.
+        kept = sorted({point_of[t] for t in reads[id(f)]})
+        cells = [i * (i - 1) // 2 + j for k, i in enumerate(kept) for j in kept[:k]]
+        at = {t: kept.index(point_of[t]) for t in reads[id(f)]}
+        m0 = len(kept)
         chain = []
         while isinstance(f, (Sup, Inf)):
             at[Var(f.var)] = m0 + len(chain)   # a later binding shadows an earlier one
             chain.append(f)
             f = f.body
-        last = m0 + len(chain) - 1
-        if key not in compiled:
-            compiled[key] = _compile(f, at.__getitem__, last, n,
-                                     lambda q, T: value(q, T, last + 1, at, dropped),
-                                     err, reads)
-        best = chain_optimum(chain, T, m0, compiled[key])
-        if best is None:
-            raise UrysohnError("empty admissibility polytope; inputs were inconsistent")
+        closures = _compile(f, at.__getitem__, m0 + len(chain) - 1, n,
+                            lambda q: prepare(q, at, full + len(chain)), err)
         # Widening commutes with the endpoint-wise merge of the level above,
         # so the levels widen from the innermost outward; the first point of
         # an empty partial space (counting the points left out) is
         # unconstrained (one exact branch) and is not widened.
-        for i in reversed(range(len(chain))):
-            if full + i:
-                best = (enc_dot_add if isinstance(chain[i], Sup) else enc_dot_sub)(
-                    best, Enclosure(ZERO, err(chain[i])))
-        return best
+        widen = [(enc_dot_add if isinstance(q, Sup) else enc_dot_sub, Enclosure(ZERO, err(q)))
+                 for i, q in enumerate(chain) if full + i][::-1]
+
+        def search(T: List[int]) -> Enclosure:
+            best = chain_optimum(chain, T, m0, closures)
+            if best is None:
+                raise UrysohnError("empty admissibility polytope; inputs were inconsistent")
+            for op, e in widen:
+                best = op(best, e)
+            return best
+        return cells, search
 
     def err(f) -> Fraction:
         # The optimum over the polytope lies within coeff * h of the grid's,
@@ -455,6 +443,7 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, params: Mapping[st
             # then the top level best first, the levels below in step order
             if best < limit if is_sup else best > limit:
                 (fill if t else split)(0, 0, n)
+            del fill, split                 # each refers to itself: free them now
             return best
 
         # values lie in [0, N]: an open window
@@ -468,13 +457,16 @@ def _eval_at_mesh(phi: Formula, anchors: RationalMetricSpace, params: Mapping[st
             lo = search(0, -1, N + 1)
             at_point = lambda L: b(L, L)[1]
             hi = search(0, -1, N + 1)
+        del search                          # it refers to itself: free it now
         if not 0 <= lo <= hi <= N:
             return None
         return Enclosure(Fraction(lo, N), Fraction(hi, N))
 
     terms = {**{ConstName(p): i for p, i in index.items()},
              **{Var(v): index[p] for v, p in params.items()}}
-    return value(phi, table, len(index), terms, 0)
+    cells, search = prepare(phi, terms, len(index))
+    del prepare                         # it refers to itself: free it now
+    return search([table[c] for c in cells])
 
 
 # A row of the last coordinate longer than this many steps is bounded with
@@ -497,7 +489,7 @@ def _span(n: int, m: int, k: int, L, H) -> Tuple[int, int]:
     return lo, hi
 
 
-def _compile(body: Formula, point_of, m: int, n: int, value=None, err=None, reads=None):
+def _compile(body: Formula, point_of, m: int, n: int, prepare=None, err=None):
     """Compile a body at new point m into integer closures.
 
     The closures read one flat lower triangle over points 0 ... m: the
@@ -505,14 +497,14 @@ def _compile(body: Formula, point_of, m: int, n: int, value=None, err=None, read
     i * (i - 1) // 2 + j, and point_of sends a term to its point.  A box
     [L, H] is two such triangles, L[c] <= s_c <= H[c] for each cell c; a
     known distance is the point range L[c] == H[c].  A quantifier in the
-    body is a leaf: value(f, L) is its widened enclosure at the partial
-    space L, err(f) the widening of its level, and reads[id(f)] the terms
-    it reads; the leaf keeps its enclosure per the distances among the
-    points those terms stand for.  Returns (g, b, d, N), where N clears
-    every intermediate value and bound: n for distances, the constants'
-    denominators, times 2 under each half and times the denominator of
-    each scale factor, and for a leaf its body's N and the denominator of
-    each of its levels' err.
+    body is a leaf: prepare(f) gives the cells among the points it reads
+    and its search, which takes their distances in that order and gives
+    its widened enclosure, and err(f) is the widening of its level; the
+    leaf keeps its enclosure per those distances.  Returns (g, b, d, N),
+    where N clears every intermediate value and bound: n for distances,
+    the constants' denominators, times 2 under each half and times the
+    denominator of each scale factor, and for a leaf its body's N and the
+    denominator of each of its levels' err.
 
     * g(L) / N is the exact value of a quantifier-free body at a full
       vector L; g is None for a body with leaves, which has no exact value.
@@ -543,8 +535,7 @@ def _compile(body: Formula, point_of, m: int, n: int, value=None, err=None, read
 
     def leaf(f, _):
         leaves.append(f)
-        at = sorted({point_of(t) for t in reads[id(f)]})
-        cells = [i * (i - 1) // 2 + j for k, i in enumerate(at) for j in at[:k]]
+        cells, search = prepare(f)
         memo: Dict[tuple, Tuple[int, int]] = {}
 
         def b(L, H):
@@ -553,7 +544,7 @@ def _compile(body: Formula, point_of, m: int, n: int, value=None, err=None, read
                 return 0, N             # a distance it reads is open
             e = memo.get(key)
             if e is None:
-                e = value(f, L)
+                e = search(list(key))
                 e = memo[key] = (e.lo.numerator * (N // e.lo.denominator),
                                  e.hi.numerator * (N // e.hi.denominator))
             return e

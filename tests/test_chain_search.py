@@ -12,9 +12,11 @@ searching every anchor.
 """
 
 from fractions import Fraction as F
+import gc
 from math import lcm
 from pathlib import Path
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -30,6 +32,7 @@ from metriclogic.urysohn import AnchoredStructure, QuantifierBudget, eval_urysoh
 DATA = Path(__file__).resolve().parent.parent / "data"
 ANCHORS = ("a", "b", "c")
 MESHES = (F(1, 2), F(1, 3), F(1, 4))
+W1 = "(inf x (max (d a x) (d b x)))"
 W2 = "(sup x (inf y (sup z (dotminus (d x z) (d y z)))))"
 W3 = "(sup x (inf y (max (d a y) (sup z (dotminus (d x z) (d y z))))))"
 W5 = "(sup x (inf y (sup z (min (dotminus (d x z) (d y z)) (max (d a x) (d b y))))))"
@@ -325,6 +328,32 @@ def test_w3_searches_its_leaf_once_per_distance(monkeypatch):
     e, calls = pair_search(monkeypatch, W3, F(1, 8))
     assert e == Enclosure(F(2, 5), F(7, 10))
     assert calls <= 500
+
+
+@pytest.mark.parametrize("text, mesh", [(W1, F(1, 160)), (W3, F(1, 8))], ids=["W1", "W3"])
+def test_a_calls_closures_are_freed_by_reference_counting(monkeypatch, text, mesh):
+    """With the collector off, every compiled body is gone once the call
+    returns: no closure still refers to itself after its search, so
+    reference counting frees them all and leaves the collector nothing of
+    the call's (its runs landed on the same operations of a fixed pool
+    every pass and moved their medians)."""
+    refs = []
+    real = urysohn._compile
+
+    def watched(*args):
+        compiled = real(*args)
+        refs.append(weakref.ref(compiled[1]))
+        return compiled
+
+    monkeypatch.setattr(urysohn, "_compile", watched)
+    space = textio.parse_space((DATA / "pair.space").read_text())
+    phi = parse(text, Signature((), space.points))
+    gc.disable()
+    try:
+        eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(mesh, 1))
+        assert refs and all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def test_an_anchor_the_inner_level_reads_alone(monkeypatch):

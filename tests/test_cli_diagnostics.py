@@ -65,6 +65,13 @@ def test_sc_probe_refuses_more_tuples_than_its_guard():
     assert float(proc.stdout) < 1
 
 
+def test_sc_probe_refuses_a_negative_eps():
+    """oligo-probe's refusal: no tuple is within a negative eps of another."""
+    code, err = call("sc-probe", DATA / "twopoint.struct", "--n", "1", "--eps=-1/2",
+                     "--formula", "(P x1)")
+    assert (code, err) == (1, "error: eps must be >= 0\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["sc-probe", DATA / "twopoint.struct", "--n", "1", "--eps", "1/2", "--depth", "-1"],
     ["approx-search", DATA / "twopoint.struct", DATA / "twopoint.struct",
