@@ -273,20 +273,23 @@ def is_quantifier_free(phi: Formula) -> bool:
     return fold(phi, _QF)
 
 
+def _check_atom(atom: Formula, sig: Signature) -> Relation | None:
+    """Check one atom against sig (see check_wellformed); its relation, or None."""
+    rel = sig.relation(atom.name) if isinstance(atom, AtomR) else None
+    terms = (atom.left, atom.right) if rel is None else atom.args
+    if rel is not None and len(terms) != rel.arity:
+        raise FormulaError(
+            f"arity mismatch: {atom.name} takes {rel.arity} arguments, got {len(terms)}")
+    for t in terms:
+        if isinstance(t, ConstName) and not sig.is_constant(t.name):
+            raise FormulaError(f"unknown constant {t.name!r}")
+    return rel
+
+
 def check_wellformed(phi: Formula, sig: Signature) -> None:
     """Arity and symbol checks against a signature; raises FormulaError."""
     for atom in atoms(phi):
-        if isinstance(atom, AtomR):
-            rel = sig.relation(atom.name)
-            if len(atom.args) != rel.arity:
-                raise FormulaError(
-                    f"arity mismatch: {atom.name} takes {rel.arity} arguments, got {len(atom.args)}")
-            terms = atom.args
-        else:
-            terms = (atom.left, atom.right)
-        for t in terms:
-            if isinstance(t, ConstName) and not sig.is_constant(t.name):
-                raise FormulaError(f"unknown constant {t.name!r}")
+        _check_atom(atom, sig)
 
 
 _LIPSCHITZ = {**by_shape(unary=keep, binary=add),
@@ -305,8 +308,9 @@ def lipschitz(phi: Formula, sig: Signature = PURE_METRIC,
     soon as one counted variable occurs, since its modulus is stated against
     the max displacement.  min and max keep the larger child coefficient;
     the difference-like connectives add; quantifiers drop their variable.
+    The same walk checks each atom against sig as `check_wellformed` does,
+    in the same order, so a malformed phi raises the same FormulaError.
     """
-    check_wellformed(phi, sig)
     bound = []                          # variables bound above the node, innermost last
 
     def counted(t):
@@ -319,11 +323,13 @@ def lipschitz(phi: Formula, sig: Signature = PURE_METRIC,
         bound.pop()
         return coeff
 
-    rules = {**_LIPSCHITZ,
-             AtomD: lambda f: Fraction(counted(f.left) + counted(f.right)),
-             AtomR: lambda f: (sig.relation(f.name).modulus_coefficient
-                               if any(map(counted, f.args)) else Fraction(0))}
-    return fold(phi, rules, quantify)
+    def atom(f):
+        rel = _check_atom(f, sig)
+        if rel is None:
+            return Fraction(counted(f.left) + counted(f.right))
+        return rel.modulus_coefficient if any(map(counted, f.args)) else Fraction(0)
+
+    return fold(phi, {**_LIPSCHITZ, AtomD: atom, AtomR: atom}, quantify)
 
 
 @record

@@ -21,7 +21,7 @@ from .metric import PartialIsometry, RationalMetricSpace
 from .rational import ONE, ZERO, dot_scale
 from .record import record
 from .structures import (FiniteStructure, automorphisms, delta_exact, evaluate,
-                         space_isometries, canonical_enumeration)
+                         guard_tuples, space_isometries, canonical_enumeration)
 from .formula import Formula, lipschitz
 
 
@@ -320,8 +320,7 @@ class SizeGuardError(GradedError):
     pass
 
 
-# Guards of `oligo_probe`: the n-tuples it covers and the group it acts by.
-MAX_TUPLES = 4096
+# Guard of `oligo_probe` besides `structures.MAX_TUPLES`: the group it acts by.
 MAX_GROUP = 5040
 
 
@@ -345,9 +344,7 @@ def oligo_probe(M: FiniteStructure, n: int, eps: Fraction) -> OligoResult:
     if eps < 0:
         raise GradedError("eps must be >= 0")
     pts = M.space.points
-    # k >= 2 to the bit length of the guard already exceeds it: cap the power
-    if len(pts) ** min(n, MAX_TUPLES.bit_length()) > MAX_TUPLES:
-        raise SizeGuardError(f"{len(pts)}^{n} tuples exceed the guard ({MAX_TUPLES})")
+    guard_tuples(pts, n, SizeGuardError)
     autos = automorphisms(M)
     if len(autos) > MAX_GROUP:
         raise SizeGuardError(f"automorphism group of size {len(autos)} exceeds the guard")

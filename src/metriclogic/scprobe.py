@@ -18,12 +18,11 @@ from typing import List, Sequence, Tuple
 
 from .formula import Formula, free_variables
 from .record import record
-from .structures import FiniteStructure, evaluate
+from .structures import FiniteStructure, evaluate, guard_tuples
 from .syntax import print_formula
 
 VAR_STEM = "x"
-# Guards: the (n+1)-tuples a probe may build, and the families it may try.
-MAX_TUPLES = 4096
+# Guards on the families a probe may try (its tuples: `structures.guard_tuples`).
 MAX_FAMILY_SIZE = 4
 MAX_FAMILIES = 20000
 
@@ -66,13 +65,12 @@ def sc_probe(M: FiniteStructure, n: int, eps: Fraction, formula_pool: Sequence[F
     if eps < 0:
         raise ValueError("eps must be >= 0")
     points = M.space.points
-    # k >= 2 to the bit length of the guard already exceeds it: cap the power
-    if len(points) ** min(n + 1, MAX_TUPLES.bit_length()) > MAX_TUPLES:
-        raise ValueError(f"{len(points)}^{n + 1} tuples exceed the guard ({MAX_TUPLES})")
+    guard_tuples(points, n + 1)
     xs = tuple_vars(n)
     ys = tuple_vars(n + 1)
-    pool_n = [f for f in formula_pool if free_variables(f) <= set(xs)]
-    pool_ext = [f for f in formula_pool if free_variables(f) <= set(ys)]
+    frees = [(f, free_variables(f)) for f in formula_pool]
+    pool_n = [f for f, fv in frees if fv <= set(xs)]
+    pool_ext = [f for f, fv in frees if fv <= set(ys)]
     tuples = list(product(points, repeat=n))
     ext_tuples = list(product(points, repeat=n + 1))
 

@@ -179,6 +179,17 @@ def mod_member(M: FiniteStructure, phi: Formula, assignment: Mapping[str, str],
     raise StructureError(f"comparison must be '<' or '>', got {cmp!r}")
 
 
+# The most n-tuples of a structure's points a probe may build.
+MAX_TUPLES = 4096
+
+
+def guard_tuples(points: Sequence[str], n: int, error=ValueError) -> None:
+    """Raise error when the points make more than MAX_TUPLES n-tuples; the
+    power is capped at the guard's bit length, which any k >= 2 exceeds."""
+    if len(points) ** min(n, MAX_TUPLES.bit_length()) > MAX_TUPLES:
+        raise error(f"{len(points)}^{n} tuples exceed the guard ({MAX_TUPLES})")
+
+
 def _isometries(space: RationalMetricSpace, fixed=frozenset()) -> List[Dict[str, str]]:
     """Distance-preserving bijections of a finite space in lex order, each
     point of fixed mapped to itself (pinned during the search)."""

@@ -13,7 +13,8 @@ A sentence is prepared once, before any search.  `expand_predicates`
 inlines the definitions and turns each distance atom between two anchors
 into the constant it is (as an atom it would make both anchors coordinates
 of every search it sits in).  One fold then records the terms each
-quantifier reads, and each quantifier's Lipschitz coefficient is found once.
+quantifier reads, and one `lipschitz` walk of each quantifier's body finds
+its coefficient.
 
 The requested mesh is snapped to h = 1/n, n = D * 2^t, where D clears the
 anchor distance denominators.  With every known distance on that grid,
@@ -105,7 +106,7 @@ from .formula import (CONNECTIVES, FREE_TERMS, AbsDiff, AtomD, AtomR, Const,
                       nesting_depth)
 from .intervals import Enclosure, enc_dot_add, enc_dot_sub, sqrt_enclosure
 from .metric import RationalMetricSpace
-from .rational import ONE, ZERO, dot_scale
+from .rational import ONE, ZERO, dot_scale, scaled
 from .record import field, record
 from .structures import FiniteStructure, evaluate
 
@@ -545,8 +546,7 @@ def _compile(body: Formula, point_of, m: int, n: int, prepare=None, err=None):
             e = memo.get(key)
             if e is None:
                 e = search(list(key))
-                e = memo[key] = (e.lo.numerator * (N // e.lo.denominator),
-                                 e.hi.numerator * (N // e.hi.denominator))
+                e = memo[key] = tuple(scaled((e.lo, e.hi), N))
             return e
         return None, b, None
 
@@ -565,18 +565,6 @@ def _compile(body: Formula, point_of, m: int, n: int, prepare=None, err=None):
         if unit == 1:
             return itemgetter(at), (lambda L, H: (L[at], H[at])), d
         return (lambda s: s[at] * unit), (lambda L, H: (L[at] * unit, H[at] * unit)), d
-
-    def half(x):
-        a, ab, ad = x
-
-        def b(L, H):
-            lo, hi = ab(L, H)
-            return lo // 2, hi // 2
-
-        def d(L, H):
-            lo, hi, dl, dh = ad(L, H)
-            return lo // 2, hi // 2, dl // 2, dh // 2
-        return (lambda s: a(s) // 2), b, d
 
     def neg(x):
         a, ab, ad = x
@@ -713,7 +701,8 @@ def _compile(body: Formula, point_of, m: int, n: int, prepare=None, err=None):
         return g, b, d
 
     g, b, d = fold(body, {Const: lambda f: constant(int(Fraction(f.value) * N)),
-                          AtomD: atom, Half: half, Neg: neg, DotScale: scale,
+                          AtomD: atom, Neg: neg, DotScale: scale,
+                          Half: lambda x: scale(Fraction(1, 2), x),
                           Min: min_, Max: max_, AbsDiff: absdiff,
                           DotMinus: dot_minus, DotPlus: dot_plus}, leaf)
     return (None, b, None, N) if leaves else (g, b, d, N)

@@ -296,13 +296,11 @@ def nice_closure(X: FiniteGSpace, family: Sequence[GradedTable],
             for rho in cosets:
                 yield vec(vaught_delta(X, tab(v), rho))
                 yield vec(vaught_star(X, tab(v), rho))
+        binary = (min, max, lambda a, b: abs(a - b), dot_sub, dot_add)
         for v in snapshot:
             for w in snapshot:
-                yield tuple(min(a, b) for a, b in zip(v, w))
-                yield tuple(max(a, b) for a, b in zip(v, w))
-                yield tuple(abs(a - b) for a, b in zip(v, w))
-                yield tuple(dot_sub(a, b) for a, b in zip(v, w))
-                yield tuple(dot_add(a, b) for a, b in zip(v, w))
+                for op in binary:
+                    yield tuple(map(op, v, w))
 
     while known:
         added = False

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metriclogic.formula import (AtomD, Const, FormulaError, Neg, Relation,
-                                 Signature, Var, borel_level, free_variables,
+from metriclogic.formula import (AtomD, AtomR, Const, ConstName, DotPlus, DotScale,
+                                 FormulaError, Inf, Neg, Relation, Signature, Sup, Var,
+                                 borel_level, check_wellformed, free_variables,
                                  lipschitz)
 from metriclogic.structures import evaluate
 from metriclogic.syntax import ParseError, parse, print_formula
@@ -104,6 +105,58 @@ def test_lipschitz_equals_the_plain_recursion(seed, depth):
     assert lipschitz(phi, sig) == modulus(phi, sig)
     for v in ("x", "y", "z"):
         assert lipschitz(phi, sig, only_var=v) == modulus(phi, sig, v)
+
+
+def replace_atom(phi, k, new):
+    """phi with its atom number k in preorder (from 0) replaced by new, and k
+    less the atoms of phi (negative once the atom is replaced)."""
+    if isinstance(phi, (AtomD, AtomR)):
+        return (new, -1) if k == 0 else (phi, k - 1)
+    if isinstance(phi, Const):
+        return phi, k
+    if hasattr(phi, "left"):
+        left, k = replace_atom(phi.left, k, new)
+        right, k = replace_atom(phi.right, k, new)
+        return type(phi)(left, right), k
+    body, k = replace_atom(phi.body, k, new)
+    if isinstance(phi, DotScale):
+        return DotScale(phi.factor, body), k
+    if isinstance(phi, (Sup, Inf)):
+        return type(phi)(phi.var, body), k
+    return type(phi)(body), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 4),
+       st.sampled_from(["constant", "relation", "arity", "none"]))
+def test_lipschitz_checks_atoms_as_check_wellformed_does(seed, depth, fault):
+    """One atom of a random formula corrupted (an unknown constant, an
+    unknown relation or a wrong arity): lipschitz raises exactly the
+    FormulaError check_wellformed raises, over every variable and over one;
+    on a well-formed formula it passes and equals the plain recursion."""
+    rng = random.Random(seed)
+    sig = Signature((Relation("P", 1, F(1, 3)), Relation("E", 2), Relation("T", 3, F(5, 2))),
+                    ("c0",))
+    phi = random_formula(rng, sig, ["x", "y", "z"], depth)
+    if fault == "none":
+        check_wellformed(phi, sig)
+        assert lipschitz(phi, sig) == modulus(phi, sig)
+        return
+    terms = [Var("x"), Var("y"), ConstName("c0")]
+    bad = {"constant": rng.choice([AtomD(rng.choice(terms), ConstName("zz")),
+                                   AtomR("E", (ConstName("zz"), rng.choice(terms)))]),
+           "relation": AtomR("Q", (rng.choice(terms),)),
+           "arity": rng.choice([AtomR("E", (rng.choice(terms),)),
+                                AtomR("P", (Var("x"), Var("y")))])}[fault]
+    phi, k = replace_atom(phi, rng.randrange(4), bad)
+    if k >= 0:                          # fewer atoms than that: add it last
+        phi = DotPlus(phi, bad)
+    with pytest.raises(FormulaError) as want:
+        check_wellformed(phi, sig)
+    for only_var in (None, "x", "z"):
+        with pytest.raises(FormulaError) as got:
+            lipschitz(phi, sig, only_var=only_var)
+        assert str(got.value) == str(want.value)
 
 
 def test_lipschitz_soundness_sampled():

@@ -18,7 +18,7 @@ from math import lcm
 from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import admissible_steps, interval_value, triangle
-from metriclogic import urysohn
+from metriclogic import formula, urysohn
 from metriclogic.formula import Inf, Signature, Sup, lipschitz
 from metriclogic.intervals import Enclosure
 from metriclogic.metric import RationalMetricSpace
@@ -381,6 +381,28 @@ def test_lipschitz_once_per_quantifier(monkeypatch):
     e = eval_urysohn(phi, AnchoredStructure(space), {}, QuantifierBudget(F(1, 4), 1))
     assert e.contains(F(0))
     assert sorted(calls) == ["x", "y", "z"]
+
+
+def test_atoms_walked_once_and_no_wellformed_pass(monkeypatch):
+    """W2 over a, b at 1/8, no refinement: `expand_predicates` walks the
+    atoms once, and `lipschitz` checks each atom as its one walk of a
+    node's body reaches it.  A separate `check_wellformed` pass per
+    quantifier node made 4 atoms walks and 3 checks, and 10 folds in all."""
+    counts = {"atoms": 0, "check_wellformed": 0, "fold": 0}
+    for name in counts:
+        real = getattr(formula, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        for module in (formula, urysohn):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    anchored = AnchoredStructure(PAIR)
+    phi = parse("(sup x (inf y (sup z (dotminus (d x z) (d y z)))))", Signature((), ("a", "b")))
+    e = eval_urysohn(phi, anchored, {}, QuantifierBudget(F(1, 8), 0))
+    assert e.contains(F(0))
+    assert counts == {"atoms": 1, "check_wellformed": 0, "fold": 7}
 
 
 def counting_work(monkeypatch):
